@@ -196,22 +196,17 @@ def localization_euler(a, b, d: int, n: int) -> int:
     the tangent factors (1 - t^(c_i - c_j)).  Summing over the common
     denominator leaves a Laurent polynomial (the virtual character), whose
     value at t = 1 is the Euler characteristic.  All arithmetic is exact
-    integer Laurent-polynomial work; a vanishing denominator or failed exact
-    division triggers a retry with fresh exponents (at most 5 attempts).
+    integer Laurent-polynomial work.  The exponents are 0, ..., n-1: being
+    distinct, they make every tangent factor nonzero, and since scaling all
+    of them by k only substitutes t -> t^k, no other choice could change
+    whether the exact division succeeds.  A failure raises ArithmeticError.
     """
     if not 1 <= d < n:
         raise ValueError("need 1 <= d < n")
     a, b = normalize(a), normalize(b)
     from .schur import split_bundle_expand
 
-    last_error: Exception | None = None
-    for attempt in range(5):
-        exps = tuple(i * (attempt + 1) for i in range(n))
-        try:
-            return _localization_at(a, b, d, n, exps, split_bundle_expand)
-        except ArithmeticError as exc:
-            last_error = exc
-    raise ArithmeticError(f"localization failed after retries: {last_error}")
+    return _localization_at(a, b, d, n, tuple(range(n)), split_bundle_expand)
 
 
 def _localization_at(a, b, d, n, exps, split_bundle_expand) -> int:

@@ -274,7 +274,7 @@ def ext_table(spec: CollectionSpec, jobs: int = 1) -> ExtTable:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_pair_task, tasks, chunksize=16))
     else:
-        results = [_pair_task(t) for t in tasks]
+        results = map(_pair_task, tasks)
     dims: dict[tuple[int, int, int], int] = {}
     for (i, j), res in zip(((i, j) for i in range(n_obj) for j in range(n_obj)), results):
         for s, v in res.items():

@@ -5,6 +5,13 @@ Nothing here constructs sheaves or cocycles.  Central simple algebras enter
 only through the index sequence ind(A^i); every dimension is computed over a
 splitting field, which is legitimate because Hom dimensions are invariant
 under base change.
+
+End dimensions of the wedge-power sheaves on Grass(d, n) come from one
+Kapranov Ext table H.  Every Schur summand of a tensor product of wedge
+powers of the rank-d tautological bundle, indexed by lam in the d x (n-d)
+box, lies in that box: it has at most d rows, by the rank, and at most
+lam_1 <= n - d columns, one per wedge factor.  So each wedge Ext is the
+bilinear form M^T H M, with M the Schur multiplicities of the wedge sheaves.
 """
 
 from __future__ import annotations
@@ -14,8 +21,8 @@ from itertools import product as iter_product
 from math import comb, gcd
 from typing import Optional
 
-from .partitions import conjugate, enumerate_box_partitions, CONTAINMENT_ORDER
-from .collections import schur_pair_ext
+from .partitions import conjugate, normalize
+from .collections import ExtTable, ext_table, kapranov_collection, schur_pair_ext
 from .schur import lr_expand, schur_dimension
 
 PERIOD_EQUALS_INDEX = "period_equals_index"
@@ -130,7 +137,7 @@ def _prod(it) -> int:
 
 
 def wedge_schur_multiplicities(conj_parts, d: int) -> dict[tuple[int, ...], int]:
-    """Decompose the tensor product of wedge powers /\^(a_1) (x) ... of a
+    r"""Decompose the tensor product of wedge powers /\^(a_1) (x) ... of a
     rank-d bundle into Schur summands {partition: multiplicity}."""
     out: dict[tuple[int, ...], int] = {(): 1}
     for part in conj_parts:
@@ -148,7 +155,11 @@ def wedge_schur_multiplicities(conj_parts, d: int) -> dict[tuple[int, ...], int]
 
 
 def wedge_pair_ext(d: int, n: int, lam, mu) -> dict[int, int]:
-    """Ext^*(/\^(lam')(S), /\^(mu')(S)) on Grass(d, n) via Schur decomposition."""
+    r"""Ext^*(/\^(lam')(S), /\^(mu')(S)) on Grass(d, n) via Schur decomposition.
+
+    Expands both sides and sums `schur_pair_ext` over every summand pair; the
+    per-pair reference for `_wedge_ext_table`.
+    """
     left = wedge_schur_multiplicities(conjugate(lam), d)
     right = wedge_schur_multiplicities(conjugate(mu), d)
     out: dict[int, int] = {}
@@ -157,6 +168,41 @@ def wedge_pair_ext(d: int, n: int, lam, mu) -> dict[int, int]:
             for s, v in schur_pair_ext(d, n, nu, xi).items():
                 out[s] = out.get(s, 0) + a * b * v
     return {s: v for s, v in out.items() if v}
+
+
+def _wedge_ext_table(d: int, n: int) -> tuple[list[tuple[int, ...]], ExtTable]:
+    r"""The d x (n-d) box and the Ext table of its wedge-power sheaves.
+
+    Entry (i, j, s) is dim Ext^s(/\^(box[i]')(S), /\^(box[j]')(S)), computed
+    as M^T H M from the Kapranov Ext table H; row i of M holds the Schur
+    multiplicities of the i-th wedge sheaf, indexed like the Kapranov labels.
+    The box lists larger diagrams first, as the Kapranov collection does.
+    """
+    kapranov = kapranov_collection(d, n)
+    box = [normalize(label[0]) for label in kapranov.labels]
+    index = {lam: k for k, lam in enumerate(box)}
+    rows = [
+        {index[nu]: m for nu, m in wedge_schur_multiplicities(conjugate(lam), d).items()}
+        for lam in box
+    ]
+    kapranov_table = ext_table(kapranov)
+    h_rows: list[dict[int, dict[int, int]]] = [{} for _ in box]
+    for (k, l, s), v in kapranov_table.dims.items():
+        h_rows[k].setdefault(l, {})[s] = v
+    dims: dict[tuple[int, int, int], int] = {}
+    for i, row in enumerate(rows):
+        # left[l][s] = (M H_s)[i][l]
+        left: dict[int, dict[int, int]] = {}
+        for k, a in row.items():
+            for l, by_degree in h_rows[k].items():
+                acc = left.setdefault(l, {})
+                for s, v in by_degree.items():
+                    acc[s] = acc.get(s, 0) + a * v
+        for j, other in enumerate(rows):
+            for l, b in other.items():
+                for s, v in left.get(l, {}).items():
+                    dims[(i, j, s)] = dims.get((i, j, s), 0) + v * b
+    return box, ExtTable(len(box), kapranov_table.max_degree, dims)
 
 
 @dataclass(frozen=True)
@@ -173,16 +219,9 @@ def verify_wedge_collection(d: int, n: int) -> WedgeReport:
     The wedge summands decompose, so this is a tilting-bundle check only;
     exceptionality of the individual summands is not claimed.
     """
-    box = list(reversed(enumerate_box_partitions(d, n - d, CONTAINMENT_ORDER).members))
-    witness = None
-    end_dim = 0
-    for lam in box:
-        for mu in box:
-            table = wedge_pair_ext(d, n, lam, mu)
-            end_dim += table.get(0, 0)
-            for s, v in table.items():
-                if s > 0 and v and witness is None:
-                    witness = (lam, mu, s, v)
+    box, table = _wedge_ext_table(d, n)
+    witness = next(((box[i], box[j], s, v) for (i, j, s), v in table.higher_entries()), None)
+    end_dim = sum(sum(row) for row in table.hom_matrix())
     return WedgeReport(witness is None, len(box), end_dim, witness)
 
 
@@ -197,7 +236,7 @@ def generalized_bs_summary(a: CSAClass, d: int) -> DescentSummary:
     n = a.degree
     if not 1 <= d < n:
         raise ValueError("need 1 <= d < degree")
-    box = list(reversed(enumerate_box_partitions(d, n - d, CONTAINMENT_ORDER).members))
+    box, table = _wedge_ext_table(d, n)
     mults = []
     split_ranks = []
     for lam in box:
@@ -205,11 +244,11 @@ def generalized_bs_summary(a: CSAClass, d: int) -> DescentSummary:
         mults.append(descent_multiplicity(lam, n))
         split_ranks.append(_prod(comb(d, c) for c in conj))
     ranks = tuple(m * r for m, r in zip(mults, split_ranks))
-    end_dim = 0
-    for i, lam in enumerate(box):
-        for j, mu in enumerate(box):
-            hom = wedge_pair_ext(d, n, lam, mu).get(0, 0)
-            end_dim += mults[i] * mults[j] * hom
+    end_dim = sum(
+        mults[i] * mults[j] * hom
+        for i, row in enumerate(table.hom_matrix())
+        for j, hom in enumerate(row)
+    )
     return DescentSummary(
         summand_labels=tuple(box),
         multiplicities=tuple(mults),

@@ -2,6 +2,7 @@ import pytest
 
 from tiltcheck import collections as coll
 from tiltcheck import descent as dsc
+from tiltcheck.partitions import enumerate_box_partitions
 from tiltcheck.schur import schur_dimension
 
 
@@ -83,6 +84,29 @@ def test_gbs_split_case_end_dim_is_wedge_end():
         for mu in box:
             total += dsc.wedge_pair_ext(2, 4, lam, mu).get(0, 0)
     assert total == report.end_dim
+
+
+@pytest.mark.parametrize("d, n", [(2, 4), (2, 5), (3, 5), (3, 6)])
+def test_wedge_ext_table_matches_per_pair_reference(d, n):
+    box, table = dsc._wedge_ext_table(d, n)
+    assert box == list(reversed(enumerate_box_partitions(d, n - d).members))
+    assert table.max_degree == d * (n - d)
+    for i, lam in enumerate(box):
+        for j, mu in enumerate(box):
+            ref = dsc.wedge_pair_ext(d, n, lam, mu)
+            for s in range(table.max_degree + 1):
+                assert table.get(i, j, s) == ref.get(s, 0), (lam, mu, s)
+
+
+@pytest.mark.parametrize("algebra, d", [(dsc.CSAClass(4, 2), 2), (dsc.CSAClass(6, 3), 3)])
+def test_gbs_end_dim_matches_per_pair_loop(algebra, d):
+    s = dsc.generalized_bs_summary(algebra, d)
+    n = algebra.degree
+    expected = 0
+    for lam, a in zip(s.summand_labels, s.multiplicities):
+        for mu, b in zip(s.summand_labels, s.multiplicities):
+            expected += a * b * dsc.wedge_pair_ext(d, n, lam, mu).get(0, 0)
+    assert s.end_dim == expected
 
 
 def test_gbs_d1_split_frozen_numbers():

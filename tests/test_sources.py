@@ -1,0 +1,20 @@
+import warnings
+from pathlib import Path
+
+import pytest
+
+import tiltcheck
+
+SOURCES = sorted(Path(tiltcheck.__file__).parent.glob("*.py"))
+
+
+def test_sources_found():
+    assert len(SOURCES) >= 8
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_source_compiles_without_warnings(path):
+    # compile() from the text, so a cached .pyc cannot hide a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        compile(path.read_text(encoding="utf-8"), str(path), "exec")
