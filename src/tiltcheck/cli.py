@@ -3,7 +3,7 @@
 Every command prints one report object with sorted keys; numeric payloads are
 serialized as decimal strings so downstream consumers never see truncated
 integers.  Exit codes: 0 pass (or informational), 1 failed verification,
-2 invalid input.
+2 invalid input or an engine error (reported on stderr, no traceback).
 """
 
 from __future__ import annotations
@@ -343,6 +343,9 @@ def run(argv) -> int:
         return _DISPATCH[args.command](args, args.pretty, jobs)
     except (ValueError, KeyError, OSError, TypeError) as exc:
         sys.stderr.write(f"tiltcheck: invalid input: {exc}\n")
+        return 2
+    except (ArithmeticError, RecursionError) as exc:
+        sys.stderr.write(f"tiltcheck: engine error: {type(exc).__name__}: {exc}\n")
         return 2
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from itertools import product as iter_product
 from typing import Optional
@@ -112,7 +113,8 @@ def tower_hom_degrees(stages: tuple[StageSpec, ...], src: Label, tgt: Label) -> 
         items = next_items
     out: Counter[int] = Counter()
     for gamma, deg, mult in items:
-        assert gamma is None
+        if gamma is not None:
+            raise ArithmeticError(f"weight {gamma} was never pushed down to the root")
         out[deg] += mult
     return dict(sorted(out.items()))
 
@@ -227,15 +229,29 @@ class ExtTable:
         return self.size == other.size and mine == theirs
 
 
+# Cohomology per (d, n, gamma) for the pairs of one ext_table build (each pool
+# worker's own under --jobs); unset outside a build.
+_cohomology_memo: ContextVar[dict] = ContextVar("cohomology_memo")
+
+
+def _open_cohomology_memo():
+    return _cohomology_memo.set({})
+
+
 def schur_pair_ext(d: int, n: int, v, w) -> dict[int, int]:
-    """Ext^*(S^v(R), S^w(R)) on Grass(d, n) for extended weights v, w."""
+    """Ext^*(S^v(R), S^w(R)) on Grass(d, n) for extended weights v, w.
+
+    One Weyl walk per LR term gamma; pairs of one `ext_table` build share it.
+    """
     space = bwb.grassmannian(d, n)
-    v = as_weight(v, d)
-    w = as_weight(w, d)
+    memo = _cohomology_memo.get({})
     out: dict[int, int] = {}
-    for gamma, mult in product_expand([dual_weight(v), w], d).items():
-        bundle = bwb.HomogeneousBundle(space, (dual_weight(gamma), (0,) * (n - d)))
-        res = bwb.flag_cohomology(bundle)
+    for gamma, mult in product_expand([dual_weight(as_weight(v, d)), w], d).items():
+        key = (d, n, gamma)
+        if key not in memo:
+            bundle = bwb.HomogeneousBundle(space, (dual_weight(gamma), (0,) * (n - d)))
+            memo[key] = bwb.flag_cohomology(bundle)
+        res = memo[key]
         if res is not None:
             out[res.degree] = out.get(res.degree, 0) + mult * res.dimension
     return out
@@ -270,16 +286,20 @@ def ext_table(spec: CollectionSpec, jobs: int = 1) -> ExtTable:
         stages = _flag_stages(spec.space)
         tasks = [("chain", stages, spec.labels[i], spec.labels[j])
                  for i in range(n_obj) for j in range(n_obj)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_pair_task, tasks, chunksize=16))
-    else:
-        results = map(_pair_task, tasks)
-    dims: dict[tuple[int, int, int], int] = {}
-    for (i, j), res in zip(((i, j) for i in range(n_obj) for j in range(n_obj)), results):
-        for s, v in res.items():
-            if v:
-                dims[(i, j, s)] = v
+    token = _open_cohomology_memo()
+    try:
+        if jobs > 1:
+            with ProcessPoolExecutor(max_workers=jobs, initializer=_open_cohomology_memo) as pool:
+                results = list(pool.map(_pair_task, tasks, chunksize=16))
+        else:
+            results = map(_pair_task, tasks)
+        dims: dict[tuple[int, int, int], int] = {}
+        for (i, j), res in zip(((i, j) for i in range(n_obj) for j in range(n_obj)), results):
+            for s, v in res.items():
+                if v:
+                    dims[(i, j, s)] = v
+    finally:
+        _cohomology_memo.reset(token)
     return ExtTable(n_obj, spec.space.dimension(), dims)
 
 

@@ -39,56 +39,66 @@ def normalizing_shift(w) -> int:
     return max(0, -min(w)) if w else 0
 
 
+def _partition(w) -> tuple[int, ...]:
+    """Strip the zero tail of a weight already known to be a partition."""
+    return w[:w.index(0)] if 0 in w else w
+
+
+def _strips_last(a, b):
+    """Canonical LR argument order: the partition with fewer cells last."""
+    return (a, b) if (sum(b), b) <= (sum(a), a) else (b, a)
+
+
 @lru_cache(maxsize=None)
 def lr_expand(a, b, rank: int) -> dict:
     """Littlewood-Richardson expansion of S^a (x) S^b on a rank-`rank` space.
 
     Returns {partition: multiplicity}; terms with more than `rank` rows are
-    dropped, as forced by the rank.  Tableaux are enumerated as ballot
-    sequences of horizontal strips: strip i (the cells holding letter i) is
-    added to the shape grown so far subject to the lattice-word condition
+    dropped, as forced by the rank.  As c^nu_{a,b} = c^nu_{b,a}, the argument
+    with fewer cells (the last in `_strips_last` order, which callers use for
+    one cache entry per unordered pair) is enumerated as ballot sequences of
+    horizontal strips, placed row by row: strip i (the cells holding letter
+    i) joins the shape grown so far subject to the lattice-word condition
     cum_i(r) <= cum_{i-1}(r-1) on cumulative row counts.
     """
     if rank < 1:
         raise ValueError("rank must be positive")
-    a, b = normalize(a), normalize(b)
+    a, b = _strips_last(normalize(a), normalize(b))
     if len(a) > rank or len(b) > rank:
         return {}
     # state: (shape padded to rank, cumulative row counts of the previous letter)
-    states = {(tuple(a) + (0,) * (rank - len(a)), None): 1}
+    states = {(a + (0,) * (rank - len(a)), None): 1}
     for strip_size in b:
         new_states: dict = {}
-
-        def place(row, left, base, shape, cum_prev, cum_here, acc):
-            """Distribute `left` strip cells over rows >= `row`.
-
-            `base` is the shape frozen before this letter started; the strip
-            condition bounds row r by base[r-1] so no two cells of one letter
-            share a column.
-            """
-            if left == 0:
-                cum = cum_here + (cum_here[-1] if cum_here else 0,) * (rank - len(cum_here))
-                key = (shape, cum)
-                new_states[key] = new_states.get(key, 0) + acc
-                return
-            if row >= rank:
-                return
-            upper = base[row - 1] - shape[row] if row > 0 else left
-            if cum_prev is not None:
-                prev_cum = cum_prev[row - 1] if row > 0 else 0
-                done = cum_here[-1] if cum_here else 0
-                upper = min(upper, prev_cum - done)
-            done = cum_here[-1] if cum_here else 0
-            for s in range(min(upper, left) + 1):
-                new_shape = shape[:row] + (shape[row] + s,) + shape[row + 1:]
-                place(row + 1, left - s, base, new_shape, cum_prev, cum_here + (done + s,), acc)
-
-        for (shape, cum_prev), mult in states.items():
-            place(0, strip_size, shape, shape, cum_prev, (), mult)
+        for (base, cum_prev), mult in states.items():
+            # strips over the rows above `row`: (their rows, cumulative counts
+            # of this letter, cells left); complete once no cells are left,
+            # dead if cells are left after the last row
+            partial = [((), (), strip_size)]
+            for row in range(rank):
+                # bounds: no two cells in one column; the lattice-word condition
+                cap = base[row - 1] - base[row] if row else strip_size
+                lattice = strip_size if cum_prev is None else cum_prev[row - 1] if row else 0
+                here = base[row]
+                grown = []
+                for head, cum, left in partial:
+                    done = strip_size - left
+                    upper = lattice - done
+                    if cap < upper:
+                        upper = cap
+                    if left <= upper:
+                        shape = head + (here + left,) + base[row + 1:]
+                        key = (shape, cum + (strip_size,) * (rank - row))
+                        new_states[key] = new_states.get(key, 0) + mult
+                        upper = left - 1
+                    if row + 1 < rank:
+                        for s in range(upper + 1):
+                            grown.append((head + (here + s,), cum + (done + s,), left - s))
+                partial = grown
         states = new_states
     result: dict[tuple[int, ...], int] = {}
     for (shape, _), mult in states.items():
-        key = normalize(shape)
+        key = _partition(shape)
         result[key] = result.get(key, 0) + mult
     return result
 
@@ -98,24 +108,23 @@ def product_expand(weights, rank: int) -> dict:
 
     Each factor is a non-increasing integer weight of length <= rank; the
     output maps full-length weights (possibly with negative entries) to
-    multiplicities.
+    multiplicities.  Factors are validated on entry only: each is shifted to
+    a partition, so the running product is a sum of trusted LR terms.
     """
+    factors = [as_weight(w, rank) for w in weights]
     shift_total = 0
-    current: dict[tuple[int, ...], int] = {(0,) * rank: 1}
-    for w in weights:
-        w = as_weight(w, rank)
+    current: dict[tuple[int, ...], int] = {(): 1}
+    for w in factors:
         m = normalizing_shift(w)
         shift_total += m
-        part = normalize(tuple(x + m for x in w))
+        part = _partition(tuple(x + m for x in w))
         updated: dict[tuple[int, ...], int] = {}
         for acc, mult in current.items():
-            macc = normalizing_shift(acc)
-            shifted_acc = normalize(tuple(x + macc for x in acc))
-            for nu, c in lr_expand(shifted_acc, part, rank).items():
-                key = tuple(x - macc for x in as_weight(nu, rank))
-                updated[key] = updated.get(key, 0) + mult * c
+            for nu, c in lr_expand(*_strips_last(acc, part), rank).items():
+                updated[nu] = updated.get(nu, 0) + mult * c
         current = updated
-    return {tuple(x - shift_total for x in w): m for w, m in current.items()}
+    return {tuple(x - shift_total for x in nu) + (-shift_total,) * (rank - len(nu)): c
+            for nu, c in current.items()}
 
 
 def hom_expand(a, b, rank: int) -> dict:
@@ -125,9 +134,7 @@ def hom_expand(a, b, rank: int) -> dict:
     F.  Both arguments may carry negative entries; every output weight w
     satisfies w_rank >= -a_1.
     """
-    a = as_weight(a, rank)
-    b = as_weight(b, rank)
-    return product_expand([dual_weight(a), b], rank)
+    return product_expand([dual_weight(as_weight(a, rank)), b], rank)
 
 
 def schur_dimension(w, n: int) -> int:
@@ -155,7 +162,8 @@ def schur_dimension(w, n: int) -> int:
         for j in range(row):
             num *= n + j - i
             den *= row - j + conj[j] - i - 1
-    assert num % den == 0
+    if num % den:
+        raise ArithmeticError(f"hook-content quotient {num}/{den} for {w} is not an integer")
     return num // den
 
 

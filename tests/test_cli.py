@@ -1,8 +1,13 @@
 import importlib.resources as resources
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tiltcheck
 from tiltcheck import cli
 
 
@@ -132,6 +137,43 @@ def test_invalid_inputs_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.run(["no-such-command"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("error", [ArithmeticError, RecursionError])
+def test_engine_errors_exit_2(capsys, monkeypatch, error):
+    def failing(spec, jobs=1):
+        raise error("integrity check failed")
+
+    monkeypatch.setattr(cli.coll, "ext_table", failing)
+    assert cli.run(["verify", "kapranov", "--d", "2", "--n", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("tiltcheck: ")
+    assert "integrity check failed" in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["verify", "kapranov", "--d", "2", "--n", "4"], 0),
+        (["verify", "beilinson", "--n", "2", "--degrees", "0,1,2,3"], 1),
+    ],
+    ids=["kapranov", "beilinson"],
+)
+def test_optimized_interpreter_same_reports(argv, code):
+    # python -O strips assert statements; the integrity checks must not be asserts
+    src = str(Path(tiltcheck.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, TILTCHECK_JOBS="1", PYTHONDONTWRITEBYTECODE="1")
+    runs = [
+        subprocess.run([sys.executable, *flags, "-m", "tiltcheck", *argv],
+                       capture_output=True, text=True, env=env, check=False)
+        for flags in ([], ["-O"])
+    ]
+    plain, optimized = runs
+    assert plain.returncode == optimized.returncode == code
+    assert plain.stdout == optimized.stdout
+    assert json.loads(optimized.stdout)["verdict"] == ("pass" if code == 0 else "fail")
 
 
 def test_descent_tower_plan_file(capsys, tmp_path):

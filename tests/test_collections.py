@@ -5,6 +5,7 @@ import pytest
 from tiltcheck import bwb
 from tiltcheck import collections as coll
 from tiltcheck.partitions import normalize
+from tiltcheck.schur import as_weight, dual_weight, product_expand
 
 
 def test_kapranov_counts():
@@ -130,10 +131,119 @@ def test_flag_with_step_gaps_verifies():
 
 
 def test_parallel_sweep_matches_sequential():
-    spec = coll.kapranov_collection(2, 4)
-    assert coll.ext_table(spec, jobs=2) == coll.ext_table(spec)
+    for spec in (coll.kapranov_collection(2, 4), coll.kapranov_collection(3, 6)):
+        assert coll.ext_table(spec, jobs=2) == coll.ext_table(spec)
     flag = coll.flag_collection(bwb.FlagSpace(3, (1, 2)))
     assert coll.ext_table(flag, jobs=2) == coll.ext_table(flag)
+
+
+def unmemoized_ext_table(spec):
+    """Grassmannian Ext table with one Weyl walk per LR term of every pair."""
+    d, n = spec.space.steps[0], spec.space.n
+    dims = {}
+    for i, (v,) in enumerate(spec.labels):
+        for j, (w,) in enumerate(spec.labels):
+            factors = [dual_weight(as_weight(v, d)), w]
+            for gamma, mult in product_expand(factors, d).items():
+                bundle = bwb.HomogeneousBundle(spec.space, (dual_weight(gamma), (0,) * (n - d)))
+                res = bwb.flag_cohomology(bundle)
+                if res is not None:
+                    key = (i, j, res.degree)
+                    dims[key] = dims.get(key, 0) + mult * res.dimension
+    return coll.ExtTable(len(spec.labels), spec.space.dimension(), dims)
+
+
+@pytest.mark.parametrize("d, n", [(2, 5), (3, 6)])
+def test_memoized_table_euler_matches_localization(d, n):
+    spec = coll.kapranov_collection(d, n)
+    table = coll.ext_table(spec)
+    for i, (a,) in enumerate(spec.labels):
+        for j, (b,) in enumerate(spec.labels):
+            assert table.euler(i, j) == bwb.localization_euler(a, b, d, n), (a, b)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        coll.twist_collection(coll.kapranov_collection(2, 5), -1),
+        coll.twist_collection(coll.kapranov_collection(3, 6), 2),
+        coll.beilinson_collection(3, range(5)),
+    ],
+    ids=["kapranov-2-5-det-1", "kapranov-3-6-det+2", "beilinson-3-range5"],
+)
+def test_memoized_table_matches_unmemoized_reference(spec):
+    table = coll.ext_table(spec)
+    reference = unmemoized_ext_table(spec)
+    assert table == reference
+    assert coll.verify_tilting(spec, table) == coll.verify_tilting(spec, reference)
+
+
+def test_beilinson_range_keeps_higher_ext_witness():
+    report = coll.verify_tilting(coll.beilinson_collection(3, range(5)))
+    assert not report.passed
+    # Ext^3(O(4), O) = H^3(P^3, O(-4)) = k
+    assert report.higher_ext_witness == (4, 0, 3, 1)
+
+
+def test_one_weyl_walk_per_distinct_weight(monkeypatch):
+    spec = coll.kapranov_collection(2, 5)
+    gammas = {
+        gamma
+        for (v,) in spec.labels
+        for (w,) in spec.labels
+        for gamma in product_expand([dual_weight(v), w], 2)
+    }
+    reference = unmemoized_ext_table(spec)
+    walked = []
+    walk = bwb.flag_cohomology
+
+    def counted(bundle):
+        walked.append(bundle.blocks)
+        return walk(bundle)
+
+    monkeypatch.setattr(bwb, "flag_cohomology", counted)
+    assert coll.ext_table(spec) == reference
+    assert len(walked) == len(set(walked)) == len(gammas)
+
+
+def test_no_memo_survives_ext_table(monkeypatch):
+    spec = coll.kapranov_collection(2, 4)
+    coll.ext_table(spec)
+    assert coll._cohomology_memo.get(None) is None
+    walk = bwb.flag_cohomology
+    calls = []
+
+    def failing(bundle):
+        calls.append(bundle)
+        if len(calls) > 3:
+            raise ArithmeticError("walk failed")
+        return walk(bundle)
+
+    monkeypatch.setattr(bwb, "flag_cohomology", failing)
+    with pytest.raises(ArithmeticError):
+        coll.ext_table(spec)
+    assert coll._cohomology_memo.get(None) is None
+    # outside a table build every call walks afresh
+    calls.clear()
+    monkeypatch.setattr(bwb, "flag_cohomology", lambda bundle: calls.append(bundle) or walk(bundle))
+    first = coll.schur_pair_ext(2, 4, (1,), (1,))
+    walks = len(calls)
+    assert coll.schur_pair_ext(2, 4, (1,), (1,)) == first
+    assert len(calls) == 2 * walks > 0
+    assert coll._cohomology_memo.get(None) is None
+
+
+@pytest.mark.parametrize(
+    "d, v, w",
+    [
+        (2, (1, 2), ()),  # not non-increasing
+        (2, (), (1, 1, 1)),  # longer than d
+        (3, (1, -1), (0,)),  # a negative entry before the zero padding
+    ],
+)
+def test_schur_pair_ext_rejects_bad_weights(d, v, w):
+    with pytest.raises(ValueError):
+        coll.schur_pair_ext(d, 5, v, w)
 
 
 def test_beilinson_p3_end_dimension():

@@ -1,12 +1,15 @@
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tiltcheck.partitions import enumerate_box_partitions, normalize
 from tiltcheck.schur import (
     dual_weight,
     hom_expand,
     lr_expand,
+    product_expand,
     schur_dimension,
     split_bundle_expand,
     twist_weight,
@@ -127,6 +130,60 @@ def test_lr_symmetry():
         for b in box:
             for rank in (2, 3, 4):
                 assert lr_expand(a, b, rank) == lr_expand(b, a, rank)
+
+
+# partitions with at most 4 rows and parts at most 3
+small_partitions = st.lists(st.integers(1, 3), max_size=4).map(
+    lambda parts: tuple(sorted(parts, reverse=True))
+)
+lr_settings = settings(derandomize=True, deadline=None, max_examples=100)
+
+
+@lr_settings
+@given(small_partitions, small_partitions, st.integers(1, 5))
+def test_lr_property_against_bruteforce(a, b, rank):
+    assert lr_expand(a, b, rank) == lr_expand_bruteforce(a, b, rank)
+
+
+@lr_settings
+@given(small_partitions, small_partitions, st.integers(1, 5))
+def test_lr_property_symmetric(a, b, rank):
+    assert lr_expand(a, b, rank) == lr_expand(b, a, rank)
+
+
+@pytest.mark.parametrize("a, b", [((1, 2), (1,)), ((1,), (2, 0, 3)), ((1, -1), ()), ((), (0, -2))])
+def test_lr_rejects_non_partitions(a, b):
+    with pytest.raises(ValueError):
+        lr_expand(a, b, 3)
+
+
+def test_lr_drops_arguments_longer_than_rank():
+    assert lr_expand((1, 1, 1), (1,), 2) == {}
+    assert lr_expand((1,), (1, 1, 1), 2) == {}
+    assert lr_expand((1, 0, 0, 0), (1,), 2) == {(2,): 1, (1, 1): 1}
+
+
+@pytest.mark.parametrize(
+    "weights, rank",
+    [
+        ([(1, 2)], 2),  # not non-increasing
+        ([(0, 0), (2, 1, 1)], 2),  # longer than the rank
+        ([(1, -1)], 3),  # a negative entry before the zero padding
+        ([(2, 1), (1, 2)], 2),  # a bad factor after a good one
+    ],
+)
+def test_product_expand_rejects_bad_factors(weights, rank):
+    with pytest.raises(ValueError):
+        product_expand(weights, rank)
+
+
+def test_product_expand_matches_pairwise_lr():
+    # factors with negative entries come back shifted by the summed twists
+    assert product_expand([(1, -1), (1, 0)], 2) == {(2, -1): 1, (1, 0): 1}
+    assert product_expand([(2, 1), (1,)], 3) == {
+        nu + (0,) * (3 - len(nu)): c for nu, c in lr_expand((2, 1), (1,), 3).items()
+    }
+    assert product_expand([], 2) == {(0, 0): 1}
 
 
 def test_lr_dimension_bookkeeping():

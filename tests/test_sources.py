@@ -1,3 +1,4 @@
+import ast
 import warnings
 from pathlib import Path
 
@@ -18,3 +19,11 @@ def test_source_compiles_without_warnings(path):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         compile(path.read_text(encoding="utf-8"), str(path), "exec")
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_source_has_no_assert(path):
+    # python -O drops assert statements, so an integrity check must raise
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert lines == []
