@@ -221,7 +221,7 @@ def _cmd_descent(args, pretty):
 def _cmd_fibration(args, pretty):
     with open(args.plan, encoding="utf-8") as fh:
         payload = json.load(fh)
-    root, stages, cap = fibration.parse_plan(payload)
+    root, stages, cap = fibration.parse_plan(payload, os.path.dirname(args.plan))
     if args.what == "search":
         plan = fibration.tower_compose(stages, root, cap)
     else:

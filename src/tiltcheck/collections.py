@@ -13,12 +13,20 @@ stage is expanded into weights on that stage's subbundle, weights with a
 negative entry have no direct images, the rest descend in degree zero and are
 either converted to line-bundle degrees (split stage) or fed into the next
 stage down (tautological stage).
+
+A table build (`ext_table` here, `fibration.candidate_ext_table` for
+candidate bundles) validates its stages and pads its labels once, then opens
+a build memo shared by its pairs: one Weyl walk per distinct Grassmannian LR
+term, and one stage transfer per distinct (stage, incoming weight, source
+and target stage weights).  A pair's chain folds the cached transfers.  The
+memo is dropped when the build returns or raises; outside a build every call
+computes afresh.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 from itertools import product as iter_product
@@ -74,6 +82,26 @@ def validate_stages(stages: tuple[StageSpec, ...]) -> tuple[int, ...]:
     return tuple(ranks)
 
 
+# Work shared by the pairs of one table build (each pool worker's own under
+# --jobs): cohomology keyed (d, n, gamma) and stage transfers keyed
+# ("transfer", ...).  Unset outside a build, where every call computes afresh.
+_build_memo: ContextVar[dict] = ContextVar("build_memo")
+
+
+def _open_build_memo():
+    return _build_memo.set({})
+
+
+@contextmanager
+def _build_scope():
+    """Open a fresh build memo for the enclosed table build; dropped on exit."""
+    token = _open_build_memo()
+    try:
+        yield
+    finally:
+        _build_memo.reset(token)
+
+
 def tower_hom_degrees(stages: tuple[StageSpec, ...], src: Label, tgt: Label) -> dict[int, int]:
     """Root line-bundle degrees of the full pushforward of Hom(src, tgt).
 
@@ -86,37 +114,63 @@ def tower_hom_degrees(stages: tuple[StageSpec, ...], src: Label, tgt: Label) -> 
     ranks = validate_stages(stages)
     if len(src) != len(stages) or len(tgt) != len(stages):
         raise ValueError("one weight per stage required")
-    # items: (gamma destined for the current stage or None, degree, multiplicity)
-    items: list[tuple[Optional[tuple[int, ...]], int, int]] = [(None, 0, 1)]
+    src = tuple(as_weight(w, st.l) for w, st in zip(src, stages))
+    tgt = tuple(as_weight(w, st.l) for w, st in zip(tgt, stages))
+    return _chain(stages, ranks, src, tgt)
+
+
+def _chain(stages, ranks, src, tgt) -> dict[int, int]:
+    """`tower_hom_degrees` on validated stages and padded weights.
+
+    Folds the per-stage transfers from the top stage down, merging equal
+    (gamma, degree) items between stages.
+    """
+    # items: (gamma destined for the current stage or None, degree) -> multiplicity
+    items: dict[tuple[Optional[tuple[int, ...]], int], int] = {(None, 0): 1}
     for k in range(len(stages) - 1, -1, -1):
-        st, rank = stages[k], ranks[k]
-        lam = as_weight(src[k], st.l)
-        mu = as_weight(tgt[k], st.l)
-        next_items: list[tuple[Optional[tuple[int, ...]], int, int]] = []
-        for gamma, deg, mult in items:
-            factors = [lam, dual_weight(mu)]
-            if gamma is not None:
-                factors.insert(0, as_weight(gamma, st.l))
-            for delta, c in product_expand(factors, st.l).items():
-                if delta[-1] < -(rank - st.l):
-                    raise ValueError(
-                        f"stage {k}: weight {delta} outside the pushforward model"
-                    )
-                if delta[-1] < 0:
-                    continue
-                if st.kind == SPLIT:
-                    duals = tuple(-d for d in st.degrees)
-                    for w, cc in split_bundle_expand(delta, duals).items():
-                        next_items.append((None, deg + w, mult * c * cc))
-                else:
-                    next_items.append((normalize(delta), deg, mult * c))
+        next_items: dict[tuple[Optional[tuple[int, ...]], int], int] = {}
+        for (gamma, deg), mult in items.items():
+            for gamma_out, shift, c in _transfer(k, stages[k], ranks[k], gamma, src[k], tgt[k]):
+                key = (gamma_out, deg + shift)
+                next_items[key] = next_items.get(key, 0) + mult * c
         items = next_items
-    out: Counter[int] = Counter()
-    for gamma, deg, mult in items:
+    out: dict[int, int] = {}
+    for (gamma, deg), mult in items.items():
         if gamma is not None:
             raise ArithmeticError(f"weight {gamma} was never pushed down to the root")
-        out[deg] += mult
+        out[deg] = out.get(deg, 0) + mult
     return dict(sorted(out.items()))
+
+
+def _transfer(k, st, rank, gamma, lam, mu):
+    """One stage of the chain: (gamma', degree shift, multiplicity) terms.
+
+    gamma' is the normalized weight handed to the stage below (taut stage) or
+    None with a root line-bundle degree shift (split stage).  Within a table
+    build each distinct input is expanded once; a raising input is not stored.
+    """
+    memo = _build_memo.get({})
+    key = ("transfer", k, st, rank, gamma, lam, mu)
+    terms = memo.get(key)
+    if terms is not None:
+        return terms
+    factors = [lam, dual_weight(mu)] if gamma is None else [gamma, lam, dual_weight(mu)]
+    out: dict[tuple[Optional[tuple[int, ...]], int], int] = {}
+    for delta, c in product_expand(factors, st.l).items():
+        if delta[-1] < -(rank - st.l):
+            raise ValueError(f"stage {k}: weight {delta} outside the pushforward model")
+        if delta[-1] < 0:
+            continue
+        if st.kind == SPLIT:
+            duals = tuple(-d for d in st.degrees)
+            for w, cc in split_bundle_expand(delta, duals).items():
+                out[(None, w)] = out.get((None, w), 0) + c * cc
+        else:
+            key_out = (normalize(delta), 0)
+            out[key_out] = out.get(key_out, 0) + c
+    terms = tuple((g, shift, c) for (g, shift), c in out.items())
+    memo[key] = terms
+    return terms
 
 
 @dataclass(frozen=True)
@@ -229,22 +283,13 @@ class ExtTable:
         return self.size == other.size and mine == theirs
 
 
-# Cohomology per (d, n, gamma) for the pairs of one ext_table build (each pool
-# worker's own under --jobs); unset outside a build.
-_cohomology_memo: ContextVar[dict] = ContextVar("cohomology_memo")
-
-
-def _open_cohomology_memo():
-    return _cohomology_memo.set({})
-
-
 def schur_pair_ext(d: int, n: int, v, w) -> dict[int, int]:
     """Ext^*(S^v(R), S^w(R)) on Grass(d, n) for extended weights v, w.
 
     One Weyl walk per LR term gamma; pairs of one `ext_table` build share it.
     """
     space = bwb.grassmannian(d, n)
-    memo = _cohomology_memo.get({})
+    memo = _build_memo.get({})
     out: dict[int, int] = {}
     for gamma, mult in product_expand([dual_weight(as_weight(v, d)), w], d).items():
         key = (d, n, gamma)
@@ -270,26 +315,27 @@ def _pair_task(args) -> dict[int, int]:
     if kind == "bwb":
         d, n = params
         return schur_pair_ext(d, n, li[0], lj[0])
-    stages = params
-    degrees = tower_hom_degrees(stages, tuple(reversed(li)), tuple(reversed(lj)))
+    degrees = _chain(*params, li, lj)
     return {0: sum(degrees.values())} if degrees else {}
 
 
 def ext_table(spec: CollectionSpec, jobs: int = 1) -> ExtTable:
-    """Every Ext^s between every ordered pair of the collection, exactly."""
+    """Every Ext^s between every ordered pair of the collection, exactly.
+
+    Flag labels are validated and padded once, root-first, for the chain.
+    """
     n_obj = len(spec.labels)
     if spec.space.is_grassmannian:
-        d = spec.space.steps[0]
-        tasks = [("bwb", (d, spec.space.n), spec.labels[i], spec.labels[j])
-                 for i in range(n_obj) for j in range(n_obj)]
+        kind, params, labels = "bwb", (spec.space.steps[0], spec.space.n), spec.labels
     else:
         stages = _flag_stages(spec.space)
-        tasks = [("chain", stages, spec.labels[i], spec.labels[j])
-                 for i in range(n_obj) for j in range(n_obj)]
-    token = _open_cohomology_memo()
-    try:
+        kind, params = "chain", (stages, validate_stages(stages))
+        labels = [tuple(as_weight(w, st.l) for w, st in zip(reversed(lab), stages))
+                  for lab in spec.labels]
+    tasks = ((kind, params, labels[i], labels[j]) for i in range(n_obj) for j in range(n_obj))
+    with _build_scope():
         if jobs > 1:
-            with ProcessPoolExecutor(max_workers=jobs, initializer=_open_cohomology_memo) as pool:
+            with ProcessPoolExecutor(max_workers=jobs, initializer=_open_build_memo) as pool:
                 results = list(pool.map(_pair_task, tasks, chunksize=16))
         else:
             results = map(_pair_task, tasks)
@@ -298,8 +344,6 @@ def ext_table(spec: CollectionSpec, jobs: int = 1) -> ExtTable:
             for s, v in res.items():
                 if v:
                     dims[(i, j, s)] = v
-    finally:
-        _cohomology_memo.reset(token)
     return ExtTable(n_obj, spec.space.dimension(), dims)
 
 

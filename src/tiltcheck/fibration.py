@@ -18,6 +18,7 @@ least verifying exponent.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from itertools import product as iter_product
 from typing import Optional, Union
@@ -28,7 +29,10 @@ from .collections import (
     TAUT,
     ExtTable,
     StageSpec,
+    _build_scope,
+    _chain,
     tower_hom_degrees,
+    validate_stages,
 )
 from .partitions import CONTAINMENT_ORDER, enumerate_box_partitions
 from .schur import as_weight
@@ -266,56 +270,54 @@ def candidate_ext_table(plan: FibrationPlan) -> ExtTable:
     Per summand pair, every fiber layer is pushed down: Grass segments through
     the weight chain, table layers through their records; the surviving base
     degrees meet the root pair and its twist shift in the root cohomology.
+    Stages, layer objects and twist offsets are set up once per table, and
+    the pairs share one build memo of stage transfers.
     """
     root = plan.root
     layers = plan.layers()
     ranked = zip_layer_ranks(layers)
-    segs = _segments(layers)
-    summands = plan.summands()
     n_layers = len(layers)
-    max_degree = plan.total_dimension()
+    # summand component for bottom-first layer k sits at position n_layers-1-k;
+    # segments: (table fiber, position) or ((stages, ranks), positions)
+    segments = []
+    for kind, idxs in _segments(layers):
+        at = [n_layers - 1 - k for k in idxs]
+        if kind == "table":
+            segments.append((layers[idxs[0]][0], at[0]))
+            continue
+        fibers = [layers[k][0] for k in idxs]
+        stages = tuple(StageSpec(f.l, TAUT) if f.taut else StageSpec(f.l, SPLIT, f.split_degrees)
+                       for f in fibers)
+        segments.append(((stages, validate_stages(stages)), at))
+    positions = [{obj: p for p, obj in enumerate(_layer_objects(fiber, rank))}
+                 for fiber, rank in ranked]
+    summands = plan.summands()
+    # the twist shift of a pair (A, B) is offsets[B] - offsets[A]
+    offsets = [sum(twist * positions[k][A[n_layers - 1 - k]]
+                   for k, (_fiber, twist) in enumerate(layers))
+               for A in summands]
     dims: dict[tuple[int, int, int], int] = {}
-    for ia, A in enumerate(summands):
-        for ib, B in enumerate(summands):
-            # summand component for bottom-first layer k sits at position n_layers-1-k
-            counter: dict[int, int] = {0: 1}
-            twist_shift = 0
-            dead = False
-            for kind, idxs in segs:
-                if kind == "table":
-                    k = idxs[0]
-                    fiber = layers[k][0]
-                    part = fiber.pushforward(B[n_layers - 1 - k], A[n_layers - 1 - k])
+    with _build_scope():
+        for ia, A in enumerate(summands):
+            for ib, B in enumerate(summands):
+                counter: dict[int, int] = {0: 1}
+                for head, at in segments:
+                    if isinstance(head, TableFiber):
+                        part = head.pushforward(B[at], A[at])
+                    else:
+                        # layer objects come padded from GrassFiber.objects
+                        part = _chain(*head, tuple(A[p] for p in at), tuple(B[p] for p in at))
+                    if not part:
+                        break
+                    counter = _convolve(counter, part)
                 else:
-                    stages = []
-                    src = []
-                    tgt = []
-                    for k in idxs:
-                        fiber, rank = ranked[k]
-                        kind_k = TAUT if fiber.taut else SPLIT
-                        degrees = fiber.split_degrees if not fiber.taut else ()
-                        stages.append(StageSpec(fiber.l, kind_k, degrees))
-                        src.append(A[n_layers - 1 - k])
-                        tgt.append(B[n_layers - 1 - k])
-                    part = tower_hom_degrees(tuple(stages), tuple(src), tuple(tgt))
-                if not part:
-                    dead = True
-                    break
-                counter = _convolve(counter, part)
-            if dead:
-                continue
-            for k, (fiber, twist) in enumerate(layers):
-                objs = _layer_objects(fiber, ranked[k][1])
-                pos_a = objs.index(A[n_layers - 1 - k])
-                pos_b = objs.index(B[n_layers - 1 - k])
-                twist_shift += twist * (pos_b - pos_a)
-            base_shift = B[-1] - A[-1] + twist_shift
-            for deg, mult in counter.items():
-                res = pn_line_cohomology(base_shift + deg, root.dim)
-                if res is not None:
-                    key = (ia, ib, res.degree)
-                    dims[key] = dims.get(key, 0) + mult * res.dimension
-    return ExtTable(len(summands), max_degree, dims)
+                    base_shift = B[-1] - A[-1] + offsets[ib] - offsets[ia]
+                    for deg, mult in counter.items():
+                        res = pn_line_cohomology(base_shift + deg, root.dim)
+                        if res is not None:
+                            key = (ia, ib, res.degree)
+                            dims[key] = dims.get(key, 0) + mult * res.dimension
+    return ExtTable(len(summands), plan.total_dimension(), dims)
 
 
 def twist_search(base, fiber: Fiber, cap: int = 8) -> FibrationPlan:
@@ -386,13 +388,15 @@ def load_fiber_table(path) -> TableFiber:
         return parse_fiber_table(fh.read())
 
 
-def parse_plan(payload: dict):
+def parse_plan(payload: dict, plan_dir: str = ""):
     """Plan files: {"root": {...}, "stages": [...], "cap": int}.
 
     Roots: {"kind": "point"} or {"kind": "pn", "dim": m, "degrees": [...]?}.
     Stages: {"kind": "grass", "l": int, "degrees": [...]} for split bundles,
     {"kind": "grass-taut", "l": int} for tautological stages, or
-    {"kind": "table", "path": "..."} for fiber tables.
+    {"kind": "table", "path": "..."} for fiber tables.  A relative table path
+    is read from `plan_dir`, the directory of the plan file; an absolute one
+    as it stands.
     """
     root_spec = payload.get("root", {"kind": "point"})
     kind = root_spec.get("kind", "pn")
@@ -411,7 +415,7 @@ def parse_plan(payload: dict):
         elif skind == "grass-taut":
             stages.append(GrassFiber(int(st["l"]), taut=True))
         elif skind == "table":
-            stages.append(load_fiber_table(st["path"]))
+            stages.append(load_fiber_table(os.path.join(plan_dir, st["path"])))
         else:
             raise ValueError(f"unknown stage kind {skind!r}")
     cap = int(payload.get("cap", 8))

@@ -115,6 +115,27 @@ def test_fibration_plan_with_table_stage(capsys, tmp_path):
     assert report["result"]["summand_count"] == "4"
 
 
+def test_plan_table_path_relative_to_plan_file(capsys, tmp_path, monkeypatch):
+    data = resources.files("tiltcheck") / "data"
+    plan_dir = tmp_path / "plans"
+    plan_dir.mkdir()
+    (plan_dir / "conic.json").write_text((data / "conic_fiber.json").read_text(encoding="utf-8"))
+    plan = {
+        "cap": 3,
+        "root": {"dim": 1, "kind": "pn"},
+        "stages": [{"kind": "table", "path": "conic.json"}],
+    }
+    (plan_dir / "plan.json").write_text(json.dumps(plan))
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    monkeypatch.chdir(elsewhere)
+    for plan_arg in (str(plan_dir / "plan.json"), os.path.join("..", "plans", "plan.json")):
+        code, report = run_cli(["fibration", "search", "--plan", plan_arg], capsys)
+        assert code == 0
+        assert report["result"]["verified"] is True
+        assert report["result"]["summand_count"] == "4"
+
+
 def test_determinism_byte_identical(capsys):
     argv = ["verify", "kapranov", "--d", "2", "--n", "4"]
     cli.run(argv)

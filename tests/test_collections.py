@@ -1,11 +1,18 @@
+import importlib.resources as resources
+import json
+from contextlib import contextmanager
+from itertools import product as iter_product
 from math import comb
 
 import pytest
 
 from tiltcheck import bwb
 from tiltcheck import collections as coll
+from tiltcheck import fibration as fib
 from tiltcheck.partitions import normalize
-from tiltcheck.schur import as_weight, dual_weight, product_expand
+from tiltcheck.schur import as_weight, dual_weight, product_expand, split_bundle_expand
+
+DATA = resources.files("tiltcheck") / "data"
 
 
 def test_kapranov_counts():
@@ -133,8 +140,9 @@ def test_flag_with_step_gaps_verifies():
 def test_parallel_sweep_matches_sequential():
     for spec in (coll.kapranov_collection(2, 4), coll.kapranov_collection(3, 6)):
         assert coll.ext_table(spec, jobs=2) == coll.ext_table(spec)
-    flag = coll.flag_collection(bwb.FlagSpace(3, (1, 2)))
-    assert coll.ext_table(flag, jobs=2) == coll.ext_table(flag)
+    for flag in (bwb.FlagSpace(3, (1, 2)), bwb.FlagSpace(4, (1, 2, 3))):
+        spec = coll.flag_collection(flag)
+        assert coll.ext_table(spec, jobs=2) == coll.ext_table(spec)
 
 
 def unmemoized_ext_table(spec):
@@ -209,7 +217,7 @@ def test_one_weyl_walk_per_distinct_weight(monkeypatch):
 def test_no_memo_survives_ext_table(monkeypatch):
     spec = coll.kapranov_collection(2, 4)
     coll.ext_table(spec)
-    assert coll._cohomology_memo.get(None) is None
+    assert coll._build_memo.get(None) is None
     walk = bwb.flag_cohomology
     calls = []
 
@@ -222,7 +230,7 @@ def test_no_memo_survives_ext_table(monkeypatch):
     monkeypatch.setattr(bwb, "flag_cohomology", failing)
     with pytest.raises(ArithmeticError):
         coll.ext_table(spec)
-    assert coll._cohomology_memo.get(None) is None
+    assert coll._build_memo.get(None) is None
     # outside a table build every call walks afresh
     calls.clear()
     monkeypatch.setattr(bwb, "flag_cohomology", lambda bundle: calls.append(bundle) or walk(bundle))
@@ -230,7 +238,232 @@ def test_no_memo_survives_ext_table(monkeypatch):
     walks = len(calls)
     assert coll.schur_pair_ext(2, 4, (1,), (1,)) == first
     assert len(calls) == 2 * walks > 0
-    assert coll._cohomology_memo.get(None) is None
+    assert coll._build_memo.get(None) is None
+
+
+def reference_chain(stages, src, tgt):
+    """The stage chain of one pair, unmemoized: every item of every stage re-expanded."""
+    ranks = coll.validate_stages(stages)
+    items = [(None, 0, 1)]
+    for k in range(len(stages) - 1, -1, -1):
+        st, rank = stages[k], ranks[k]
+        lam, mu = as_weight(src[k], st.l), as_weight(tgt[k], st.l)
+        next_items = []
+        for gamma, deg, mult in items:
+            factors = [lam, dual_weight(mu)]
+            if gamma is not None:
+                factors.insert(0, as_weight(gamma, st.l))
+            for delta, c in product_expand(factors, st.l).items():
+                if delta[-1] < -(rank - st.l):
+                    raise ValueError(f"stage {k}: weight {delta} outside the pushforward model")
+                if delta[-1] < 0:
+                    continue
+                if st.kind == coll.SPLIT:
+                    duals = tuple(-d for d in st.degrees)
+                    for w, cc in split_bundle_expand(delta, duals).items():
+                        next_items.append((None, deg + w, mult * c * cc))
+                else:
+                    next_items.append((normalize(delta), deg, mult * c))
+        items = next_items
+    out = {}
+    for gamma, deg, mult in items:
+        if gamma is not None:
+            raise ArithmeticError(f"weight {gamma} was never pushed down to the root")
+        out[deg] = out.get(deg, 0) + mult
+    return dict(sorted(out.items()))
+
+
+def reference_candidate_ext_table(plan):
+    """Candidate Ext table with one unmemoized chain per Grass segment of every pair."""
+    root = plan.root
+    layers = plan.layers()
+    ranked = fib.zip_layer_ranks(layers)
+    top = len(layers) - 1
+    segments = []  # (table fiber, None, layer) or (None, stages, [layers])
+    for k, (fiber, rank) in enumerate(ranked):
+        if isinstance(fiber, fib.TableFiber):
+            segments.append((fiber, None, [k]))
+        elif fiber.taut:
+            _, stages, ks = segments[-1]
+            segments[-1] = (None, stages + (coll.StageSpec(fiber.l, coll.TAUT),), ks + [k])
+        else:
+            segments.append((None, (coll.StageSpec(fiber.l, coll.SPLIT, fiber.split_degrees),), [k]))
+    summands = plan.summands()
+    dims = {}
+    for ia, A in enumerate(summands):
+        for ib, B in enumerate(summands):
+            counter = {0: 1}
+            for table, stages, ks in segments:
+                if table is not None:
+                    part = table.pushforward(B[top - ks[0]], A[top - ks[0]])
+                else:
+                    part = reference_chain(stages, tuple(A[top - k] for k in ks),
+                                           tuple(B[top - k] for k in ks))
+                convolved = {}
+                for da, ma in counter.items():
+                    for db, mb in part.items():
+                        convolved[da + db] = convolved.get(da + db, 0) + ma * mb
+                counter = convolved
+            if not counter:
+                continue
+            shift = B[-1] - A[-1]
+            for k, (fiber, twist) in enumerate(layers):
+                objs = fib._layer_objects(fiber, ranked[k][1])
+                shift += twist * (objs.index(B[top - k]) - objs.index(A[top - k]))
+            for deg, mult in counter.items():
+                res = bwb.pn_line_cohomology(shift + deg, root.dim)
+                if res is not None:
+                    dims[(ia, ib, res.degree)] = dims.get((ia, ib, res.degree), 0) + mult * res.dimension
+    return coll.ExtTable(len(summands), plan.total_dimension(), dims)
+
+
+def transfer_keys():
+    return [key for key in coll._build_memo.get() if key[0] == "transfer"]
+
+
+def count_calls(monkeypatch, name):
+    """Count the calls the chain makes to `collections.<name>`."""
+    calls = []
+    fn = getattr(coll, name)
+    monkeypatch.setattr(coll, name, lambda *args: calls.append(args) or fn(*args))
+    return calls
+
+
+@pytest.mark.parametrize("n, steps", [(3, (1, 2)), (4, (1, 2, 3)), (4, (1, 3)), (5, (2, 3))])
+def test_memoized_chain_matches_reference_per_pair(monkeypatch, n, steps):
+    spec = coll.flag_collection(bwb.FlagSpace(n, steps))
+    stages = coll._flag_stages(spec.space)
+    ranks = coll.validate_stages(stages)
+    labels = [tuple(reversed(lab)) for lab in spec.labels]
+    expected = {(i, j): reference_chain(stages, li, lj)
+                for i, li in enumerate(labels) for j, lj in enumerate(labels)}
+    expansions = count_calls(monkeypatch, "product_expand")
+    with coll._build_scope():
+        for i, li in enumerate(labels):
+            for j, lj in enumerate(labels):
+                assert coll._chain(stages, ranks, li, lj) == expected[i, j], (li, lj)
+        # one expansion per distinct stage input, shared by every pair
+        assert len(expansions) == len(transfer_keys()) < len(labels) ** 2
+    dims = {(i, j, 0): sum(degs.values()) for (i, j), degs in expected.items() if degs}
+    assert coll.ext_table(spec) == coll.ExtTable(len(labels), spec.space.dimension(), dims)
+
+
+def plan_twists():
+    """The shipped plans and three mixed plans, at every twist up to their cap."""
+    plans = []
+    for name in ("hirzebruch_plan.json", "flag_1_2_3_plan.json", "sp4_borel_split_plan.json"):
+        payload = json.loads((DATA / name).read_text(encoding="utf-8"))
+        plans.append((name[:-10], *fib.parse_plan(payload)))
+    conic = fib.parse_fiber_table((DATA / "conic_fiber.json").read_text(encoding="utf-8"))
+    plans.append(("conic", fib.BaseModel(1), [conic], 3))
+    plans.append(("grass-conic", fib.BaseModel(1), [fib.GrassFiber(1, (0, 1)), conic], 3))
+    # two split segments: stage 0 of each, with equal ranks and labels
+    split_twice = [fib.GrassFiber(1, (0, 1)), fib.GrassFiber(1, (0, 2))]
+    plans.append(("grass-grass", fib.BaseModel(1), split_twice, 2))
+    for name, root, stages, cap in plans:
+        for twists in iter_product(range(cap + 1), repeat=len(stages)):
+            yield pytest.param(root, stages, twists, id=f"{name}-{twists}")
+
+
+@pytest.mark.parametrize("root, stages, twists", plan_twists())
+def test_candidate_table_matches_reference(root, stages, twists):
+    plan = root
+    for fiber, twist in zip(stages, twists):
+        plan = fib.FibrationPlan(plan, fiber, twist)
+    assert fib.candidate_ext_table(plan) == reference_candidate_ext_table(plan)
+
+
+def test_candidate_table_expands_each_transfer_once(monkeypatch):
+    root, stages, _cap = fib.parse_plan(
+        json.loads((DATA / "flag_1_2_3_plan.json").read_text(encoding="utf-8")))
+    plan = fib.FibrationPlan(fib.FibrationPlan(root, stages[0], 0), stages[1], 0)
+    reference = reference_candidate_ext_table(plan)
+    scope = fib._build_scope
+    built = []
+
+    @contextmanager
+    def recording_scope():
+        with scope():
+            yield
+            built.append(transfer_keys())
+
+    monkeypatch.setattr(fib, "_build_scope", recording_scope)
+    expansions = count_calls(monkeypatch, "product_expand")
+    assert fib.candidate_ext_table(plan) == reference
+    assert len(expansions) == len(built[0]) < len(plan.summands()) ** 2
+
+
+def test_chain_keeps_pushforward_model_error():
+    stages = (coll.StageSpec(1, coll.SPLIT, (0, 0)),)
+    message = r"^stage 0: weight \(-5,\) outside the pushforward model$"
+    with pytest.raises(ValueError, match=message):
+        reference_chain(stages, ((0,),), ((5,),))
+    with pytest.raises(ValueError, match=message):
+        coll.tower_hom_degrees(stages, ((0,),), ((5,),))
+    with pytest.raises(ValueError, match=message), coll._build_scope():
+        coll.tower_hom_degrees(stages, ((0,),), ((5,),))
+
+
+def test_failing_transfer_is_not_cached(monkeypatch):
+    stages = (coll.StageSpec(1, coll.SPLIT, (0, 0)),)
+    with coll._build_scope():
+        for _ in range(2):
+            with pytest.raises(ValueError, match="outside the pushforward model"):
+                coll.tower_hom_degrees(stages, ((0,),), ((5,),))
+        assert transfer_keys() == []
+    # a transfer that raises halfway through its split-stage expansions
+    stages = coll._flag_stages(bwb.FlagSpace(4, (1, 2)))
+    src, tgt = ((2, 2), (1,)), ((2, 1), (0,))  # its stage-0 transfer expands twice
+    expected = reference_chain(stages, src, tgt)
+    expand = coll.split_bundle_expand
+    calls = []
+
+    def failing_once(delta, degrees):
+        calls.append(delta)
+        if len(calls) == 2:
+            raise ArithmeticError("expansion failed")
+        return expand(delta, degrees)
+
+    with coll._build_scope():
+        monkeypatch.setattr(coll, "split_bundle_expand", failing_once)
+        with pytest.raises(ArithmeticError):
+            coll.tower_hom_degrees(stages, src, tgt)
+        assert all(key[1] != 0 for key in transfer_keys())
+        assert coll.tower_hom_degrees(stages, src, tgt) == expected
+
+
+def test_no_memo_survives_chain_tables(monkeypatch):
+    flag = coll.flag_collection(bwb.FlagSpace(3, (1, 2)))
+    root, stages, _cap = fib.parse_plan(
+        json.loads((DATA / "flag_1_2_3_plan.json").read_text(encoding="utf-8")))
+    plan = fib.FibrationPlan(fib.FibrationPlan(root, stages[0], 0), stages[1], 0)
+    table = coll.ext_table(flag)
+    assert coll._build_memo.get(None) is None
+    assert fib.candidate_ext_table(plan) == table
+    assert coll._build_memo.get(None) is None
+    expand = coll.product_expand
+    calls = []
+
+    def failing(factors, rank):
+        calls.append(factors)
+        if len(calls) > 5:
+            raise ArithmeticError("expansion failed")
+        return expand(factors, rank)
+
+    monkeypatch.setattr(coll, "product_expand", failing)
+    for build in (lambda: coll.ext_table(flag), lambda: fib.candidate_ext_table(plan)):
+        calls.clear()
+        with pytest.raises(ArithmeticError):
+            build()
+        assert coll._build_memo.get(None) is None
+    # outside a table build every chain expands afresh
+    monkeypatch.setattr(coll, "product_expand", expand)
+    expansions = count_calls(monkeypatch, "product_expand")
+    src, tgt = ((0, 0), (0,)), ((1, 1), (1,))
+    first = coll.tower_hom_degrees(coll._flag_stages(flag.space), src, tgt)
+    once = len(expansions)
+    assert coll.tower_hom_degrees(coll._flag_stages(flag.space), src, tgt) == first
+    assert len(expansions) == 2 * once > 0
 
 
 @pytest.mark.parametrize(
