@@ -13,10 +13,8 @@ import json
 import os
 import sys
 
-from . import __version__, acceptance, bwb, descent, fibration
-from . import collections as coll
-from .partitions import SIZE_ORDER, enumerate_box_partitions
-from .schur import lr_expand, schur_dimension
+# Each command imports the engine modules it runs, so a process pays only for those.
+from . import __version__, partitions
 
 
 def _canonical(obj):
@@ -52,6 +50,7 @@ def parse_weight(text: str) -> tuple[int, ...]:
 
 
 def parse_space(text: str) -> bwb.FlagSpace:
+    from . import bwb
     kind, _, rest = text.partition(":")
     if kind == "grass":
         d, n = (int(x) for x in rest.split(","))
@@ -118,13 +117,14 @@ def _plan_payload(plan: fibration.FibrationPlan) -> dict:
 
 
 def _cmd_partitions(args, pretty):
-    box = enumerate_box_partitions(args.rows, args.cols, args.order)
+    box = partitions.enumerate_box_partitions(args.rows, args.cols, args.order)
     result = {"count": len(box), "members": [list(p) for p in box]}
     return emit("partitions", {"rows": args.rows, "cols": args.cols, "order": args.order},
                 result, "n/a", pretty)
 
 
 def _cmd_lr(args, pretty):
+    from .schur import lr_expand
     terms = lr_expand(parse_weight(args.a), parse_weight(args.b), args.rank)
     result = {"terms": [{"partition": list(p), "multiplicity": c}
                         for p, c in sorted(terms.items())]}
@@ -132,12 +132,14 @@ def _cmd_lr(args, pretty):
 
 
 def _cmd_schur_dim(args, pretty):
+    from .schur import schur_dimension
     dim = schur_dimension(parse_weight(args.weight), args.n)
     return emit("schur-dim", {"weight": args.weight, "n": args.n},
                 {"dimension": dim}, "n/a", pretty)
 
 
 def _cmd_bott(args, pretty):
+    from . import bwb
     space = parse_space(args.space)
     given = [x for x in (args.sub, args.sub_dual, args.quot, args.blocks) if x is not None]
     if len(given) != 1:
@@ -157,12 +159,14 @@ def _cmd_bott(args, pretty):
 
 
 def _cmd_euler(args, pretty):
+    from . import bwb
     value = bwb.localization_euler(parse_weight(args.a), parse_weight(args.b), args.d, args.n)
     return emit("euler", {"a": args.a, "b": args.b, "d": args.d, "n": args.n},
                 {"euler_characteristic": value}, "n/a", pretty)
 
 
 def _cmd_verify(args, pretty, jobs):
+    from . import bwb, collections as coll
     if args.what == "kapranov":
         if args.d is None:
             raise ValueError("verify kapranov needs --d")
@@ -186,11 +190,13 @@ def _cmd_verify(args, pretty, jobs):
 
 
 def _parse_algebra(args) -> descent.CSAClass:
+    from . import descent
     indices = tuple(int(x) for x in args.indices.split(",")) if args.indices else None
     return descent.CSAClass(args.degree, args.period, indices)
 
 
 def _cmd_descent(args, pretty):
+    from . import descent
     if args.what == "bs":
         summary = descent.bs_tilting_summary(_parse_algebra(args), args.range_length)
         inputs = {"variety": "bs", "degree": args.degree, "period": args.period}
@@ -219,6 +225,7 @@ def _cmd_descent(args, pretty):
 
 
 def _cmd_fibration(args, pretty):
+    from . import fibration
     with open(args.plan, encoding="utf-8") as fh:
         payload = json.load(fh)
     root, stages, cap = fibration.parse_plan(payload, os.path.dirname(args.plan))
@@ -247,6 +254,7 @@ def _cmd_fibration(args, pretty):
 
 
 def _cmd_selftest(args, pretty):
+    from . import acceptance
     results = acceptance.run_all(criteria=args.criteria)
     ok = all(passed for _name, passed, _detail in results)
     for name, passed, detail in results:
@@ -267,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("partitions", help="enumerate a partition box")
     p.add_argument("--rows", type=int, required=True)
     p.add_argument("--cols", type=int, required=True)
-    p.add_argument("--order", default=SIZE_ORDER)
+    p.add_argument("--order", default=partitions.SIZE_ORDER)
 
     p = sub.add_parser("lr", help="Littlewood-Richardson expansion")
     p.add_argument("--a", required=True)

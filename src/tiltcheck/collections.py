@@ -25,7 +25,6 @@ computes afresh.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
@@ -83,8 +82,8 @@ def validate_stages(stages: tuple[StageSpec, ...]) -> tuple[int, ...]:
 
 
 # Work shared by the pairs of one table build (each pool worker's own under
-# --jobs): cohomology keyed (d, n, gamma) and stage transfers keyed
-# ("transfer", ...).  Unset outside a build, where every call computes afresh.
+# --jobs): cohomology keyed (d, n, gamma), stage transfers ("transfer", ...)
+# and split expansions ("split", delta, duals).  Unset outside a build.
 _build_memo: ContextVar[dict] = ContextVar("build_memo")
 
 
@@ -146,8 +145,8 @@ def _transfer(k, st, rank, gamma, lam, mu):
     """One stage of the chain: (gamma', degree shift, multiplicity) terms.
 
     gamma' is the normalized weight handed to the stage below (taut stage) or
-    None with a root line-bundle degree shift (split stage).  Within a table
-    build each distinct input is expanded once; a raising input is not stored.
+    None with a root line-bundle degree shift (split stage).  Within a build,
+    each distinct input and split delta is expanded once; failures are not stored.
     """
     memo = _build_memo.get({})
     key = ("transfer", k, st, rank, gamma, lam, mu)
@@ -162,8 +161,10 @@ def _transfer(k, st, rank, gamma, lam, mu):
         if delta[-1] < 0:
             continue
         if st.kind == SPLIT:
-            duals = tuple(-d for d in st.degrees)
-            for w, cc in split_bundle_expand(delta, duals).items():
+            split_key = ("split", delta, tuple(-d for d in st.degrees))
+            if split_key not in memo:
+                memo[split_key] = split_bundle_expand(delta, split_key[2])
+            for w, cc in memo[split_key].items():
                 out[(None, w)] = out.get((None, w), 0) + c * cc
         else:
             key_out = (normalize(delta), 0)
@@ -335,6 +336,7 @@ def ext_table(spec: CollectionSpec, jobs: int = 1) -> ExtTable:
     tasks = ((kind, params, labels[i], labels[j]) for i in range(n_obj) for j in range(n_obj))
     with _build_scope():
         if jobs > 1:
+            from concurrent.futures import ProcessPoolExecutor  # only here: slow to import
             with ProcessPoolExecutor(max_workers=jobs, initializer=_open_build_memo) as pool:
                 results = list(pool.map(_pair_task, tasks, chunksize=16))
         else:

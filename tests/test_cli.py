@@ -165,7 +165,7 @@ def test_engine_errors_exit_2(capsys, monkeypatch, error):
     def failing(spec, jobs=1):
         raise error("integrity check failed")
 
-    monkeypatch.setattr(cli.coll, "ext_table", failing)
+    monkeypatch.setattr("tiltcheck.collections.ext_table", failing)
     assert cli.run(["verify", "kapranov", "--d", "2", "--n", "4"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -239,3 +239,64 @@ def test_selftest_subset(capsys):
     report = json.loads(captured.out)
     assert report["verdict"] == "pass"
     assert "PASS 3" in captured.err
+
+
+LOADED_AFTER_RUN = (
+    "import sys\n"
+    "from tiltcheck import cli\n"
+    "code = cli.run(sys.argv[1:])\n"
+    "print(' '.join(sorted(sys.modules)))\n"
+    "raise SystemExit(code)\n"
+)
+POOL_MODULES = ("concurrent.futures.process", "multiprocessing")
+
+
+def modules_loaded_by(argv):
+    """Modules a fresh interpreter has loaded after `cli.run(argv)`."""
+    src = str(Path(tiltcheck.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, TILTCHECK_JOBS="1", PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, "-c", LOADED_AFTER_RUN, *argv],
+                          capture_output=True, text=True, env=env, check=False)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+PLAN = str(resources.files("tiltcheck") / "data" / "hirzebruch_plan.json")
+
+
+@pytest.mark.parametrize(
+    "argv, needed, unused",
+    [
+        (["partitions", "--rows", "1", "--cols", "1"], ["partitions"],
+         ["schur", "bwb", "collections", "descent", "fibration", "acceptance"]),
+        (["euler", "--a", "1", "--d", "2", "--n", "4"], ["bwb"],
+         ["collections", "descent", "fibration", "acceptance"]),
+        (["verify", "kapranov", "--d", "2", "--n", "4"], ["collections"],
+         ["descent", "fibration", "acceptance"]),
+        (["fibration", "search", "--plan", PLAN], ["fibration"], ["descent", "acceptance"]),
+        (["descent", "gbs", "--degree", "4", "--period", "2", "--d", "2"], ["descent"],
+         ["fibration", "acceptance"]),
+    ],
+    ids=["partitions", "euler", "verify", "fibration", "descent"],
+)
+def test_command_imports_only_its_modules(argv, needed, unused):
+    loaded = modules_loaded_by(argv)
+    assert {f"tiltcheck.{m}" for m in needed} <= loaded
+    assert loaded.isdisjoint(f"tiltcheck.{m}" for m in unused)
+    pool = [m for m in loaded if m.startswith(POOL_MODULES)]
+    assert pool == []
+
+
+def test_jobs_2_same_report_as_jobs_1():
+    src = str(Path(tiltcheck.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+    argv = ["verify", "flag", "--steps", "1,2,3", "--n", "4"]
+    runs = [
+        subprocess.run([sys.executable, "-m", "tiltcheck", "--jobs", jobs, *argv],
+                       capture_output=True, text=True, env=env, check=False)
+        for jobs in ("1", "2")
+    ]
+    serial, pooled = runs
+    assert serial.returncode == pooled.returncode == 0
+    assert serial.stdout == pooled.stdout
+    assert json.loads(serial.stdout)["verdict"] == "pass"

@@ -393,6 +393,15 @@ def test_candidate_table_expands_each_transfer_once(monkeypatch):
     assert len(expansions) == len(built[0]) < len(plan.summands()) ** 2
 
 
+def test_flag_table_splits_each_delta_once(monkeypatch):
+    # split-stage transfers share their deltas: one expansion per distinct argument
+    spec = coll.flag_collection(bwb.FlagSpace(6, (1, 3, 5)))
+    splits = count_calls(monkeypatch, "split_bundle_expand")
+    report = coll.verify_tilting(spec, coll.ext_table(spec))
+    assert report.passed
+    assert len(splits) == len(set(splits)) == 84
+
+
 def test_chain_keeps_pushforward_model_error():
     stages = (coll.StageSpec(1, coll.SPLIT, (0, 0)),)
     message = r"^stage 0: weight \(-5,\) outside the pushforward model$"
