@@ -6,21 +6,34 @@ subbundle.  Collections built here list larger diagrams first, which is the
 direction making the Hom matrix upper unitriangular (all nonzero Hom groups
 point forward); the convention is recorded in each report rather than assumed.
 
-Two Ext engines back the tables.  Single Grassmannians use the absolute Weyl
-walk, valid for arbitrary extended weights.  Iterated stages (flag spaces,
-Grassmann-bundle towers) use the pushforward chain: the Hom content of each
-stage is expanded into weights on that stage's subbundle, weights with a
-negative entry have no direct images, the rest descend in degree zero and are
-either converted to line-bundle degrees (split stage) or fed into the next
-stage down (tautological stage).
+Three Ext engines back the tables; each pair gets exactly one, chosen by its
+weights.
+
+- Closed form (single Grassmannians, in-bound pairs).  For extended weights
+  v, w of length d on Grass(d, n), every summand S^kappa(R^dual) of
+  Hom(S^v R, S^w R) has kappa_d >= v_d - w_1.  When v_d - w_1 >= -(n - d),
+  the dotted walk of (kappa, 0^(n-d)) is dominant (kappa_d >= 0) or repeats
+  (kappa_d + n - d lands on one of the trailing rho entries n-d-1, ..., 0),
+  so Ext^(>0) vanishes.  Shifting v, w by a common c to partitions, Hom is
+  the skew Schur dimension s_{v/w}(1^n), zero unless w is contained in v and
+  otherwise one Jacobi-Trudi determinant (`schur._skew_dimension`).  Every
+  pair of a Kapranov box is in bound.
+- Weyl walk (single Grassmannians, out-of-bound pairs): `schur_pair_ext`, the
+  LR expansion of the Hom bundle and one absolute walk per term, valid for
+  arbitrary extended weights.
+- Stage chain (flag spaces, Grassmann-bundle towers): the Hom content of each
+  stage is expanded into weights on that stage's subbundle, weights with a
+  negative entry have no direct images, the rest descend in degree zero and
+  are either converted to line-bundle degrees (split stage) or fed into the
+  next stage down (tautological stage).
 
 A table build (`ext_table` here, `fibration.candidate_ext_table` for
 candidate bundles) validates its stages and pads its labels once, then opens
-a build memo shared by its pairs: one Weyl walk per distinct Grassmannian LR
-term, and one stage transfer per distinct (stage, incoming weight, source
-and target stage weights).  A pair's chain folds the cached transfers.  The
-memo is dropped when the build returns or raises; outside a build every call
-computes afresh.
+a build memo shared by its walk and chain pairs: one Weyl walk per distinct
+Grassmannian LR term, and one stage transfer per distinct (stage, incoming
+weight, source and target stage weights).  A pair's chain folds the cached
+transfers.  The memo is dropped when the build returns or raises; outside a
+build every call computes afresh.
 """
 
 from __future__ import annotations
@@ -33,7 +46,7 @@ from typing import Optional
 
 from .partitions import CONTAINMENT_ORDER, enumerate_box_partitions, normalize
 from . import bwb
-from .schur import as_weight, dual_weight, product_expand, schur_dimension, split_bundle_expand
+from .schur import _skew_dimension, as_weight, dual_weight, product_expand, split_bundle_expand
 
 Label = tuple[tuple[int, ...], ...]
 
@@ -287,14 +300,16 @@ class ExtTable:
 def schur_pair_ext(d: int, n: int, v, w) -> dict[int, int]:
     """Ext^*(S^v(R), S^w(R)) on Grass(d, n) for extended weights v, w.
 
-    One Weyl walk per LR term gamma; pairs of one `ext_table` build share it.
+    The absolute reference: one Weyl walk per LR term gamma of the Hom
+    bundle.  `ext_table` calls it only for pairs outside the closed-form
+    bound (see the module docstring); the pairs of one build share each walk.
     """
-    space = bwb.grassmannian(d, n)
     memo = _build_memo.get({})
     out: dict[int, int] = {}
     for gamma, mult in product_expand([dual_weight(as_weight(v, d)), w], d).items():
         key = (d, n, gamma)
         if key not in memo:
+            space = bwb.grassmannian(d, n)
             bundle = bwb.HomogeneousBundle(space, (dual_weight(gamma), (0,) * (n - d)))
             memo[key] = bwb.flag_cohomology(bundle)
         res = memo[key]
@@ -314,8 +329,7 @@ def _flag_stages(space: bwb.FlagSpace) -> tuple[StageSpec, ...]:
 def _pair_task(args) -> dict[int, int]:
     kind, params, li, lj = args
     if kind == "bwb":
-        d, n = params
-        return schur_pair_ext(d, n, li[0], lj[0])
+        return schur_pair_ext(*params, li, lj)
     degrees = _chain(*params, li, lj)
     return {0: sum(degrees.values())} if degrees else {}
 
@@ -323,29 +337,44 @@ def _pair_task(args) -> dict[int, int]:
 def ext_table(spec: CollectionSpec, jobs: int = 1) -> ExtTable:
     """Every Ext^s between every ordered pair of the collection, exactly.
 
-    Flag labels are validated and padded once, root-first, for the chain.
+    Labels are validated and padded once (flag labels root-first, for the
+    chain).  In-bound Grassmannian pairs are answered in closed form here;
+    only walk and chain pairs become tasks, and a pool starts under
+    jobs > 1 only when there is such a task.
     """
     n_obj = len(spec.labels)
+    dims: dict[tuple[int, int, int], int] = {}
     if spec.space.is_grassmannian:
-        kind, params, labels = "bwb", (spec.space.steps[0], spec.space.n), spec.labels
+        d, n = spec.space.steps[0], spec.space.n
+        kind, params = "bwb", (d, n)
+        labels = [as_weight(lab[0], d) for lab in spec.labels]
+        todo = []
+        for i, v in enumerate(labels):
+            for j, w in enumerate(labels):
+                if v[-1] - w[0] < d - n:
+                    todo.append(i * n_obj + j)
+                elif all(a >= b for a, b in zip(v, w)):
+                    dims[(i, j, 0)] = _skew_dimension(v, w, n)
     else:
         stages = _flag_stages(spec.space)
         kind, params = "chain", (stages, validate_stages(stages))
         labels = [tuple(as_weight(w, st.l) for w, st in zip(reversed(lab), stages))
                   for lab in spec.labels]
-    tasks = ((kind, params, labels[i], labels[j]) for i in range(n_obj) for j in range(n_obj))
+        todo = range(n_obj * n_obj)
+    # pair (i, j) is i * n_obj + j: `todo` is iterated twice and is never a
+    # list of every pair, which a large flag table would hold in memory
+    tasks = ((kind, params, labels[p // n_obj], labels[p % n_obj]) for p in todo)
     with _build_scope():
-        if jobs > 1:
+        if jobs > 1 and todo:
             from concurrent.futures import ProcessPoolExecutor  # only here: slow to import
             with ProcessPoolExecutor(max_workers=jobs, initializer=_open_build_memo) as pool:
                 results = list(pool.map(_pair_task, tasks, chunksize=16))
         else:
             results = map(_pair_task, tasks)
-        dims: dict[tuple[int, int, int], int] = {}
-        for (i, j), res in zip(((i, j) for i in range(n_obj) for j in range(n_obj)), results):
-            for s, v in res.items():
-                if v:
-                    dims[(i, j, s)] = v
+        for p, res in zip(todo, results):
+            for s, dim in res.items():
+                if dim:
+                    dims[(p // n_obj, p % n_obj, s)] = dim
     return ExtTable(n_obj, spec.space.dimension(), dims)
 
 

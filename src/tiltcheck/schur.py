@@ -9,6 +9,7 @@ floating point anywhere.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import comb
 
 from .partitions import normalize
 
@@ -165,6 +166,34 @@ def schur_dimension(w, n: int) -> int:
     if num % den:
         raise ArithmeticError(f"hook-content quotient {num}/{den} for {w} is not an integer")
     return num // den
+
+
+def _skew_dimension(lam, mu, n: int) -> int:
+    """s_{lam/mu}(1^n) for partitions padded to one common length.
+
+    Skew Jacobi-Trudi (Macdonald, Symmetric Functions, ch. I (5.4)):
+    det[h_{lam_i - mu_j - i + j}(1^n)] with h_k(1^n) = C(n + k - 1, k) and
+    h_k = 0 for k < 0.  It is 0 unless mu is contained in lam.  Only the
+    differences lam_i - mu_j enter, so extended weights give the value of
+    their common shift to partitions.  The determinant is exact
+    fraction-free (Bareiss) elimination.
+    """
+    size = len(lam)
+    m = [[comb(n + k - 1, k) if k >= 0 else 0
+          for k in (lam[i] - mu[j] - i + j for j in range(size))] for i in range(size)]
+    sign, prev = 1, 1
+    for k in range(size - 1):
+        if not m[k][k]:
+            pivot = next((r for r in range(k + 1, size) if m[r][k]), None)
+            if pivot is None:
+                return 0
+            m[k], m[pivot] = m[pivot], m[k]
+            sign = -sign
+        for i in range(k + 1, size):
+            for j in range(k + 1, size):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[-1][-1] if size else 1
 
 
 def _ssyt_degree_counts(shape, degrees) -> dict[int, int]:

@@ -287,6 +287,12 @@ def test_command_imports_only_its_modules(argv, needed, unused):
     assert pool == []
 
 
+def test_jobs_2_starts_no_pool_for_in_box_tables():
+    # every Kapranov pair is answered in closed form, so no pair needs a worker
+    loaded = modules_loaded_by(["--jobs", "2", "verify", "kapranov", "--d", "3", "--n", "6"])
+    assert [m for m in loaded if m.startswith(POOL_MODULES)] == []
+
+
 def test_jobs_2_same_report_as_jobs_1():
     src = str(Path(tiltcheck.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")

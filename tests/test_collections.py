@@ -5,12 +5,14 @@ from itertools import product as iter_product
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tiltcheck import bwb
 from tiltcheck import collections as coll
 from tiltcheck import fibration as fib
 from tiltcheck.partitions import normalize
-from tiltcheck.schur import as_weight, dual_weight, product_expand, split_bundle_expand
+from tiltcheck.schur import as_weight, dual_weight, lr_expand, product_expand, split_bundle_expand
 
 DATA = resources.files("tiltcheck") / "data"
 
@@ -138,7 +140,9 @@ def test_flag_with_step_gaps_verifies():
 
 
 def test_parallel_sweep_matches_sequential():
-    for spec in (coll.kapranov_collection(2, 4), coll.kapranov_collection(3, 6)):
+    # the Beilinson range keeps an out-of-bound pair, so its pool carries a walk
+    for spec in (coll.kapranov_collection(2, 4), coll.kapranov_collection(3, 6),
+                 coll.beilinson_collection(3, range(5))):
         assert coll.ext_table(spec, jobs=2) == coll.ext_table(spec)
     for flag in (bwb.FlagSpace(3, (1, 2)), bwb.FlagSpace(4, (1, 2, 3))):
         spec = coll.flag_collection(flag)
@@ -186,6 +190,62 @@ def test_memoized_table_matches_unmemoized_reference(spec):
     assert coll.verify_tilting(spec, table) == coll.verify_tilting(spec, reference)
 
 
+def out_of_bound(d, n, v, w):
+    """Pairs the closed form cannot certify: v_d - w_1 < -(n - d)."""
+    return v[-1] - w[0] < d - n
+
+
+def walk_routed_collection():
+    """Grass(2, 5) over the 2 x 4 box, twisted by det^-1: 25 out-of-bound pairs."""
+    labels = tuple((as_weight(lam, 2),) for lam in coll._reversed_box(2, 4))
+    return coll.twist_collection(coll.CollectionSpec(bwb.grassmannian(2, 5), labels), -1)
+
+
+@pytest.mark.parametrize("d, n", [(d, n) for n in range(2, 9) for d in range(1, n)])
+def test_closed_form_table_matches_walk_reference(d, n):
+    # determinant-twisted tables are compared in test_memoized_table_matches_unmemoized_reference
+    spec = coll.kapranov_collection(d, n)
+    assert coll.ext_table(spec) == unmemoized_ext_table(spec)
+
+
+@st.composite
+def grassmannian_pairs(draw):
+    """(d, n, v, w): extended weights of length d, entries in [-4, 4], d < n <= 7."""
+    n = draw(st.integers(2, 7))
+    d = draw(st.integers(1, n - 1))
+    weight = st.lists(st.integers(-4, 4), min_size=d, max_size=d).map(
+        lambda xs: tuple(sorted(xs, reverse=True)))
+    return d, n, draw(weight), draw(weight)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(grassmannian_pairs())
+def test_closed_form_matches_walk_on_extended_pairs(case):
+    d, n, v, w = case
+    labels = ((v,), (w,)) if v != w else ((v,),)
+    walk = coll.schur_pair_ext
+    walked = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(coll, "schur_pair_ext", lambda *args: walked.append(args[2:]) or walk(*args))
+        table = coll.ext_table(coll.CollectionSpec(bwb.grassmannian(d, n), labels))
+    # one engine per pair: exactly the out-of-bound pairs walk
+    pairs = [(a, b) for (a,) in labels for (b,) in labels]
+    assert walked == [(a, b) for a, b in pairs if out_of_bound(d, n, a, b)]
+    for (i, (a,)), (j, (b,)) in iter_product(enumerate(labels), repeat=2):
+        expected = walk(d, n, a, b)
+        assert {s: x for (p, q, s), x in table.dims.items() if (p, q) == (i, j)} == expected
+        if not out_of_bound(d, n, a, b):
+            assert set(expected) <= {0}, (a, b)  # the bound certifies Ext^(>0) = 0
+
+
+def test_in_box_table_expands_no_lr_product():
+    spec = coll.kapranov_collection(3, 7)
+    before = lr_expand.cache_info()
+    coll.ext_table(spec)
+    after = lr_expand.cache_info()
+    assert after.hits + after.misses == before.hits + before.misses
+
+
 def test_beilinson_range_keeps_higher_ext_witness():
     report = coll.verify_tilting(coll.beilinson_collection(3, range(5)))
     assert not report.passed
@@ -194,11 +254,13 @@ def test_beilinson_range_keeps_higher_ext_witness():
 
 
 def test_one_weyl_walk_per_distinct_weight(monkeypatch):
-    spec = coll.kapranov_collection(2, 5)
+    # in-box pairs take the closed form, so the walks come from out-of-bound pairs
+    spec = walk_routed_collection()
     gammas = {
         gamma
         for (v,) in spec.labels
         for (w,) in spec.labels
+        if out_of_bound(2, 5, v, w)
         for gamma in product_expand([dual_weight(v), w], 2)
     }
     reference = unmemoized_ext_table(spec)
@@ -212,10 +274,13 @@ def test_one_weyl_walk_per_distinct_weight(monkeypatch):
     monkeypatch.setattr(bwb, "flag_cohomology", counted)
     assert coll.ext_table(spec) == reference
     assert len(walked) == len(set(walked)) == len(gammas)
+    walked.clear()
+    coll.ext_table(coll.kapranov_collection(2, 5))
+    assert walked == []
 
 
 def test_no_memo_survives_ext_table(monkeypatch):
-    spec = coll.kapranov_collection(2, 4)
+    spec = walk_routed_collection()  # in-box pairs never walk, so none could raise
     coll.ext_table(spec)
     assert coll._build_memo.get(None) is None
     walk = bwb.flag_cohomology

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 from tiltcheck.partitions import enumerate_box_partitions, normalize
 from tiltcheck.schur import (
+    _skew_dimension,
+    as_weight,
     dual_weight,
     hom_expand,
     lr_expand,
@@ -193,6 +195,19 @@ def test_lr_dimension_bookkeeping():
             for b in box:
                 total = sum(c * schur_dimension(nu, n) for nu, c in lr_expand(a, b, n).items())
                 assert total == schur_dimension(a, n) * schur_dimension(b, n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_skew_dimension_matches_lr_sum(n):
+    # s_{lam/mu}(1^n) = sum over nu of c^lam_{mu,nu} dim S^nu(k^n); nu lies in lam's box
+    box = enumerate_box_partitions(3, 3).members
+    for lam in box:
+        for mu in box:
+            total = sum(lr_expand(mu, nu, 3).get(lam, 0) * schur_dimension(nu, n) for nu in box)
+            skew = _skew_dimension(as_weight(lam, 3), as_weight(mu, 3), n)
+            assert skew == total, (lam, mu)
+            if any(b > a for a, b in zip(as_weight(lam, 3), as_weight(mu, 3))):
+                assert skew == 0
 
 
 # ---------------------------------------------------------------------------
