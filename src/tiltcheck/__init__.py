@@ -12,19 +12,16 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "partitions": (
-        "CONTAINMENT_ORDER", "SIZE_ORDER", "OrderedPartitionSet", "conjugate", "contains",
-        "enumerate_box_partitions",
-    ),
-    "schur": ("hom_expand", "lr_expand", "schur_dimension", "split_bundle_expand", "twist_weight"),
+    "partitions": ("OrderedPartitionSet", "conjugate", "enumerate_box_partitions"),
+    "schur": ("lr_expand", "schur_dimension", "split_bundle_expand"),
     "bwb": (
         "CohomologyResult", "FlagSpace", "HomogeneousBundle", "flag_cohomology",
-        "grass_pushforward", "grassmannian", "localization_euler", "of_quot", "of_sub",
-        "of_sub_dual", "pn_line_cohomology", "projective_space",
+        "grassmannian", "localization_euler", "of_quot", "of_sub", "of_sub_dual",
+        "pn_line_cohomology", "projective_space",
     ),
     "collections": (
-        "CollectionSpec", "ExtTable", "VerificationReport", "beilinson_collection",
-        "end_quiver_dims", "ext_table", "flag_collection", "kapranov_collection",
+        "CollectionSpec", "ExtTable", "GrassFiber", "VerificationReport",
+        "beilinson_collection", "ext_table", "flag_collection", "kapranov_collection",
         "verify_tilting",
     ),
     "descent": (
@@ -32,8 +29,8 @@ _EXPORTS = {
         "index_of_power", "twisted_tower_summary",
     ),
     "fibration": (
-        "BaseModel", "FibrationPlan", "GrassFiber", "TableFiber", "candidate_ext_table",
-        "relative_pushforward", "tower_compose", "twist_search",
+        "BaseModel", "FibrationPlan", "TableFiber", "candidate_ext_table", "tower_compose",
+        "twist_search",
     ),
 }
 

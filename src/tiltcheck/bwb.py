@@ -251,28 +251,3 @@ def _localization_at(a, b, d, n, exps, split_bundle_expand) -> int:
         for _ in range(c):
             total = _laurent_div_cyclotomic(total, k)
     return sum(total.values())
-
-
-def grass_pushforward(gamma, l: int, ambient_rank: int) -> Optional[tuple[int, ...]]:
-    """Direct images of S^gamma(R^dual) along a rank-l Grassmann bundle.
-
-    For gamma >= 0 the only direct image sits in degree 0 and is S^gamma of
-    the dual ambient bundle (returned as the weight); for other in-bound
-    weights all direct images vanish (None).  Out-of-bound weights are
-    rejected rather than guessing an extension of the rule.
-    """
-    gamma = tuple(int(x) for x in gamma)
-    if len(gamma) != l:
-        raise ValueError(f"gamma must have length {l}")
-    for i in range(l - 1):
-        if gamma[i] < gamma[i + 1]:
-            raise ValueError(f"gamma {gamma} not non-increasing")
-    if not 1 <= l < ambient_rank:
-        raise ValueError("need 1 <= l < ambient_rank")
-    if gamma[-1] < -(ambient_rank - l):
-        raise ValueError(
-            f"gamma {gamma} below the bound -(rank - l) = {-(ambient_rank - l)}"
-        )
-    if all(x >= 0 for x in gamma):
-        return normalize(gamma)
-    return None

@@ -117,7 +117,10 @@ def _plan_payload(plan: fibration.FibrationPlan) -> dict:
 
 
 def _cmd_partitions(args, pretty):
-    box = partitions.enumerate_box_partitions(args.rows, args.cols, args.order)
+    # both tags name the one order enumerate_box_partitions lists
+    if args.order not in ("size_order", "containment_order"):
+        raise ValueError(f"unknown order tag {args.order!r}")
+    box = partitions.enumerate_box_partitions(args.rows, args.cols)
     result = {"count": len(box), "members": [list(p) for p in box]}
     return emit("partitions", {"rows": args.rows, "cols": args.cols, "order": args.order},
                 result, "n/a", pretty)
@@ -165,7 +168,7 @@ def _cmd_euler(args, pretty):
                 {"euler_characteristic": value}, "n/a", pretty)
 
 
-def _cmd_verify(args, pretty, jobs):
+def _cmd_verify(args, pretty):
     from . import bwb, collections as coll
     if args.what == "kapranov":
         if args.d is None:
@@ -183,7 +186,7 @@ def _cmd_verify(args, pretty, jobs):
         spec = coll.beilinson_collection(args.n, degrees)
         inputs = {"collection": "beilinson", "n": args.n,
                   "degrees": list(degrees) if degrees else list(range(args.n + 1))}
-    table = coll.ext_table(spec, jobs=jobs)
+    table = coll.ext_table(spec, jobs=args.jobs)
     report = coll.verify_tilting(spec, table)
     verdict = "pass" if report.passed else "fail"
     return emit("verify", inputs, _report_payload(report), verdict, pretty)
@@ -235,19 +238,11 @@ def _cmd_fibration(args, pretty):
         twists = [int(x) for x in args.twists.split(",")] if args.twists else [0] * len(stages)
         if len(twists) != len(stages):
             raise ValueError("one twist per stage required")
-        base = root
-        plan = fibration.FibrationPlan(base, None, 0, True, None, None)
+        # the fiberless plan adds no layer: with no stages it is the root's own bundle
+        plan = fibration.FibrationPlan(root, None, 0)
         for fiber, tw in zip(stages, twists):
-            plan = fibration.FibrationPlan(base, fiber, tw)
-            base = plan
-        table = fibration.candidate_ext_table(plan)
-        witness = next(iter(table.higher_entries()), None)
-        obstruction = None
-        if witness is not None:
-            (i, j, s), v = witness
-            obstruction = (i, j, s, v)
-        plan = fibration.FibrationPlan(plan.base, plan.fiber, plan.twist,
-                                       witness is None, table, obstruction)
+            plan = fibration.FibrationPlan(plan, fiber, tw)
+        plan = fibration.verify_plan(plan)
     verdict = "pass" if plan.verified else "fail"
     return emit("fibration", {"mode": args.what, "plan": args.plan},
                 _plan_payload(plan), verdict, pretty)
@@ -275,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("partitions", help="enumerate a partition box")
     p.add_argument("--rows", type=int, required=True)
     p.add_argument("--cols", type=int, required=True)
-    p.add_argument("--order", default=partitions.SIZE_ORDER)
+    p.add_argument("--order", default="size_order")
 
     p = sub.add_parser("lr", help="Littlewood-Richardson expansion")
     p.add_argument("--a", required=True)
@@ -327,15 +322,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _DISPATCH = {
-    "partitions": lambda a, pretty, jobs: _cmd_partitions(a, pretty),
-    "lr": lambda a, pretty, jobs: _cmd_lr(a, pretty),
-    "schur-dim": lambda a, pretty, jobs: _cmd_schur_dim(a, pretty),
-    "bott": lambda a, pretty, jobs: _cmd_bott(a, pretty),
-    "euler": lambda a, pretty, jobs: _cmd_euler(a, pretty),
-    "verify": lambda a, pretty, jobs: _cmd_verify(a, pretty, jobs),
-    "descent": lambda a, pretty, jobs: _cmd_descent(a, pretty),
-    "fibration": lambda a, pretty, jobs: _cmd_fibration(a, pretty),
-    "selftest": lambda a, pretty, jobs: _cmd_selftest(a, pretty),
+    "partitions": _cmd_partitions,
+    "lr": _cmd_lr,
+    "schur-dim": _cmd_schur_dim,
+    "bott": _cmd_bott,
+    "euler": _cmd_euler,
+    "verify": _cmd_verify,
+    "descent": _cmd_descent,
+    "fibration": _cmd_fibration,
+    "selftest": _cmd_selftest,
 }
 
 
@@ -343,12 +338,11 @@ def run(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        jobs = args.jobs
-        if jobs is None:
-            jobs = int(os.environ.get("TILTCHECK_JOBS", "1"))
-        if jobs < 1:
+        if args.jobs is None:
+            args.jobs = int(os.environ.get("TILTCHECK_JOBS", "1"))
+        if args.jobs < 1:
             raise ValueError("jobs must be positive")
-        return _DISPATCH[args.command](args, args.pretty, jobs)
+        return _DISPATCH[args.command](args, args.pretty)
     except (ValueError, KeyError, OSError, TypeError) as exc:
         sys.stderr.write(f"tiltcheck: invalid input: {exc}\n")
         return 2

@@ -27,6 +27,11 @@ weights.
   are either converted to line-bundle degrees (split stage) or fed into the
   next stage down (tautological stage).
 
+Flag tables and fibration plans share one stage model, `GrassFiber`, and one
+function, `segment_stages`, that gives every stage its ambient rank: a flag
+space is a single segment of stages over a point, and a plan stacks segments
+and fiber tables over its root (see `fibration`).
+
 A table build (`ext_table` here, `fibration.candidate_ext_table` for
 candidate bundles) validates its stages and pads its labels once, then opens
 a build memo shared by its walk and chain pairs: one Weyl walk per distinct
@@ -44,54 +49,68 @@ from dataclasses import dataclass, field
 from itertools import product as iter_product
 from typing import Optional
 
-from .partitions import CONTAINMENT_ORDER, enumerate_box_partitions, normalize
+from .partitions import enumerate_box_partitions, normalize
 from . import bwb
 from .schur import _skew_dimension, as_weight, dual_weight, product_expand, split_bundle_expand
 
 Label = tuple[tuple[int, ...], ...]
 
-SPLIT = "split"
-TAUT = "taut"
-
 
 @dataclass(frozen=True)
-class StageSpec:
-    """One Grassmann-bundle stage of a tower, listed root-first.
+class GrassFiber:
+    """One Grassmann-bundle stage: l-planes in a stage bundle.
 
-    kind "split": the stage bundle is (+) O(d) pulled back from the root.
-    kind "taut": the stage bundle is the tautological subbundle of the stage
-    below, so its rank is that stage's l.
+    The stage bundle is split, (+) O(d) over the root for d in
+    `split_degrees`, or, with `taut`, the tautological subbundle of the stage
+    directly below, whose rank is that stage's l.  Both kinds serve flag
+    tables and fibration plans alike: Flag(l_1 < ... < l_m; n) is the split
+    stage (l_m, 0^n) carrying taut stages l_(m-1), ..., l_1, and a plan stacks
+    stages of either kind over its root.  The fiberwise collection is the
+    Kapranov one.
     """
 
     l: int
-    kind: str
-    degrees: tuple[int, ...] = ()
+    split_degrees: Optional[tuple[int, ...]] = None
+    taut: bool = False
 
-    @property
-    def rank(self) -> int:
-        if self.kind != SPLIT:
-            raise ValueError("rank of a taut stage comes from the stage below")
-        return len(self.degrees)
+    def __post_init__(self):
+        if self.split_degrees is not None:
+            object.__setattr__(self, "split_degrees", tuple(int(d) for d in self.split_degrees))
+        if (self.split_degrees is None) == (not self.taut):
+            raise ValueError("exactly one of split_degrees / taut must be given")
+        if self.l < 1:
+            raise ValueError("l must be positive")
+
+    def objects(self, rank: int) -> tuple[tuple[int, ...], ...]:
+        """S^lam over the l x (rank - l) box, larger diagrams first."""
+        box = enumerate_box_partitions(self.l, rank - self.l)
+        return tuple(as_weight(lam, self.l) for lam in reversed(box.members))
 
 
-def validate_stages(stages: tuple[StageSpec, ...]) -> tuple[int, ...]:
-    """Check a root-first stage list; returns the ambient rank of each stage."""
-    if not stages:
-        return ()
-    ranks = []
+def segment_stages(stages) -> list[tuple]:
+    """Bottom-first segments of a bottom-first stage list, with ambient ranks.
+
+    A segment is a tuple of (stage, rank) pairs: a split GrassFiber starts
+    one, with rank its degree count, and each taut GrassFiber joins the one
+    below it, with rank that stage's l.  Any other stage (a fiber table) is a
+    segment of its own, with rank None.
+    """
+    segments: list[tuple] = []
     for k, st in enumerate(stages):
-        if st.kind == SPLIT:
-            rank = len(st.degrees)
-        elif st.kind == TAUT:
-            if k == 0:
-                raise ValueError("the bottom stage must be split over the root")
-            rank = stages[k - 1].l
+        if not isinstance(st, GrassFiber):
+            segments.append(((st, None),))
+            continue
+        if not st.taut:
+            rank = len(st.split_degrees)
+            segments.append(())
+        elif segments and segments[-1][-1][1] is not None:
+            rank = segments[-1][-1][0].l
         else:
-            raise ValueError(f"unknown stage kind {st.kind!r}")
-        if not 1 <= st.l <= rank:
+            raise ValueError("tautological stage requires a Grass stage directly below")
+        if st.l > rank:
             raise ValueError(f"stage {k}: need 1 <= l <= rank, got l={st.l}, rank={rank}")
-        ranks.append(rank)
-    return tuple(ranks)
+        segments[-1] += ((st, rank),)
+    return segments
 
 
 # Work shared by the pairs of one table build (each pool worker's own under
@@ -114,7 +133,7 @@ def _build_scope():
         _build_memo.reset(token)
 
 
-def tower_hom_degrees(stages: tuple[StageSpec, ...], src: Label, tgt: Label) -> dict[int, int]:
+def tower_hom_degrees(stages: tuple[GrassFiber, ...], src: Label, tgt: Label) -> dict[int, int]:
     """Root line-bundle degrees of the full pushforward of Hom(src, tgt).
 
     `src`/`tgt` carry one weight per stage, root-first, each inside the
@@ -123,26 +142,27 @@ def tower_hom_degrees(stages: tuple[StageSpec, ...], src: Label, tgt: Label) -> 
     weights on the stage subbundle; only componentwise non-negative weights
     have direct images (all in degree zero), the rest die in every degree.
     """
-    ranks = validate_stages(stages)
+    ranked = tuple(pair for segment in segment_stages(stages) for pair in segment)
     if len(src) != len(stages) or len(tgt) != len(stages):
         raise ValueError("one weight per stage required")
     src = tuple(as_weight(w, st.l) for w, st in zip(src, stages))
     tgt = tuple(as_weight(w, st.l) for w, st in zip(tgt, stages))
-    return _chain(stages, ranks, src, tgt)
+    return _chain(ranked, src, tgt)
 
 
-def _chain(stages, ranks, src, tgt) -> dict[int, int]:
-    """`tower_hom_degrees` on validated stages and padded weights.
+def _chain(ranked, src, tgt) -> dict[int, int]:
+    """`tower_hom_degrees` on (stage, rank) pairs and padded weights.
 
     Folds the per-stage transfers from the top stage down, merging equal
     (gamma, degree) items between stages.
     """
     # items: (gamma destined for the current stage or None, degree) -> multiplicity
     items: dict[tuple[Optional[tuple[int, ...]], int], int] = {(None, 0): 1}
-    for k in range(len(stages) - 1, -1, -1):
+    for k in range(len(ranked) - 1, -1, -1):
+        st, rank = ranked[k]
         next_items: dict[tuple[Optional[tuple[int, ...]], int], int] = {}
         for (gamma, deg), mult in items.items():
-            for gamma_out, shift, c in _transfer(k, stages[k], ranks[k], gamma, src[k], tgt[k]):
+            for gamma_out, shift, c in _transfer(k, st, rank, gamma, src[k], tgt[k]):
                 key = (gamma_out, deg + shift)
                 next_items[key] = next_items.get(key, 0) + mult * c
         items = next_items
@@ -173,8 +193,8 @@ def _transfer(k, st, rank, gamma, lam, mu):
             raise ValueError(f"stage {k}: weight {delta} outside the pushforward model")
         if delta[-1] < 0:
             continue
-        if st.kind == SPLIT:
-            split_key = ("split", delta, tuple(-d for d in st.degrees))
+        if not st.taut:
+            split_key = ("split", delta, tuple(-d for d in st.split_degrees))
             if split_key not in memo:
                 memo[split_key] = split_bundle_expand(delta, split_key[2])
             for w, cc in memo[split_key].items():
@@ -219,16 +239,13 @@ class CollectionSpec:
         return CollectionSpec(self.space, self.labels, tuple(mults), self.order_note)
 
 
-def _reversed_box(rows: int, cols: int) -> list[tuple[int, ...]]:
-    return list(reversed(enumerate_box_partitions(rows, cols, CONTAINMENT_ORDER).members))
-
-
 def kapranov_collection(d: int, n: int) -> CollectionSpec:
     """S^lam(R) over the d x (n-d) box on Grass(d, n), larger diagrams first."""
     if not 1 <= d < n:
         raise ValueError("need 1 <= d < n")
     space = bwb.grassmannian(d, n)
-    labels = tuple((as_weight(lam, d),) for lam in _reversed_box(d, n - d))
+    # Grass(d, n) is the single split stage (d, 0^n) over a point
+    labels = tuple((w,) for w in GrassFiber(d, (0,) * n).objects(n))
     return CollectionSpec(space, labels, order_note="containment order, larger diagrams first")
 
 
@@ -238,11 +255,8 @@ def flag_collection(space: bwb.FlagSpace) -> CollectionSpec:
     Stage i ranges over the l_i x (l_{i+1} - l_i) box; the object count is the
     product of the stage binomials.
     """
-    steps = space.steps + (space.n,)
-    stage_lists = [
-        [as_weight(lam, steps[i]) for lam in _reversed_box(steps[i], steps[i + 1] - steps[i])]
-        for i in range(len(space.steps))
-    ]
+    # labels list stage l_1 first, the reverse of the root-first stages
+    stage_lists = [st.objects(rank) for st, rank in reversed(_flag_stages(space))]
     labels = tuple(iter_product(*stage_lists))
     return CollectionSpec(space, labels, order_note="stagewise containment order, larger diagrams first")
 
@@ -318,12 +332,13 @@ def schur_pair_ext(d: int, n: int, v, w) -> dict[int, int]:
     return out
 
 
-def _flag_stages(space: bwb.FlagSpace) -> tuple[StageSpec, ...]:
+def _flag_stages(space: bwb.FlagSpace) -> tuple:
+    """The flag space as one root-first segment of (stage, rank) pairs."""
     steps = space.steps
-    stages = [StageSpec(steps[-1], SPLIT, (0,) * space.n)]
-    for l in reversed(steps[:-1]):
-        stages.append(StageSpec(l, TAUT))
-    return tuple(stages)
+    stages = [GrassFiber(steps[-1], (0,) * space.n)]
+    stages += [GrassFiber(l, taut=True) for l in reversed(steps[:-1])]
+    [segment] = segment_stages(stages)
+    return segment
 
 
 def _pair_task(args) -> dict[int, int]:
@@ -356,9 +371,9 @@ def ext_table(spec: CollectionSpec, jobs: int = 1) -> ExtTable:
                 elif all(a >= b for a, b in zip(v, w)):
                     dims[(i, j, 0)] = _skew_dimension(v, w, n)
     else:
-        stages = _flag_stages(spec.space)
-        kind, params = "chain", (stages, validate_stages(stages))
-        labels = [tuple(as_weight(w, st.l) for w, st in zip(reversed(lab), stages))
+        segment = _flag_stages(spec.space)
+        kind, params = "chain", (segment,)
+        labels = [tuple(as_weight(w, st.l) for w, (st, _rank) in zip(reversed(lab), segment))
                   for lab in spec.labels]
         todo = range(n_obj * n_obj)
     # pair (i, j) is i * n_obj + j: `todo` is iterated twice and is never a
@@ -443,15 +458,3 @@ def verify_tilting(spec: CollectionSpec, table: Optional[ExtTable] = None) -> Ve
         order_note=spec.order_note,
         generation_note=GENERATION_NOTE,
     )
-
-
-def end_quiver_dims(spec: CollectionSpec) -> list[list[int]]:
-    """Hom-dimension matrix of a verified collection.
-
-    This is quiver dimension data, not arrow counts: extracting arrows needs
-    composition maps, which dimension bookkeeping cannot see.
-    """
-    report = verify_tilting(spec)
-    if not report.passed:
-        raise ValueError("collection failed verification; no quiver data emitted")
-    return [list(row) for row in report.hom_matrix]

@@ -23,9 +23,7 @@ from typing import Optional
 
 from .partitions import conjugate, normalize
 from .collections import ExtTable, ext_table, kapranov_collection, schur_pair_ext
-from .schur import lr_expand, schur_dimension
-
-PERIOD_EQUALS_INDEX = "period_equals_index"
+from .schur import lr_expand
 
 
 @dataclass(frozen=True)
@@ -56,10 +54,6 @@ class CSAClass:
             for x in table:
                 if x < 1 or self.degree % x != 0:
                     raise ValueError(f"index {x} must divide the degree")
-
-    @property
-    def model(self) -> str:
-        return "explicit_table" if self.index_table is not None else PERIOD_EQUALS_INDEX
 
 
 def split_class(degree: int) -> CSAClass:
@@ -257,16 +251,6 @@ def generalized_bs_summary(a: CSAClass, d: int) -> DescentSummary:
         end_dim=end_dim,
         notes=("multiplicities are sufficient for descent, not claimed minimal",),
     )
-
-
-def wedge_rank_check(d: int, lam) -> bool:
-    """Wedge-product rank equals the summed Schur ranks (base-change sanity)."""
-    conj = conjugate(lam)
-    direct = _prod(comb(d, c) for c in conj)
-    via_schur = sum(
-        m * schur_dimension(nu, d) for nu, m in wedge_schur_multiplicities(conj, d).items()
-    )
-    return direct == via_schur
 
 
 _TOWER_NOTE = (

@@ -7,6 +7,7 @@ computes its full Ext table exactly and searches for the least twist exponent
 killing every positive-degree entry.
 
 Computability boundary: automatic verification covers Grassmann-bundle stages
+(`GrassFiber`, the stage model the flag tables of `collections` use too)
 whose bundle is either split with degrees taken from the root or the
 tautological subbundle of the previous Grass stage, plus fiber collections
 supplied as pushforward tables.  Anything else is rejected rather than
@@ -24,18 +25,7 @@ from itertools import product as iter_product
 from typing import Optional, Union
 
 from .bwb import pn_line_cohomology
-from .collections import (
-    SPLIT,
-    TAUT,
-    ExtTable,
-    StageSpec,
-    _build_scope,
-    _chain,
-    tower_hom_degrees,
-    validate_stages,
-)
-from .partitions import CONTAINMENT_ORDER, enumerate_box_partitions
-from .schur import as_weight
+from .collections import ExtTable, GrassFiber, _build_scope, _chain, segment_stages
 
 
 @dataclass(frozen=True)
@@ -68,41 +58,6 @@ class BaseModel:
 
 def point_base() -> BaseModel:
     return BaseModel(0)
-
-
-@dataclass(frozen=True)
-class GrassFiber:
-    """Fiberwise Kapranov collection on a Grassmann bundle.
-
-    `split_degrees` names the stage bundle as (+) O(d) over the root; `taut`
-    instead takes the tautological subbundle of the previous Grass stage (the
-    iterated-flag case), whose rank is that stage's l.
-    """
-
-    l: int
-    split_degrees: Optional[tuple[int, ...]] = None
-    taut: bool = False
-
-    def __post_init__(self):
-        if self.split_degrees is not None:
-            object.__setattr__(self, "split_degrees", tuple(int(d) for d in self.split_degrees))
-        if (self.split_degrees is None) == (not self.taut):
-            raise ValueError("exactly one of split_degrees / taut must be given")
-        if self.l < 1:
-            raise ValueError("l must be positive")
-
-    def rank(self, below_rank: Optional[int]) -> int:
-        if self.split_degrees is not None:
-            return len(self.split_degrees)
-        if below_rank is None:
-            raise ValueError("taut stage needs a Grass stage below it")
-        return below_rank
-
-    def objects(self, rank: int) -> tuple[tuple[int, ...], ...]:
-        if not self.l <= rank:
-            raise ValueError(f"need l <= rank, got l={self.l}, rank={rank}")
-        box = enumerate_box_partitions(self.l, rank - self.l, CONTAINMENT_ORDER)
-        return tuple(as_weight(lam, self.l) for lam in reversed(box.members))
 
 
 @dataclass(frozen=True)
@@ -140,6 +95,10 @@ class TableFiber:
             missing = sorted(set(range(n)) - diag_seen)
             raise ValueError(f"diagonal records missing for objects {missing}")
 
+    def objects(self, rank=None) -> tuple[int, ...]:
+        """Object indices; `rank` is unused, as the table lists its objects."""
+        return tuple(range(len(self.labels)))
+
     def pushforward(self, j: int, i: int) -> dict[int, int]:
         out = {}
         for (jj, ii, _s, deg), mult in self.records.items():
@@ -149,24 +108,6 @@ class TableFiber:
 
 
 Fiber = Union[GrassFiber, TableFiber]
-
-
-def relative_pushforward(fiber: Fiber, j: int, i: int, rank: Optional[int] = None) -> dict[int, int]:
-    """Base line-bundle degrees of the direct image of Hom(E_i, E_j).
-
-    Only degree-zero direct images occur; the empty map means the pushforward
-    vanishes entirely.  Split Grass fibers need their ambient rank implied by
-    the degree list; tautological stages are handled by the tower engine.
-    """
-    if isinstance(fiber, TableFiber):
-        return fiber.pushforward(j, i)
-    if fiber.split_degrees is None:
-        raise ValueError("tautological stages push forward into weights, not degrees; "
-                         "use the tower engine")
-    rank = fiber.rank(None) if rank is None else rank
-    objs = fiber.objects(rank)
-    stage = (StageSpec(fiber.l, SPLIT, fiber.split_degrees),)
-    return tower_hom_degrees(stage, (objs[i],), (objs[j],))
 
 
 @dataclass(frozen=True)
@@ -199,61 +140,16 @@ class FibrationPlan:
 
     def summands(self) -> tuple[tuple, ...]:
         """Candidate summand labels: top fiber object first, root degree last."""
-        root = self.root
-        layer_objects = [_layer_objects(fiber, rank)
-                         for fiber, rank in zip_layer_ranks(self.layers())]
-        parts = list(reversed(layer_objects)) + [root.tilting_degrees]
-        return tuple(iter_product(*parts))
+        objects = [fiber.objects(rank)
+                   for segment in segment_stages(f for f, _twist in self.layers())
+                   for fiber, rank in segment]
+        return tuple(iter_product(*reversed(objects), self.root.tilting_degrees))
 
     def total_dimension(self) -> int:
         dim = self.root.dim
-        for fiber, rank in zip_layer_ranks(self.layers()):
-            if isinstance(fiber, TableFiber):
-                continue
-            dim += fiber.l * (rank - fiber.l)
+        for segment in segment_stages(f for f, _twist in self.layers()):
+            dim += sum(fiber.l * (rank - fiber.l) for fiber, rank in segment if rank is not None)
         return dim
-
-
-def _layer_objects(fiber: Fiber, rank: Optional[int]):
-    if isinstance(fiber, TableFiber):
-        return tuple(range(len(fiber.labels)))
-    return fiber.objects(rank)
-
-
-def zip_layer_ranks(layers) -> list[tuple[Fiber, Optional[int]]]:
-    """Pair each layer with its ambient rank (None for table fibers)."""
-    out = []
-    below_rank: Optional[int] = None
-    for fiber, _twist in layers:
-        if isinstance(fiber, TableFiber):
-            out.append((fiber, None))
-            below_rank = None
-            continue
-        if fiber.taut and below_rank is None:
-            raise ValueError("tautological stage requires a Grass stage directly below")
-        rank = fiber.rank(below_rank)
-        out.append((fiber, rank))
-        below_rank = fiber.l
-    return out
-
-
-def _segments(layers):
-    """Group layers into taut-linked Grass segments and table singletons.
-
-    Returns a list of ("grass", [layer indices bottom-first]) and
-    ("table", layer index) entries, bottom-first.
-    """
-    segs: list[tuple[str, list[int]]] = []
-    for k, (fiber, _twist) in enumerate(layers):
-        if isinstance(fiber, TableFiber):
-            segs.append(("table", [k]))
-        elif fiber.taut:
-            if not segs or segs[-1][0] != "grass" or segs[-1][1][-1] != k - 1:
-                raise ValueError("tautological stage requires a Grass stage directly below")
-            segs[-1][1].append(k)
-        else:
-            segs.append(("grass", [k]))
-    return segs
 
 
 def _convolve(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
@@ -275,25 +171,20 @@ def candidate_ext_table(plan: FibrationPlan) -> ExtTable:
     """
     root = plan.root
     layers = plan.layers()
-    ranked = zip_layer_ranks(layers)
-    n_layers = len(layers)
-    # summand component for bottom-first layer k sits at position n_layers-1-k;
-    # segments: (table fiber, position) or ((stages, ranks), positions)
+    top = len(layers) - 1
+    # summand component for bottom-first layer k sits at position top - k;
+    # segments: (table fiber, position) or (Grass segment, positions)
     segments = []
-    for kind, idxs in _segments(layers):
-        at = [n_layers - 1 - k for k in idxs]
-        if kind == "table":
-            segments.append((layers[idxs[0]][0], at[0]))
-            continue
-        fibers = [layers[k][0] for k in idxs]
-        stages = tuple(StageSpec(f.l, TAUT) if f.taut else StageSpec(f.l, SPLIT, f.split_degrees)
-                       for f in fibers)
-        segments.append(((stages, validate_stages(stages)), at))
-    positions = [{obj: p for p, obj in enumerate(_layer_objects(fiber, rank))}
-                 for fiber, rank in ranked]
+    positions = []
+    for segment in segment_stages(fiber for fiber, _twist in layers):
+        at = tuple(range(top - len(positions), top - len(positions) - len(segment), -1))
+        positions += [{obj: p for p, obj in enumerate(fiber.objects(rank))}
+                      for fiber, rank in segment]
+        fiber, rank = segment[0]
+        segments.append((fiber, at[0]) if rank is None else (segment, at))
     summands = plan.summands()
     # the twist shift of a pair (A, B) is offsets[B] - offsets[A]
-    offsets = [sum(twist * positions[k][A[n_layers - 1 - k]]
+    offsets = [sum(twist * positions[k][A[top - k]]
                    for k, (_fiber, twist) in enumerate(layers))
                for A in summands]
     dims: dict[tuple[int, int, int], int] = {}
@@ -306,7 +197,7 @@ def candidate_ext_table(plan: FibrationPlan) -> ExtTable:
                         part = head.pushforward(B[at], A[at])
                     else:
                         # layer objects come padded from GrassFiber.objects
-                        part = _chain(*head, tuple(A[p] for p in at), tuple(B[p] for p in at))
+                        part = _chain(head, tuple(A[p] for p in at), tuple(B[p] for p in at))
                     if not part:
                         break
                     counter = _convolve(counter, part)
@@ -320,6 +211,18 @@ def candidate_ext_table(plan: FibrationPlan) -> ExtTable:
     return ExtTable(len(summands), plan.total_dimension(), dims)
 
 
+def verify_plan(plan: FibrationPlan) -> FibrationPlan:
+    """The plan with its candidate Ext table, verified or obstructed.
+
+    The obstruction is the first positive-degree entry, as (source, target,
+    degree, dimension).
+    """
+    table = candidate_ext_table(plan)
+    witness = next(iter(table.higher_entries()), None)
+    obstruction = None if witness is None else (*witness[0], witness[1])
+    return FibrationPlan(plan.base, plan.fiber, plan.twist, witness is None, table, obstruction)
+
+
 def twist_search(base, fiber: Fiber, cap: int = 8) -> FibrationPlan:
     """Least twist exponent in [0, cap] with no positive-degree Ext.
 
@@ -328,16 +231,11 @@ def twist_search(base, fiber: Fiber, cap: int = 8) -> FibrationPlan:
     """
     if cap < 1:
         raise ValueError("cap must be positive")
-    last = None
     for m in range(cap + 1):
-        plan = FibrationPlan(base, fiber, m)
-        table = candidate_ext_table(plan)
-        witness = next(iter(table.higher_entries()), None)
-        if witness is None:
-            return FibrationPlan(base, fiber, m, True, table, None)
-        (i, j, s), v = witness
-        last = FibrationPlan(base, fiber, m, False, table, (i, j, s, v))
-    return last
+        plan = verify_plan(FibrationPlan(base, fiber, m))
+        if plan.verified:
+            break
+    return plan
 
 
 def tower_compose(stages, root: BaseModel, cap: int = 8) -> FibrationPlan:
@@ -347,8 +245,7 @@ def tower_compose(stages, root: BaseModel, cap: int = 8) -> FibrationPlan:
     the root's own tilting bundle as a trivial plan.
     """
     if not stages:
-        table = candidate_ext_table(FibrationPlan(root, None, 0))
-        return FibrationPlan(root, None, 0, True, table, None)
+        return verify_plan(FibrationPlan(root, None, 0))
     base: Union[BaseModel, FibrationPlan] = root
     plan = None
     for fiber in stages:

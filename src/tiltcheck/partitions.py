@@ -1,4 +1,4 @@
-"""Box-bounded partitions and the total orders used to index collections.
+"""Box-bounded partitions and the total order used to index collections.
 
 Partitions are plain tuples of non-increasing positive integers; trailing
 zeros are stripped so every Young diagram has exactly one representation.
@@ -8,10 +8,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-
-SIZE_ORDER = "size_order"
-CONTAINMENT_ORDER = "containment_order"
-_ORDER_TAGS = (SIZE_ORDER, CONTAINMENT_ORDER)
 
 
 def normalize(parts) -> tuple[int, ...]:
@@ -27,24 +23,12 @@ def normalize(parts) -> tuple[int, ...]:
     return p
 
 
-def size(p) -> int:
-    return sum(p)
-
-
 def conjugate(p) -> tuple[int, ...]:
     """Transpose of the Young diagram."""
     p = normalize(p)
     if not p:
         return ()
     return tuple(sum(1 for row in p if row > i) for i in range(p[0]))
-
-
-def contains(p, q) -> bool:
-    """True iff the diagram of q sits inside the diagram of p."""
-    p, q = normalize(p), normalize(q)
-    if len(q) > len(p):
-        return False
-    return all(q[i] <= p[i] for i in range(len(q)))
 
 
 def fits_box(p, rows: int, cols: int) -> bool:
@@ -69,11 +53,8 @@ class OrderedPartitionSet:
     box_rows: int
     box_cols: int
     members: tuple[tuple[int, ...], ...]
-    order_tag: str
 
     def __post_init__(self):
-        if self.order_tag not in _ORDER_TAGS:
-            raise ValueError(f"unknown order tag {self.order_tag!r}")
         if len(self.members) != comb(self.box_rows + self.box_cols, self.box_rows):
             raise ValueError("member count does not match the box")
         for m in self.members:
@@ -86,9 +67,6 @@ class OrderedPartitionSet:
     def __iter__(self):
         return iter(self.members)
 
-    def index(self, p) -> int:
-        return self.members.index(normalize(p))
-
 
 def _box_partitions(rows: int, cols: int):
     if rows == 0:
@@ -99,19 +77,17 @@ def _box_partitions(rows: int, cols: int):
             yield normalize((first,) + rest)
 
 
-def enumerate_box_partitions(rows: int, cols: int, order_tag: str = SIZE_ORDER) -> OrderedPartitionSet:
+def enumerate_box_partitions(rows: int, cols: int) -> OrderedPartitionSet:
     """All partitions with at most `rows` rows and `cols` columns.
 
-    Both order tags emit the same graded sequence: size ascending, ties broken
-    by graded reverse-lexicographic comparison.  A graded order is in
-    particular a linear extension of diagram containment, so it serves for
-    both tags; the tag records intent for consumers.
+    Listed in one graded sequence: size ascending, ties broken by graded
+    reverse-lexicographic comparison.  A graded order is in particular a
+    linear extension of diagram containment, so it serves both as the size
+    order and as the containment order.
     """
     if rows < 1:
         raise ValueError("rows must be positive")
     if cols < 0:
         raise ValueError("cols must be non-negative")
-    if order_tag not in _ORDER_TAGS:
-        raise ValueError(f"unknown order tag {order_tag!r}")
     members = sorted(set(_box_partitions(rows, cols)), key=lambda p: grevlex_key(p, rows))
-    return OrderedPartitionSet(rows, cols, tuple(members), order_tag)
+    return OrderedPartitionSet(rows, cols, tuple(members))

@@ -128,16 +128,6 @@ def product_expand(weights, rank: int) -> dict:
             for nu, c in current.items()}
 
 
-def hom_expand(a, b, rank: int) -> dict:
-    """Expansion of S^(-a) (x) S^b into weights of length `rank`.
-
-    This is the decomposition of Hom(S^a(F), S^b(F)) for a rank-`rank` bundle
-    F.  Both arguments may carry negative entries; every output weight w
-    satisfies w_rank >= -a_1.
-    """
-    return product_expand([dual_weight(as_weight(a, rank)), b], rank)
-
-
 def schur_dimension(w, n: int) -> int:
     """Dimension of the irreducible GL_n representation with highest weight w.
 
@@ -247,15 +237,3 @@ def split_bundle_expand(w, degrees) -> dict[int, int]:
         return {degrees[0] * sum(lam) + offset: total} if total else {}
     counts = _ssyt_degree_counts(lam, degrees)
     return {d + offset: c for d, c in sorted(counts.items())}
-
-
-def twist_weight(w, line_power: int) -> tuple[tuple[int, ...], int]:
-    """Line-bundle exponent picked up by S^w under F -> F (x) L^(line_power).
-
-    Valid only for non-negative weights, where S^w(F (x) L) = S^w(F) (x)
-    L^(|w| * line_power).
-    """
-    w = tuple(int(x) for x in w)
-    if any(x < 0 for x in w):
-        raise ValueError("twist_weight needs a non-negative weight; normalize first")
-    return w, sum(w) * int(line_power)

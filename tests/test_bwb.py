@@ -3,8 +3,9 @@ import random
 import pytest
 
 from tiltcheck import bwb
+from tiltcheck import collections as coll
 from tiltcheck.partitions import enumerate_box_partitions
-from tiltcheck.schur import dual_weight, hom_expand, schur_dimension
+from tiltcheck.schur import as_weight, dual_weight, product_expand, schur_dimension
 
 
 def test_flag_space_validation():
@@ -166,20 +167,25 @@ def test_localization_against_weyl_walk_sampled():
 
 
 def test_grass_pushforward():
-    assert bwb.grass_pushforward((0, 0), 2, 4) == ()
-    assert bwb.grass_pushforward((1, 0), 2, 4) == (1,)
-    assert bwb.grass_pushforward((0, -1), 2, 4) is None
+    # the rule checked above, as the stage chain applies it to Grass(2, 4) over
+    # a point: S^gamma(R^dual) for gamma = src - tgt pushes forward to S^gamma
+    # of the ambient bundle if gamma >= 0, vanishes for other in-bound gamma,
+    # and is refused below the bound -(rank - l) = -2
+    fiber = (coll.GrassFiber(2, (0, 0, 0, 0)),)
+    assert coll.tower_hom_degrees(fiber, ((0, 0),), ((0, 0),)) == {0: 1}
+    assert coll.tower_hom_degrees(fiber, ((1, 0),), ((0, 0),)) == {0: schur_dimension((1,), 4)}
+    assert coll.tower_hom_degrees(fiber, ((0, 0),), ((1, 0),)) == {}
+    with pytest.raises(ValueError, match="outside the pushforward model"):
+        coll.tower_hom_degrees(fiber, ((0, 0),), ((3, 0),))
     with pytest.raises(ValueError):
-        bwb.grass_pushforward((0, -3), 2, 4)
-    with pytest.raises(ValueError):
-        bwb.grass_pushforward((0, 1), 2, 4)
+        coll.tower_hom_degrees(fiber, ((0, 1),), ((0, 0),))
 
 
 def test_hom_then_cohomology_matches_spec_hom_example():
     # Hom(S^(1)(R), O) on Grass(2,4) = H^0(R^dual) has dimension 4
     space = bwb.grassmannian(2, 4)
     total = 0
-    for gamma, mult in hom_expand((1,), (), 2).items():
+    for gamma, mult in product_expand([dual_weight(as_weight((1,), 2)), ()], 2).items():
         res = bwb.flag_cohomology(
             bwb.HomogeneousBundle(space, (dual_weight(gamma), (0, 0)))
         )

@@ -241,6 +241,15 @@ def test_selftest_subset(capsys):
     assert "PASS 3" in captured.err
 
 
+@pytest.mark.parametrize("criteria, unknown", [("9", "9"), ("0,4", "0")], ids=["9", "0,4"])
+def test_selftest_rejects_unknown_criteria(capsys, criteria, unknown):
+    # an empty or silently shortened battery must not pass
+    assert cli.run(["selftest", "--criteria", criteria]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"tiltcheck: invalid input: no criterion numbered {unknown}\n"
+
+
 LOADED_AFTER_RUN = (
     "import sys\n"
     "from tiltcheck import cli\n"

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from tiltcheck import bwb
 from tiltcheck import collections as coll
 from tiltcheck import fibration as fib
-from tiltcheck.partitions import normalize
+from tiltcheck.partitions import enumerate_box_partitions, normalize
 from tiltcheck.schur import as_weight, dual_weight, lr_expand, product_expand, split_bundle_expand
 
 DATA = resources.files("tiltcheck") / "data"
@@ -74,6 +74,24 @@ def test_higher_ext_witness_reported():
     assert not report.passed
     assert report.higher_ext_witness == (0, 1, 1, 1)
     assert report.triangularity_witness == (1, 0)
+
+
+def reversed_box(rows, cols):
+    """Padded weights of the rows x cols box, larger diagrams first."""
+    return [as_weight(lam, rows) for lam in reversed(enumerate_box_partitions(rows, cols).members)]
+
+
+@pytest.mark.parametrize("d, n, witness", [(2, 4, (4, 0, 2, 4)), (2, 5, (6, 0, 3, 5)),
+                                           (3, 6, (7, 0, 3, 15))],
+                         ids=["grass-2-4", "grass-2-5", "grass-3-6"])
+def test_kapranov_box_grown_by_one_column_fails(d, n, witness):
+    # negative control: the d x (n - d + 1) box is one column too wide, so
+    # some of its objects have higher Ext and some are not exceptional
+    labels = tuple((w,) for w in reversed_box(d, n - d + 1))
+    report = coll.verify_tilting(coll.CollectionSpec(bwb.grassmannian(d, n), labels))
+    assert not report.passed
+    assert report.higher_ext_witness == witness
+    assert report.is_exceptional_each is False
 
 
 def test_euler_consistency_with_localization():
@@ -197,7 +215,7 @@ def out_of_bound(d, n, v, w):
 
 def walk_routed_collection():
     """Grass(2, 5) over the 2 x 4 box, twisted by det^-1: 25 out-of-bound pairs."""
-    labels = tuple((as_weight(lam, 2),) for lam in coll._reversed_box(2, 4))
+    labels = tuple((w,) for w in reversed_box(2, 4))
     return coll.twist_collection(coll.CollectionSpec(bwb.grassmannian(2, 5), labels), -1)
 
 
@@ -306,12 +324,11 @@ def test_no_memo_survives_ext_table(monkeypatch):
     assert coll._build_memo.get(None) is None
 
 
-def reference_chain(stages, src, tgt):
+def reference_chain(ranked, src, tgt):
     """The stage chain of one pair, unmemoized: every item of every stage re-expanded."""
-    ranks = coll.validate_stages(stages)
     items = [(None, 0, 1)]
-    for k in range(len(stages) - 1, -1, -1):
-        st, rank = stages[k], ranks[k]
+    for k in range(len(ranked) - 1, -1, -1):
+        st, rank = ranked[k]
         lam, mu = as_weight(src[k], st.l), as_weight(tgt[k], st.l)
         next_items = []
         for gamma, deg, mult in items:
@@ -323,8 +340,8 @@ def reference_chain(stages, src, tgt):
                     raise ValueError(f"stage {k}: weight {delta} outside the pushforward model")
                 if delta[-1] < 0:
                     continue
-                if st.kind == coll.SPLIT:
-                    duals = tuple(-d for d in st.degrees)
+                if not st.taut:
+                    duals = tuple(-d for d in st.split_degrees)
                     for w, cc in split_bundle_expand(delta, duals).items():
                         next_items.append((None, deg + w, mult * c * cc))
                 else:
@@ -338,31 +355,50 @@ def reference_chain(stages, src, tgt):
     return dict(sorted(out.items()))
 
 
+def reference_flag_segment(n, steps):
+    """Flag(steps; n) as root-first (stage, ambient rank) pairs, ranks worked out here."""
+    ranked = [(coll.GrassFiber(steps[-1], (0,) * n), n)]
+    for l, above in zip(reversed(steps[:-1]), reversed(steps[1:])):
+        ranked.append((coll.GrassFiber(l, taut=True), above))
+    return tuple(ranked)
+
+
 def reference_candidate_ext_table(plan):
-    """Candidate Ext table with one unmemoized chain per Grass segment of every pair."""
+    """Candidate Ext table with one unmemoized chain per Grass segment of every pair.
+
+    Ranks, fiber objects, summands and the dimension are worked out here, not
+    taken from the code under test.
+    """
     root = plan.root
     layers = plan.layers()
-    ranked = fib.zip_layer_ranks(layers)
     top = len(layers) - 1
-    segments = []  # (table fiber, None, layer) or (None, stages, [layers])
-    for k, (fiber, rank) in enumerate(ranked):
+    segments = []  # (table fiber, None, [layer]) or (None, (stage, rank) pairs, [layers])
+    objects = []  # per layer, bottom-first
+    dim = root.dim
+    for k, (fiber, _twist) in enumerate(layers):
         if isinstance(fiber, fib.TableFiber):
             segments.append((fiber, None, [k]))
-        elif fiber.taut:
-            _, stages, ks = segments[-1]
-            segments[-1] = (None, stages + (coll.StageSpec(fiber.l, coll.TAUT),), ks + [k])
+            objects.append(list(range(len(fiber.labels))))
+            continue
+        if fiber.taut:
+            _, ranked, ks = segments[-1]
+            rank = ranked[-1][0].l
+            segments[-1] = (None, ranked + ((fiber, rank),), ks + [k])
         else:
-            segments.append((None, (coll.StageSpec(fiber.l, coll.SPLIT, fiber.split_degrees),), [k]))
-    summands = plan.summands()
+            rank = len(fiber.split_degrees)
+            segments.append((None, ((fiber, rank),), [k]))
+        objects.append(reversed_box(fiber.l, rank - fiber.l))
+        dim += fiber.l * (rank - fiber.l)
+    summands = list(iter_product(*reversed(objects), root.tilting_degrees))
     dims = {}
     for ia, A in enumerate(summands):
         for ib, B in enumerate(summands):
             counter = {0: 1}
-            for table, stages, ks in segments:
+            for table, ranked, ks in segments:
                 if table is not None:
                     part = table.pushforward(B[top - ks[0]], A[top - ks[0]])
                 else:
-                    part = reference_chain(stages, tuple(A[top - k] for k in ks),
+                    part = reference_chain(ranked, tuple(A[top - k] for k in ks),
                                            tuple(B[top - k] for k in ks))
                 convolved = {}
                 for da, ma in counter.items():
@@ -373,13 +409,13 @@ def reference_candidate_ext_table(plan):
                 continue
             shift = B[-1] - A[-1]
             for k, (fiber, twist) in enumerate(layers):
-                objs = fib._layer_objects(fiber, ranked[k][1])
+                objs = objects[k]
                 shift += twist * (objs.index(B[top - k]) - objs.index(A[top - k]))
             for deg, mult in counter.items():
                 res = bwb.pn_line_cohomology(shift + deg, root.dim)
                 if res is not None:
                     dims[(ia, ib, res.degree)] = dims.get((ia, ib, res.degree), 0) + mult * res.dimension
-    return coll.ExtTable(len(summands), plan.total_dimension(), dims)
+    return coll.ExtTable(len(summands), dim, dims)
 
 
 def transfer_keys():
@@ -397,16 +433,16 @@ def count_calls(monkeypatch, name):
 @pytest.mark.parametrize("n, steps", [(3, (1, 2)), (4, (1, 2, 3)), (4, (1, 3)), (5, (2, 3))])
 def test_memoized_chain_matches_reference_per_pair(monkeypatch, n, steps):
     spec = coll.flag_collection(bwb.FlagSpace(n, steps))
-    stages = coll._flag_stages(spec.space)
-    ranks = coll.validate_stages(stages)
+    segment = reference_flag_segment(n, steps)
+    assert coll._flag_stages(spec.space) == segment
     labels = [tuple(reversed(lab)) for lab in spec.labels]
-    expected = {(i, j): reference_chain(stages, li, lj)
+    expected = {(i, j): reference_chain(segment, li, lj)
                 for i, li in enumerate(labels) for j, lj in enumerate(labels)}
     expansions = count_calls(monkeypatch, "product_expand")
     with coll._build_scope():
         for i, li in enumerate(labels):
             for j, lj in enumerate(labels):
-                assert coll._chain(stages, ranks, li, lj) == expected[i, j], (li, lj)
+                assert coll._chain(segment, li, lj) == expected[i, j], (li, lj)
         # one expansion per distinct stage input, shared by every pair
         assert len(expansions) == len(transfer_keys()) < len(labels) ** 2
     dims = {(i, j, 0): sum(degs.values()) for (i, j), degs in expected.items() if degs}
@@ -468,10 +504,10 @@ def test_flag_table_splits_each_delta_once(monkeypatch):
 
 
 def test_chain_keeps_pushforward_model_error():
-    stages = (coll.StageSpec(1, coll.SPLIT, (0, 0)),)
+    stages = (coll.GrassFiber(1, (0, 0)),)
     message = r"^stage 0: weight \(-5,\) outside the pushforward model$"
     with pytest.raises(ValueError, match=message):
-        reference_chain(stages, ((0,),), ((5,),))
+        reference_chain(((stages[0], 2),), ((0,),), ((5,),))
     with pytest.raises(ValueError, match=message):
         coll.tower_hom_degrees(stages, ((0,),), ((5,),))
     with pytest.raises(ValueError, match=message), coll._build_scope():
@@ -479,16 +515,17 @@ def test_chain_keeps_pushforward_model_error():
 
 
 def test_failing_transfer_is_not_cached(monkeypatch):
-    stages = (coll.StageSpec(1, coll.SPLIT, (0, 0)),)
+    stages = (coll.GrassFiber(1, (0, 0)),)
     with coll._build_scope():
         for _ in range(2):
             with pytest.raises(ValueError, match="outside the pushforward model"):
                 coll.tower_hom_degrees(stages, ((0,),), ((5,),))
         assert transfer_keys() == []
     # a transfer that raises halfway through its split-stage expansions
-    stages = coll._flag_stages(bwb.FlagSpace(4, (1, 2)))
+    segment = reference_flag_segment(4, (1, 2))
+    stages = tuple(st for st, _rank in segment)
     src, tgt = ((2, 2), (1,)), ((2, 1), (0,))  # its stage-0 transfer expands twice
-    expected = reference_chain(stages, src, tgt)
+    expected = reference_chain(segment, src, tgt)
     expand = coll.split_bundle_expand
     calls = []
 
@@ -534,9 +571,10 @@ def test_no_memo_survives_chain_tables(monkeypatch):
     monkeypatch.setattr(coll, "product_expand", expand)
     expansions = count_calls(monkeypatch, "product_expand")
     src, tgt = ((0, 0), (0,)), ((1, 1), (1,))
-    first = coll.tower_hom_degrees(coll._flag_stages(flag.space), src, tgt)
+    stages = tuple(st for st, _rank in coll._flag_stages(flag.space))
+    first = coll.tower_hom_degrees(stages, src, tgt)
     once = len(expansions)
-    assert coll.tower_hom_degrees(coll._flag_stages(flag.space), src, tgt) == first
+    assert coll.tower_hom_degrees(stages, src, tgt) == first
     assert len(expansions) == 2 * once > 0
 
 
@@ -560,16 +598,15 @@ def test_beilinson_p3_end_dimension():
 
 
 def test_end_quiver_dims():
-    assert coll.end_quiver_dims(coll.beilinson_collection(1)) == [[1, 2], [0, 1]]
-    assert coll.end_quiver_dims(coll.beilinson_collection(2)) == [
-        [1, 3, 6],
-        [0, 1, 3],
-        [0, 0, 1],
-    ]
-    single = coll.beilinson_collection(2, degrees=(0,))
-    assert coll.end_quiver_dims(single) == [[1]]
-    with pytest.raises(ValueError):
-        coll.end_quiver_dims(coll.beilinson_collection(1, degrees=(0, -1)))
+    # quiver dimension data of a verified collection: its report's Hom matrix
+    for spec, matrix in [
+        (coll.beilinson_collection(1), ((1, 2), (0, 1))),
+        (coll.beilinson_collection(2), ((1, 3, 6), (0, 1, 3), (0, 0, 1))),
+        (coll.beilinson_collection(2, degrees=(0,)), ((1,),)),
+    ]:
+        report = coll.verify_tilting(spec)
+        assert report.passed and report.hom_matrix == matrix
+    assert not coll.verify_tilting(coll.beilinson_collection(1, degrees=(0, -1))).passed
 
 
 def test_kapranov_sweep_small():

@@ -1,8 +1,10 @@
+from math import comb
+
 import pytest
 
 from tiltcheck import collections as coll
 from tiltcheck import descent as dsc
-from tiltcheck.partitions import enumerate_box_partitions
+from tiltcheck.partitions import conjugate, enumerate_box_partitions
 from tiltcheck.schur import schur_dimension
 
 
@@ -130,8 +132,14 @@ def test_multiplicity_positivity():
 
 
 def test_wedge_rank_base_change_consistency():
+    # the wedge product's rank equals the summed ranks of its Schur summands
     for d, lam in [(2, (1,)), (2, (2, 1)), (3, (2, 2, 1)), (3, (3, 1))]:
-        assert dsc.wedge_rank_check(d, lam)
+        conj = conjugate(lam)
+        direct = 1
+        for c in conj:
+            direct *= comb(d, c)
+        summands = dsc.wedge_schur_multiplicities(conj, d)
+        assert direct == sum(m * schur_dimension(nu, d) for nu, m in summands.items())
 
 
 def test_wedge_collection_verifies():

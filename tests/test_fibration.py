@@ -9,6 +9,12 @@ from tiltcheck import fibration as fib
 DATA = resources.files("tiltcheck") / "data"
 
 
+def pushforward(fiber, j, i):
+    """Root degrees of the direct image of Hom(E_i, E_j) along one split stage."""
+    objs = fiber.objects(len(fiber.split_degrees))
+    return coll.tower_hom_degrees((fiber,), (objs[i],), (objs[j],))
+
+
 def test_base_model_validation():
     fib.BaseModel(2)
     fib.BaseModel(1, (3, 4))
@@ -19,6 +25,7 @@ def test_base_model_validation():
 
 
 def test_grassfiber_objects_order():
+    assert fib.GrassFiber is coll.GrassFiber  # one stage type for plans and flags
     fiber = fib.GrassFiber(1, (0, 1))
     assert fiber.objects(2) == ((1,), (0,))
     fiber3 = fib.GrassFiber(2, (0, 0, 0))
@@ -28,10 +35,10 @@ def test_grassfiber_objects_order():
 
 def test_relative_pushforward_examples():
     fiber = fib.GrassFiber(1, (0, 1))
-    assert fib.relative_pushforward(fiber, 1, 0) == {-1: 1, 0: 1}
-    assert fib.relative_pushforward(fiber, 0, 0) == {0: 1}
-    assert fib.relative_pushforward(fiber, 1, 1) == {0: 1}
-    assert fib.relative_pushforward(fiber, 0, 1) == {}
+    assert pushforward(fiber, 1, 0) == {-1: 1, 0: 1}
+    assert pushforward(fiber, 0, 0) == {0: 1}
+    assert pushforward(fiber, 1, 1) == {0: 1}
+    assert pushforward(fiber, 0, 1) == {}
 
 
 def test_hirzebruch_twist_search():
@@ -42,6 +49,9 @@ def test_hirzebruch_twist_search():
     assert witnesses
     (i, j, s), v = witnesses[0]
     assert s == 1 and v == 1
+    stuck_plan = fib.verify_plan(fib.FibrationPlan(base, fiber, 0))
+    assert not stuck_plan.verified and stuck_plan.obstruction == (i, j, s, v)
+    assert stuck_plan.table == stuck
     plan = fib.twist_search(base, fiber, 4)
     assert plan.verified and plan.twist == 1
     assert len(plan.summands()) == 4
@@ -71,9 +81,9 @@ def test_pushforward_shape_conformance():
         fiber = fib.GrassFiber(l, degrees)
         objs = fiber.objects(len(degrees))
         for i in range(len(objs)):
-            assert fib.relative_pushforward(fiber, i, i) == {0: 1}
+            assert pushforward(fiber, i, i) == {0: 1}
             for j in range(i):
-                assert fib.relative_pushforward(fiber, j, i) == {}, (l, degrees, i, j)
+                assert pushforward(fiber, j, i) == {}, (l, degrees, i, j)
 
 
 def test_trivial_bundle_needs_no_twist():
@@ -159,6 +169,12 @@ def test_empty_tower_returns_root():
 def test_taut_stage_requires_grass_below():
     with pytest.raises(ValueError):
         fib.tower_compose([fib.GrassFiber(1, taut=True)], fib.BaseModel(1), 2)
+    conic = fib.parse_fiber_table((DATA / "conic_fiber.json").read_text(encoding="utf-8"))
+    with pytest.raises(ValueError, match="requires a Grass stage directly below"):
+        fib.tower_compose([conic, fib.GrassFiber(1, taut=True)], fib.BaseModel(1), 2)
+    with pytest.raises(ValueError, match="need 1 <= l <= rank"):
+        fib.tower_compose([fib.GrassFiber(2, (0, 0)), fib.GrassFiber(3, taut=True)],
+                          fib.BaseModel(1), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +198,7 @@ def test_table_fiber_validation():
 def test_table_fiber_matches_grass_fiber():
     grass = fib.GrassFiber(1, (0, 1))
     records = {(0, 0, 0, 0): 1, (1, 1, 0, 0): 1}
-    for deg, mult in fib.relative_pushforward(grass, 1, 0).items():
+    for deg, mult in pushforward(grass, 1, 0).items():
         records[(1, 0, 0, deg)] = mult
     table_fiber = fib.TableFiber(("R", "O"), records)
     base = fib.BaseModel(1)

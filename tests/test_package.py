@@ -10,22 +10,21 @@ import pytest
 import tiltcheck
 from tiltcheck import collections as coll
 
-# the public surface as the eagerly importing package listed it
+# the public surface: the program's entry points, and no helper only tests call
 PUBLIC_NAMES = [
-    "BaseModel", "CONTAINMENT_ORDER", "CSAClass", "CohomologyResult", "CollectionSpec",
-    "DescentSummary", "ExtTable", "FibrationPlan", "FlagSpace", "GrassFiber",
-    "HomogeneousBundle", "OrderedPartitionSet", "SIZE_ORDER", "TableFiber",
-    "VerificationReport", "beilinson_collection", "bs_tilting_summary", "bwb",
-    "candidate_ext_table", "collections", "conjugate", "contains", "descent",
-    "end_quiver_dims", "enumerate_box_partitions", "ext_table", "fibration",
-    "flag_cohomology", "flag_collection", "generalized_bs_summary", "grass_pushforward",
-    "grassmannian", "hom_expand", "index_of_power", "kapranov_collection",
-    "localization_euler", "lr_expand", "of_quot", "of_sub", "of_sub_dual", "partitions",
-    "pn_line_cohomology", "projective_space", "relative_pushforward", "schur",
+    "BaseModel", "CSAClass", "CohomologyResult", "CollectionSpec", "DescentSummary",
+    "ExtTable", "FibrationPlan", "FlagSpace", "GrassFiber", "HomogeneousBundle",
+    "OrderedPartitionSet", "TableFiber", "VerificationReport", "beilinson_collection",
+    "bs_tilting_summary", "bwb", "candidate_ext_table", "collections", "conjugate",
+    "descent", "enumerate_box_partitions", "ext_table", "fibration", "flag_cohomology",
+    "flag_collection", "generalized_bs_summary", "grassmannian", "index_of_power",
+    "kapranov_collection", "localization_euler", "lr_expand", "of_quot", "of_sub",
+    "of_sub_dual", "partitions", "pn_line_cohomology", "projective_space", "schur",
     "schur_dimension", "split_bundle_expand", "tower_compose", "twist_search",
-    "twist_weight", "twisted_tower_summary", "verify_tilting",
+    "twisted_tower_summary", "verify_tilting",
 ]
 SUBMODULES = ("bwb", "collections", "descent", "fibration", "partitions", "schur")
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
 def run_python(code):
@@ -37,7 +36,7 @@ def run_python(code):
 
 def test_all_is_unchanged():
     assert tiltcheck.__all__ == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 52
+    assert len(PUBLIC_NAMES) == 44
 
 
 @pytest.mark.parametrize("name", PUBLIC_NAMES)
@@ -47,11 +46,8 @@ def test_name_is_the_defining_modules_object(name):
         assert value is importlib.import_module(f"tiltcheck.{name}")
         return
     assert not isinstance(value, types.ModuleType)
-    if name.endswith("_ORDER"):  # plain strings carry no __module__
-        assert value is getattr(tiltcheck.partitions, name)
-    else:
-        assert value is getattr(sys.modules[value.__module__], name)
-        assert value.__module__ in {f"tiltcheck.{m}" for m in SUBMODULES}
+    assert value is getattr(sys.modules[value.__module__], name)
+    assert value.__module__ in {f"tiltcheck.{m}" for m in SUBMODULES}
 
 
 def test_names_resolve_on_every_access(monkeypatch):
@@ -88,3 +84,16 @@ def test_star_import_in_fresh_process():
                      "names = globals()\n"
                      "print(all(names[n] is getattr(tiltcheck, n) for n in tiltcheck.__all__))")
     assert out.strip() == "True"
+
+
+def test_benchmark_names_resolve():
+    # the benchmark traces these names from outside the package, so a surface
+    # cut that drops one breaks its --trace pass; spans.py is run from its
+    # text, which writes no bytecode next to it
+    spans = types.ModuleType("spans")
+    exec(compile(SPANS.read_text(encoding="utf-8"), str(SPANS), "exec"), vars(spans))
+    for module in spans.MODULES:
+        importlib.import_module(f"tiltcheck.{module}")
+    for qualname in spans.SPANNED + spans.COUNTED + spans.OBSERVED:
+        owner, attr = spans._resolve(qualname)
+        assert callable(getattr(owner, attr)), qualname

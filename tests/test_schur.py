@@ -9,12 +9,10 @@ from tiltcheck.schur import (
     _skew_dimension,
     as_weight,
     dual_weight,
-    hom_expand,
     lr_expand,
     product_expand,
     schur_dimension,
     split_bundle_expand,
-    twist_weight,
 )
 
 
@@ -211,7 +209,13 @@ def test_skew_dimension_matches_lr_sum(n):
 
 
 # ---------------------------------------------------------------------------
-# hom_expand
+# Hom expansions
+
+def hom_expand(a, b, rank):
+    """S^(-a) (x) S^b, the Hom of S^a(F), S^b(F) for F of rank `rank`, as
+    `collections.schur_pair_ext` expands it."""
+    return product_expand([dual_weight(as_weight(a, rank)), b], rank)
+
 
 def test_hom_spec_examples():
     assert hom_expand((), (2, 1), 3) == {(2, 1, 0): 1}
@@ -295,7 +299,7 @@ def test_dimension_rejections():
 
 
 # ---------------------------------------------------------------------------
-# split_bundle_expand / twist_weight
+# split_bundle_expand
 
 def test_split_spec_examples():
     assert split_bundle_expand((1,), (0, 1)) == {0: 1, 1: 1}
@@ -317,11 +321,12 @@ def test_split_negative_weight_normalization():
 
 
 def test_twist_weight():
-    assert twist_weight((2, 1), 1) == ((2, 1), 3)
-    assert twist_weight((3, 1, 1), 0) == ((3, 1, 1), 0)
-    assert twist_weight((1, 1), -2) == ((1, 1), -4)
-    with pytest.raises(ValueError):
-        twist_weight((1, -1), 1)
+    # S^w(F (x) L^t) = S^w(F) (x) L^(|w| t): twisting a split bundle by O(t)
+    # shifts every summand degree by |w| t
+    degrees = (0, 1, 3)
+    for w, t, shift in [((2, 1), 1, 3), ((3, 1, 1), 0, 0), ((1, 1), -2, -4), ((1, 0, -1), 1, 0)]:
+        twisted = split_bundle_expand(w, tuple(d + t for d in degrees))
+        assert twisted == {k + shift: c for k, c in split_bundle_expand(w, degrees).items()}
 
 
 def test_dual_weight():
