@@ -21,13 +21,13 @@ ORACLE_PAIRS = 100
 ORACLE_SEED = 20150318
 
 
-def kapranov_sweep(max_n: int = KAPRANOV_MAX_N, jobs: int = 1):
+def kapranov_sweep(max_n: int = KAPRANOV_MAX_N):
     """Criterion 1: every Grassmannian collection up to n = 7 verifies."""
     checked = 0
     for n in range(2, max_n + 1):
         for d in range(1, n):
             spec = coll.kapranov_collection(d, n)
-            table = coll.ext_table(spec, jobs=jobs)
+            table = coll.ext_table(spec)
             report = coll.verify_tilting(spec, table)
             if not report.passed:
                 return False, f"Grass({d},{n}) failed: {report}"

@@ -21,7 +21,7 @@ from math import comb
 from typing import Optional
 
 from .partitions import normalize
-from .schur import as_weight, dual_weight, schur_dimension
+from .schur import as_weight, dual_weight, schur_dimension, split_bundle_expand
 
 
 @dataclass(frozen=True)
@@ -204,19 +204,13 @@ def localization_euler(a, b, d: int, n: int) -> int:
     if not 1 <= d < n:
         raise ValueError("need 1 <= d < n")
     a, b = normalize(a), normalize(b)
-    from .schur import split_bundle_expand
-
-    return _localization_at(a, b, d, n, tuple(range(n)), split_bundle_expand)
-
-
-def _localization_at(a, b, d, n, exps, split_bundle_expand) -> int:
     # term_I = N_I(t) / prod (1 - t^(c_i - c_j)); negative-exponent factors are
     # rewritten as (1 - t^(-k)) = -t^(-k) (1 - t^k) and folded into N_I.
     terms = []
     denom_count: dict[int, int] = {}
     for subset in combinations(range(n), d):
-        inside = [exps[i] for i in subset]
-        outside = [exps[j] for j in range(n) if j not in subset]
+        inside = list(subset)
+        outside = [j for j in range(n) if j not in subset]
         num = _laurent_mul(
             dict(split_bundle_expand(a, [-c for c in inside])),
             dict(split_bundle_expand(b, inside)),

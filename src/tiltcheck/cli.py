@@ -186,7 +186,7 @@ def _cmd_verify(args, pretty):
         spec = coll.beilinson_collection(args.n, degrees)
         inputs = {"collection": "beilinson", "n": args.n,
                   "degrees": list(degrees) if degrees else list(range(args.n + 1))}
-    table = coll.ext_table(spec, jobs=args.jobs)
+    table = coll.ext_table(spec)
     report = coll.verify_tilting(spec, table)
     verdict = "pass" if report.passed else "fail"
     return emit("verify", inputs, _report_payload(report), verdict, pretty)
@@ -200,6 +200,10 @@ def _parse_algebra(args) -> descent.CSAClass:
 
 def _cmd_descent(args, pretty):
     from . import descent
+    needed = {"bs": ("degree", "period"), "gbs": ("degree", "period", "d"), "tower": ("plan",)}
+    missing = [f"--{name}" for name in needed[args.what] if getattr(args, name) is None]
+    if missing:
+        raise ValueError(f"descent {args.what} needs {' and '.join(missing)}")
     if args.what == "bs":
         summary = descent.bs_tilting_summary(_parse_algebra(args), args.range_length)
         inputs = {"variety": "bs", "degree": args.degree, "period": args.period}
@@ -263,8 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="tiltcheck",
                                      description="exact tilting-bundle construction and checks")
     parser.add_argument("--pretty", action="store_true", help="indent the JSON report")
-    parser.add_argument("--jobs", type=int, default=None,
-                        help="parallel workers for Ext sweeps (default $TILTCHECK_JOBS or 1)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("partitions", help="enumerate a partition box")
@@ -338,10 +340,6 @@ def run(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.jobs is None:
-            args.jobs = int(os.environ.get("TILTCHECK_JOBS", "1"))
-        if args.jobs < 1:
-            raise ValueError("jobs must be positive")
         return _DISPATCH[args.command](args, args.pretty)
     except (ValueError, KeyError, OSError, TypeError) as exc:
         sys.stderr.write(f"tiltcheck: invalid input: {exc}\n")

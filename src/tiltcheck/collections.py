@@ -113,20 +113,16 @@ def segment_stages(stages) -> list[tuple]:
     return segments
 
 
-# Work shared by the pairs of one table build (each pool worker's own under
-# --jobs): cohomology keyed (d, n, gamma), stage transfers ("transfer", ...)
-# and split expansions ("split", delta, duals).  Unset outside a build.
+# Work shared by the pairs of one table build: cohomology keyed (d, n, gamma),
+# stage transfers ("transfer", ...) and split expansions ("split", delta,
+# duals).  Unset outside a build.
 _build_memo: ContextVar[dict] = ContextVar("build_memo")
-
-
-def _open_build_memo():
-    return _build_memo.set({})
 
 
 @contextmanager
 def _build_scope():
     """Open a fresh build memo for the enclosed table build; dropped on exit."""
-    token = _open_build_memo()
+    token = _build_memo.set({})
     try:
         yield
     finally:
@@ -341,55 +337,38 @@ def _flag_stages(space: bwb.FlagSpace) -> tuple:
     return segment
 
 
-def _pair_task(args) -> dict[int, int]:
-    kind, params, li, lj = args
-    if kind == "bwb":
-        return schur_pair_ext(*params, li, lj)
-    degrees = _chain(*params, li, lj)
-    return {0: sum(degrees.values())} if degrees else {}
-
-
-def ext_table(spec: CollectionSpec, jobs: int = 1) -> ExtTable:
+def ext_table(spec: CollectionSpec) -> ExtTable:
     """Every Ext^s between every ordered pair of the collection, exactly.
 
     Labels are validated and padded once (flag labels root-first, for the
-    chain).  In-bound Grassmannian pairs are answered in closed form here;
-    only walk and chain pairs become tasks, and a pool starts under
-    jobs > 1 only when there is such a task.
+    chain).  Each pair goes to its engine (see the module docstring): the
+    closed form for in-bound Grassmannian pairs, `schur_pair_ext` for
+    out-of-bound ones, and the stage chain for flag pairs, which reports
+    Hom only.
     """
     n_obj = len(spec.labels)
     dims: dict[tuple[int, int, int], int] = {}
-    if spec.space.is_grassmannian:
-        d, n = spec.space.steps[0], spec.space.n
-        kind, params = "bwb", (d, n)
-        labels = [as_weight(lab[0], d) for lab in spec.labels]
-        todo = []
-        for i, v in enumerate(labels):
-            for j, w in enumerate(labels):
-                if v[-1] - w[0] < d - n:
-                    todo.append(i * n_obj + j)
-                elif all(a >= b for a, b in zip(v, w)):
-                    dims[(i, j, 0)] = _skew_dimension(v, w, n)
-    else:
-        segment = _flag_stages(spec.space)
-        kind, params = "chain", (segment,)
-        labels = [tuple(as_weight(w, st.l) for w, (st, _rank) in zip(reversed(lab), segment))
-                  for lab in spec.labels]
-        todo = range(n_obj * n_obj)
-    # pair (i, j) is i * n_obj + j: `todo` is iterated twice and is never a
-    # list of every pair, which a large flag table would hold in memory
-    tasks = ((kind, params, labels[p // n_obj], labels[p % n_obj]) for p in todo)
     with _build_scope():
-        if jobs > 1 and todo:
-            from concurrent.futures import ProcessPoolExecutor  # only here: slow to import
-            with ProcessPoolExecutor(max_workers=jobs, initializer=_open_build_memo) as pool:
-                results = list(pool.map(_pair_task, tasks, chunksize=16))
+        if spec.space.is_grassmannian:
+            d, n = spec.space.steps[0], spec.space.n
+            labels = [as_weight(lab[0], d) for lab in spec.labels]
+            for i, v in enumerate(labels):
+                for j, w in enumerate(labels):
+                    if v[-1] - w[0] < d - n:
+                        for s, dim in schur_pair_ext(d, n, v, w).items():
+                            if dim:
+                                dims[(i, j, s)] = dim
+                    elif all(a >= b for a, b in zip(v, w)):
+                        dims[(i, j, 0)] = _skew_dimension(v, w, n)
         else:
-            results = map(_pair_task, tasks)
-        for p, res in zip(todo, results):
-            for s, dim in res.items():
-                if dim:
-                    dims[(p // n_obj, p % n_obj, s)] = dim
+            segment = _flag_stages(spec.space)
+            labels = [tuple(as_weight(w, st.l) for w, (st, _rank) in zip(reversed(lab), segment))
+                      for lab in spec.labels]
+            for i, v in enumerate(labels):
+                for j, w in enumerate(labels):
+                    hom = sum(_chain(segment, v, w).values())
+                    if hom:
+                        dims[(i, j, 0)] = hom
     return ExtTable(n_obj, spec.space.dimension(), dims)
 
 

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 import pytest
@@ -162,7 +163,7 @@ def test_invalid_inputs_exit_2(capsys):
 
 @pytest.mark.parametrize("error", [ArithmeticError, RecursionError])
 def test_engine_errors_exit_2(capsys, monkeypatch, error):
-    def failing(spec, jobs=1):
+    def failing(spec):
         raise error("integrity check failed")
 
     monkeypatch.setattr("tiltcheck.collections.ext_table", failing)
@@ -185,7 +186,7 @@ def test_engine_errors_exit_2(capsys, monkeypatch, error):
 def test_optimized_interpreter_same_reports(argv, code):
     # python -O strips assert statements; the integrity checks must not be asserts
     src = str(Path(tiltcheck.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src, TILTCHECK_JOBS="1", PYTHONDONTWRITEBYTECODE="1")
+    env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
     runs = [
         subprocess.run([sys.executable, *flags, "-m", "tiltcheck", *argv],
                        capture_output=True, text=True, env=env, check=False)
@@ -195,6 +196,24 @@ def test_optimized_interpreter_same_reports(argv, code):
     assert plain.returncode == optimized.returncode == code
     assert plain.stdout == optimized.stdout
     assert json.loads(optimized.stdout)["verdict"] == ("pass" if code == 0 else "fail")
+
+
+@pytest.mark.parametrize(
+    "argv, missing",
+    [
+        (["descent", "bs", "--period", "2"], "--degree"),
+        (["descent", "bs", "--degree", "2"], "--period"),
+        (["descent", "gbs", "--d", "2"], "--degree and --period"),
+        (["descent", "gbs", "--degree", "4", "--period", "2"], "--d"),
+        (["descent", "tower"], "--plan"),
+    ],
+    ids=["bs-degree", "bs-period", "gbs-degree-period", "gbs-d", "tower-plan"],
+)
+def test_descent_missing_option_is_named(capsys, argv, missing):
+    assert cli.run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"tiltcheck: invalid input: descent {argv[1]} needs {missing}\n"
 
 
 def test_descent_tower_plan_file(capsys, tmp_path):
@@ -222,14 +241,6 @@ def test_pretty_is_same_payload(capsys):
     assert code == 0
     assert plain == pretty
     assert plain["result"]["dimension"] == "6"
-
-
-def test_jobs_flag(capsys):
-    code, report = run_cli(
-        ["--jobs", "2", "verify", "kapranov", "--d", "2", "--n", "4"], capsys
-    )
-    assert code == 0
-    assert report["result"]["k0_rank"] == "6"
 
 
 def test_selftest_subset(capsys):
@@ -263,7 +274,7 @@ POOL_MODULES = ("concurrent.futures.process", "multiprocessing")
 def modules_loaded_by(argv):
     """Modules a fresh interpreter has loaded after `cli.run(argv)`."""
     src = str(Path(tiltcheck.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src, TILTCHECK_JOBS="1", PYTHONDONTWRITEBYTECODE="1")
+    env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run([sys.executable, "-c", LOADED_AFTER_RUN, *argv],
                           capture_output=True, text=True, env=env, check=False)
     assert proc.returncode == 0, proc.stderr
@@ -296,22 +307,42 @@ def test_command_imports_only_its_modules(argv, needed, unused):
     assert pool == []
 
 
-def test_jobs_2_starts_no_pool_for_in_box_tables():
-    # every Kapranov pair is answered in closed form, so no pair needs a worker
-    loaded = modules_loaded_by(["--jobs", "2", "verify", "kapranov", "--d", "3", "--n", "6"])
-    assert [m for m in loaded if m.startswith(POOL_MODULES)] == []
+def test_jobs_option_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.run(["--jobs", "2", "verify", "kapranov", "--d", "2", "--n", "4"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
-def test_jobs_2_same_report_as_jobs_1():
-    src = str(Path(tiltcheck.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+def test_jobs_environment_variable_is_ignored(capsys, monkeypatch):
     argv = ["verify", "flag", "--steps", "1,2,3", "--n", "4"]
-    runs = [
-        subprocess.run([sys.executable, "-m", "tiltcheck", "--jobs", jobs, *argv],
-                       capture_output=True, text=True, env=env, check=False)
-        for jobs in ("1", "2")
-    ]
-    serial, pooled = runs
-    assert serial.returncode == pooled.returncode == 0
-    assert serial.stdout == pooled.stdout
-    assert json.loads(serial.stdout)["verdict"] == "pass"
+    reports = []
+    for value in (None, "2"):
+        if value is None:
+            monkeypatch.delenv("TILTCHECK_JOBS", raising=False)
+        else:
+            monkeypatch.setenv("TILTCHECK_JOBS", value)
+        assert cli.run(argv) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["verdict"] == "pass"
+
+
+REPO = Path(__file__).resolve().parents[1]
+EXPECTED_DIGESTS = json.loads((REPO / "perfbench" / "expected_digests.json").read_text())
+
+
+def report_digest(report):
+    """Length and CRC-32 of the report's result and verdict, as recorded."""
+    blob = json.dumps({"result": report["result"], "verdict": report["verdict"]},
+                      sort_keys=True).encode()
+    return f"{len(blob)}-{zlib.crc32(blob):08x}"
+
+
+@pytest.mark.parametrize("key", sorted(EXPECTED_DIGESTS))
+def test_report_matches_recorded_digest(capsys, monkeypatch, key):
+    monkeypatch.chdir(REPO)  # plan paths in the keys are relative to the repository root
+    code = cli.run(key.split())
+    report = json.loads(capsys.readouterr().out)
+    assert report_digest(report) == EXPECTED_DIGESTS[key]
+    assert code == {"pass": 0, "n/a": 0, "fail": 1}[report["verdict"]]

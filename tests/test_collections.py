@@ -157,16 +157,6 @@ def test_flag_with_step_gaps_verifies():
         assert report.k0_rank == count
 
 
-def test_parallel_sweep_matches_sequential():
-    # the Beilinson range keeps an out-of-bound pair, so its pool carries a walk
-    for spec in (coll.kapranov_collection(2, 4), coll.kapranov_collection(3, 6),
-                 coll.beilinson_collection(3, range(5))):
-        assert coll.ext_table(spec, jobs=2) == coll.ext_table(spec)
-    for flag in (bwb.FlagSpace(3, (1, 2)), bwb.FlagSpace(4, (1, 2, 3))):
-        spec = coll.flag_collection(flag)
-        assert coll.ext_table(spec, jobs=2) == coll.ext_table(spec)
-
-
 def unmemoized_ext_table(spec):
     """Grassmannian Ext table with one Weyl walk per LR term of every pair."""
     d, n = spec.space.steps[0], spec.space.n

@@ -51,7 +51,7 @@ def test_name_is_the_defining_modules_object(name):
 
 
 def test_names_resolve_on_every_access(monkeypatch):
-    def replaced(spec, jobs=1):
+    def replaced(spec):
         raise AssertionError("not called")
 
     monkeypatch.setattr(coll, "ext_table", replaced)

@@ -46,7 +46,7 @@ def module_level_imports(tree):
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_process_pool_at_import(path):
-    # only --jobs > 1 needs the pool; every other process must not pay for it
+    # no command runs a process pool, so no process may pay to import one
     tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
     heavy = [mod for mod, _names in module_level_imports(tree)
              if mod.split(".")[0] in ("concurrent", "multiprocessing")]
