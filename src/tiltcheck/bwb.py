@@ -16,12 +16,14 @@ is testable rather than folklore.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from functools import lru_cache, reduce
+from itertools import accumulate, combinations, permutations
 from math import comb
+from operator import add, mul, sub
 from typing import Optional
 
 from .partitions import normalize
-from .schur import as_weight, dual_weight, schur_dimension, split_bundle_expand
+from .schur import as_weight, dual_weight, schur_dimension
 
 
 @dataclass(frozen=True)
@@ -165,83 +167,133 @@ def pn_line_cohomology(m: int, n: int) -> Optional[CohomologyResult]:
     return None
 
 
-def _laurent_mul(p: dict, q: dict) -> dict:
-    out: dict[int, int] = {}
-    for da, ca in p.items():
-        for db, cb in q.items():
-            out[da + db] = out.get(da + db, 0) + ca * cb
-    return {k: v for k, v in out.items() if v}
+def _times_one_minus(p, k: int):
+    """p(t) * (1 - t^k) for a dense Laurent polynomial p = (low, coeffs), k > 0."""
+    lo, c = p
+    out = c + [0] * k
+    out[k:] = map(sub, out[k:], c)
+    return lo, out
 
 
-def _laurent_div_cyclotomic(p: dict, k: int) -> dict:
-    """Exact division of a Laurent polynomial by (1 - t^k), k > 0."""
-    if not p:
-        return {}
-    lo, hi = min(p), max(p)
-    coeffs = [p.get(i, 0) for i in range(lo, hi + 1)]
-    quotient = [0] * len(coeffs)
-    for i, g in enumerate(coeffs):
-        below = quotient[i - k] if i >= k else 0
-        quotient[i] = g + below
-    if any(quotient[i] for i in range(max(0, len(coeffs) - k), len(coeffs))):
+def _div_one_minus(p, k: int):
+    """Exact division of a dense Laurent polynomial by (1 - t^k), k > 0.
+
+    The quotient satisfies q_i = p_i + q_(i-k): a running sum along each
+    residue class mod k.  Its top k coefficients must come out zero.
+    """
+    lo, c = p
+    q = list(c)
+    for r in range(k):
+        q[r::k] = accumulate(c[r::k])
+    top = max(0, len(q) - k)
+    if any(q[top:]):
         raise ArithmeticError("localization numerator not divisible by (1 - t^k)")
-    return {lo + i: c for i, c in enumerate(quotient) if c}
+    return lo, q[:top]
+
+
+def _plus(p, q):
+    """Sum of two dense Laurent polynomials."""
+    if q[0] < p[0]:
+        p, q = q, p
+    (lo, c), (lo_q, cq) = p, q
+    i = lo_q - lo
+    out = c + [0] * max(0, i + len(cq) - len(c))
+    out[i:i + len(cq)] = map(add, out[i:i + len(cq)], cq)
+    return lo, out
+
+
+@lru_cache(maxsize=None)
+def _permutation_signs(d: int) -> tuple[int, ...]:
+    """Signs of `permutations(range(d))`, in that order."""
+    return tuple(-1 if sum(1 for i, j in combinations(range(d), 2) if p[i] > p[j]) % 2 else 1
+                 for p in permutations(range(d)))
+
+
+def _schur_at_powers(w, exponents):
+    """s_w(t^e_1, ..., t^e_d) for distinct exponents, as a dense Laurent polynomial.
+
+    Bialternant form (Macdonald, Symmetric Functions, ch. I (3.1)): the
+    alternant a_{w+delta}, d! signed monomials, divided exactly by the
+    Vandermonde a_delta one factor (1 - t^k) at a time.  With the exponents
+    ascending, a_delta = t^(sum_i e_i (d-1-i)) prod_{i<j} (1 - t^(e_j - e_i)).
+    Returns (low exponent, coefficients).  The weight is padded with
+    `as_weight`, so it is refused exactly as `split_bundle_expand` refuses it.
+    """
+    e = sorted(int(x) for x in exponents)
+    d = len(e)
+    if len(set(e)) < d:
+        raise ValueError(f"exponents {tuple(e)} are not distinct")
+    w = as_weight(w, d)
+    powers = [x + d - 1 - j for j, x in enumerate(w)]
+    degrees = [sum(map(mul, pe, powers)) for pe in permutations(e)]
+    lo = min(degrees)
+    alternant = [0] * (max(degrees) - lo + 1)
+    for sign, deg in zip(_permutation_signs(d), degrees):
+        alternant[deg - lo] += sign
+    p = (lo - sum(x * (d - 1 - i) for i, x in enumerate(e)), alternant)
+    for i, j in combinations(range(d), 2):
+        p = _div_one_minus(p, e[j] - e[i])
+    return p
 
 
 def localization_euler(a, b, d: int, n: int) -> int:
     """chi(S^a(R)^dual (x) S^b(R)) on Grass(d, n) by fixed-point summation.
 
     The torus is specialized to one parameter, x_i = t^(c_i) with distinct
-    exponents; each fixed d-subset contributes its character monomials over
-    the tangent factors (1 - t^(c_i - c_j)).  Summing over the common
-    denominator leaves a Laurent polynomial (the virtual character), whose
-    value at t = 1 is the Euler characteristic.  All arithmetic is exact
-    integer Laurent-polynomial work.  The exponents are 0, ..., n-1: being
-    distinct, they make every tangent factor nonzero, and since scaling all
-    of them by k only substitutes t -> t^k, no other choice could change
-    whether the exact division succeeds.  A failure raises ArithmeticError.
+    exponents; each fixed d-subset contributes its character, the bialternant
+    Schur polynomials s_a(x^-1) s_b(x) over its d variables, over the tangent
+    factors (1 - t^(c_i - c_j)).  The numerators of fixed points with one
+    multiset of tangent factors are summed first; each group is then brought
+    to the common denominator once, and the total divided by it exactly.  What
+    is left is a Laurent polynomial (the virtual character), whose value at
+    t = 1 is the Euler characteristic.  All arithmetic is exact integer
+    Laurent-polynomial work.  The exponents are 0, ..., n-1: being distinct,
+    they make every tangent factor nonzero, and since scaling all of them by k
+    only substitutes t -> t^k, no other choice could change whether the exact
+    division succeeds.  A failure raises ArithmeticError.
     """
     if not 1 <= d < n:
         raise ValueError("need 1 <= d < n")
     a, b = normalize(a), normalize(b)
     # term_I = N_I(t) / prod (1 - t^(c_i - c_j)); negative-exponent factors are
     # rewritten as (1 - t^(-k)) = -t^(-k) (1 - t^k) and folded into N_I.
-    terms = []
-    denom_count: dict[int, int] = {}
-    for subset in combinations(range(n), d):
-        inside = list(subset)
-        outside = [j for j in range(n) if j not in subset]
-        num = _laurent_mul(
-            dict(split_bundle_expand(a, [-c for c in inside])),
-            dict(split_bundle_expand(b, inside)),
-        )
+    groups: dict[tuple[tuple[int, int], ...], tuple[int, list[int]]] = {}
+    for inside in combinations(range(n), d):
         factors: dict[int, int] = {}
         shift = 0
         sign = 1
         for ci in inside:
-            for cj in outside:
+            for cj in range(n):
+                if cj in inside:
+                    continue
                 e = ci - cj
-                if e == 0:
-                    raise ArithmeticError("vanishing tangent factor")
                 if e < 0:
                     sign = -sign
-                    shift += -e
+                    shift -= e
                     e = -e
                 factors[e] = factors.get(e, 0) + 1
-        num = {deg + shift: sign * c for deg, c in num.items()}
-        terms.append((num, factors))
-        for k, c in factors.items():
+        lo_a, ca = _schur_at_powers(a, [-c for c in inside])
+        lo_b, cb = _schur_at_powers(b, inside)
+        num = [0] * (len(ca) + len(cb) - 1)
+        for i, x in enumerate(ca):
+            if x:
+                num[i:i + len(cb)] = map(add, num[i:i + len(cb)], [sign * x * y for y in cb])
+        key = tuple(sorted(factors.items()))
+        num = (lo_a + lo_b + shift, num)
+        groups[key] = _plus(groups[key], num) if key in groups else num
+    denom_count: dict[int, int] = {}
+    for key in groups:
+        for k, c in key:
             denom_count[k] = max(denom_count.get(k, 0), c)
-    total: dict[int, int] = {}
-    for num, factors in terms:
+    cleared = []
+    for key, num in groups.items():
+        factors = dict(key)
         for k, c in denom_count.items():
-            missing = c - factors.get(k, 0)
-            for _ in range(missing):
-                num = _laurent_mul(num, {0: 1, k: -1})
-        for deg, coeff in num.items():
-            total[deg] = total.get(deg, 0) + coeff
-        total = {k: v for k, v in total.items() if v}
+            for _ in range(c - factors.get(k, 0)):
+                num = _times_one_minus(num, k)
+        cleared.append(num)
+    total = reduce(_plus, cleared)
     for k, c in denom_count.items():
         for _ in range(c):
-            total = _laurent_div_cyclotomic(total, k)
-    return sum(total.values())
+            total = _div_one_minus(total, k)
+    return sum(total[1])

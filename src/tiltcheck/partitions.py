@@ -6,7 +6,6 @@ zeros are stripped so every Young diagram has exactly one representation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
 
@@ -46,20 +45,44 @@ def grevlex_key(p, length: int):
     return (sum(p), tuple(-x for x in reversed(padded)))
 
 
-@dataclass(frozen=True)
 class OrderedPartitionSet:
-    """All partitions inside a rows x cols box, listed in a fixed total order."""
+    """All partitions inside a rows x cols box, listed in a fixed total order.
 
-    box_rows: int
-    box_cols: int
-    members: tuple[tuple[int, ...], ...]
+    An immutable value: equality and hash go by (box_rows, box_cols, members).
+    """
 
-    def __post_init__(self):
-        if len(self.members) != comb(self.box_rows + self.box_cols, self.box_rows):
+    __slots__ = ("box_rows", "box_cols", "members")
+
+    def __init__(self, box_rows: int, box_cols: int, members: tuple[tuple[int, ...], ...]):
+        if len(members) != comb(box_rows + box_cols, box_rows):
             raise ValueError("member count does not match the box")
-        for m in self.members:
-            if not fits_box(m, self.box_rows, self.box_cols):
-                raise ValueError(f"{m} does not fit a {self.box_rows}x{self.box_cols} box")
+        for m in members:
+            if not fits_box(m, box_rows, box_cols):
+                raise ValueError(f"{m} does not fit a {box_rows}x{box_cols} box")
+        object.__setattr__(self, "box_rows", box_rows)
+        object.__setattr__(self, "box_cols", box_cols)
+        object.__setattr__(self, "members", members)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self):
+        return self.box_rows, self.box_cols, self.members
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return (f"OrderedPartitionSet(box_rows={self.box_rows!r}, "
+                f"box_cols={self.box_cols!r}, members={self.members!r})")
 
     def __len__(self) -> int:
         return len(self.members)

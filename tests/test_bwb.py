@@ -1,11 +1,18 @@
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tiltcheck
 from tiltcheck import bwb
 from tiltcheck import collections as coll
 from tiltcheck.partitions import enumerate_box_partitions
-from tiltcheck.schur import as_weight, dual_weight, product_expand, schur_dimension
+from tiltcheck.schur import (as_weight, dual_weight, product_expand, schur_dimension,
+                             split_bundle_expand)
 
 
 def test_flag_space_validation():
@@ -164,6 +171,78 @@ def test_localization_against_weyl_walk_sampled():
             a, b = rng.choice(box), rng.choice(box)
             chi = sum((-1) ** s * v for s, v in schur_pair_ext(d, n, a, b).items())
             assert chi == bwb.localization_euler(a, b, d, n)
+
+
+def test_localization_against_weyl_walk_grass_4_8():
+    from tiltcheck.collections import schur_pair_ext
+
+    rng = random.Random(48)
+    box = enumerate_box_partitions(4, 4).members
+    for _ in range(20):
+        a, b = rng.choice(box), rng.choice(box)
+        chi = sum((-1) ** s * v for s, v in schur_pair_ext(4, 8, a, b).items())
+        assert chi == bwb.localization_euler(a, b, 4, 8), (a, b)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_localization_on_projective_space_matches_monomial_counting(n):
+    # on P^(n-1), S^a(R)^dual (x) S^b(R) = O(a - b)
+    for a in range(7):
+        for b in range(7):
+            res = bwb.pn_line_cohomology(a - b, n - 1)
+            chi = 0 if res is None else (-1) ** res.degree * res.dimension
+            assert bwb.localization_euler((a,), (b,), 1, n) == chi, (a, b)
+
+
+def _laurent_terms(poly):
+    lo, coeffs = poly
+    return {lo + i: c for i, c in enumerate(coeffs) if c}
+
+
+def _kernel_or_error(kernel, w, exponents):
+    try:
+        return kernel(w, exponents)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_bialternant_kernel_matches_tableau_enumeration():
+    rng = random.Random(20151018)
+    cases = [((), (0,)), ((), (-3, 5)), ((2, 1, 1), (4, -2)), ((1, 1, 1, 0), (0, 1, 2))]
+    while len(cases) < 240:
+        w = tuple(sorted((rng.randint(1, 4) for _ in range(rng.randint(0, 5))), reverse=True))
+        cases.append((w, tuple(rng.sample(range(-8, 9), rng.randint(1, 5)))))
+    longer = 0
+    for w, exponents in cases:
+        tableaux = _kernel_or_error(split_bundle_expand, w, exponents)
+        bialternant = _kernel_or_error(
+            lambda *args: _laurent_terms(bwb._schur_at_powers(*args)), w, exponents)
+        assert bialternant == tableaux, (w, exponents)
+        longer += isinstance(tableaux, str)
+    assert longer >= 10
+
+
+def test_dense_division_refuses_a_remainder():
+    assert bwb._div_one_minus((-2, [1, 0, -1]), 2) == (-2, [1])
+    with pytest.raises(ArithmeticError):
+        bwb._div_one_minus((0, [1, 1]), 1)
+    with pytest.raises(ArithmeticError):
+        bwb._div_one_minus((3, [1]), 2)
+
+
+def test_euler_report_same_under_optimized_interpreter():
+    src = str(Path(tiltcheck.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+    argv = ["euler", "--a", "2,1", "--b", "1,1", "--d", "3", "--n", "6"]
+    plain, optimized = (
+        subprocess.run([sys.executable, *flags, "-m", "tiltcheck", *argv],
+                       capture_output=True, text=True, env=env, check=False)
+        for flags in ([], ["-O"])
+    )
+    assert plain.returncode == optimized.returncode == 0
+    assert plain.stdout == optimized.stdout
+    chi = sum((-1) ** s * v for s, v in coll.schur_pair_ext(3, 6, (2, 1), (1, 1)).items())
+    assert json.loads(plain.stdout)["result"]["euler_characteristic"] == str(chi)
 
 
 def test_grass_pushforward():

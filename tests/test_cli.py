@@ -161,6 +161,14 @@ def test_invalid_inputs_exit_2(capsys):
     assert exc.value.code == 2
 
 
+def test_euler_refuses_partition_longer_than_rank(capsys):
+    assert cli.run(["euler", "--a", "1,1,1", "--b", "0", "--d", "2", "--n", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("tiltcheck: invalid input: "
+                            "weight (1, 1, 1) longer than declared length 2\n")
+
+
 @pytest.mark.parametrize("error", [ArithmeticError, RecursionError])
 def test_engine_errors_exit_2(capsys, monkeypatch, error):
     def failing(spec):
@@ -305,6 +313,9 @@ def test_command_imports_only_its_modules(argv, needed, unused):
     assert loaded.isdisjoint(f"tiltcheck.{m}" for m in unused)
     pool = [m for m in loaded if m.startswith(POOL_MODULES)]
     assert pool == []
+    if argv[0] == "partitions":
+        # dataclasses pulls in inspect; only the engine modules use it
+        assert "dataclasses" not in loaded
 
 
 def test_jobs_option_is_gone(capsys):

@@ -5,7 +5,8 @@ from math import comb
 import pytest
 
 from tiltcheck import cli
-from tiltcheck.partitions import conjugate, enumerate_box_partitions, grevlex_key, normalize
+from tiltcheck.partitions import (OrderedPartitionSet, conjugate, enumerate_box_partitions,
+                                  grevlex_key, normalize)
 
 
 def brute_force_box(rows, cols):
@@ -79,6 +80,23 @@ def test_grevlex_tiebreak():
     # within one size, (1,1) precedes (2)
     assert grevlex_key((1, 1), 2) < grevlex_key((2,), 2)
     assert grevlex_key((1, 1, 1), 3) < grevlex_key((2, 1), 3) < grevlex_key((3,), 3)
+
+
+def test_ordered_partition_set_is_a_validated_value():
+    box = enumerate_box_partitions(2, 2)
+    again = OrderedPartitionSet(2, 2, box.members)
+    assert box == again and hash(box) == hash(again)
+    assert box != enumerate_box_partitions(2, 3)
+    assert (box.box_rows, box.box_cols, list(box)) == (2, 2, list(box.members))
+    for attr in ("box_rows", "members", "other"):
+        with pytest.raises(AttributeError):
+            setattr(box, attr, 1)
+    with pytest.raises(AttributeError):
+        del box.members
+    with pytest.raises(ValueError, match="member count"):
+        OrderedPartitionSet(2, 2, box.members[:-1])
+    with pytest.raises(ValueError, match="does not fit"):
+        OrderedPartitionSet(1, 1, ((), (1, 1)))
 
 
 def test_normalize_rejects_bad_input():
