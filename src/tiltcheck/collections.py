@@ -6,7 +6,7 @@ subbundle.  Collections built here list larger diagrams first, which is the
 direction making the Hom matrix upper unitriangular (all nonzero Hom groups
 point forward); the convention is recorded in each report rather than assumed.
 
-Three Ext engines back the tables; each pair gets exactly one, chosen by its
+Two Ext engines back the tables; each pair gets exactly one, chosen by its
 weights.
 
 - Closed form (single Grassmannians, in-bound pairs).  For extended weights
@@ -18,14 +18,14 @@ weights.
   the skew Schur dimension s_{v/w}(1^n), zero unless w is contained in v and
   otherwise one Jacobi-Trudi determinant (`schur._skew_dimension`).  Every
   pair of a Kapranov box is in bound.
-- Weyl walk (single Grassmannians, out-of-bound pairs): `schur_pair_ext`, the
-  LR expansion of the Hom bundle and one absolute walk per term, valid for
-  arbitrary extended weights.
-- Stage chain (flag spaces, Grassmann-bundle towers): the Hom content of each
-  stage is expanded into weights on that stage's subbundle, weights with a
-  negative entry have no direct images, the rest descend in degree zero and
-  are either converted to line-bundle degrees (split stage) or fed into the
-  next stage down (tautological stage).
+- Stage chain (every other pair; a Grassmannian is the single split stage
+  (d, 0^n) over a point).  The Hom content of each stage is expanded into
+  weights delta on the dual of its subbundle, and relative Bott (Bott 1957;
+  Demazure 1976) pushes each down Grass(l, E), E the rank-r stage bundle:
+  the dotted walk of (delta, 0^(r-l)) in GL(r) kills delta on a repeat, and
+  otherwise leaves S^dom(E^dual) in Ext degree `inversions`, expanded into
+  root line-bundle degrees (split stage) or handed to the stage below
+  (tautological stage).  So the chain reports every Ext degree.
 
 Flag tables and fibration plans share one stage model, `GrassFiber`, and one
 function, `segment_stages`, that gives every stage its ambient rank: a flag
@@ -34,11 +34,11 @@ and fiber tables over its root (see `fibration`).
 
 A table build (`ext_table` here, `fibration.candidate_ext_table` for
 candidate bundles) validates its stages and pads its labels once, then opens
-a build memo shared by its walk and chain pairs: one Weyl walk per distinct
-Grassmannian LR term, and one stage transfer per distinct (stage, incoming
-weight, source and target stage weights).  A pair's chain folds the cached
-transfers.  The memo is dropped when the build returns or raises; outside a
-build every call computes afresh.
+a build memo shared by its chain pairs: one stage transfer per distinct
+(stage, incoming weight, source and target stage weights), and one walk and
+line-bundle expansion per distinct weight a split stage pushes down.  A
+pair's chain folds the cached transfers.  The memo is dropped when the
+outermost build returns or raises; outside a build every call computes afresh.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 from itertools import product as iter_product
 from typing import Optional
 
-from .partitions import enumerate_box_partitions, normalize
+from .partitions import enumerate_box_partitions
 from . import bwb
 from .schur import _skew_dimension, as_weight, dual_weight, product_expand, split_bundle_expand
 
@@ -113,30 +113,29 @@ def segment_stages(stages) -> list[tuple]:
     return segments
 
 
-# Work shared by the pairs of one table build: cohomology keyed (d, n, gamma),
-# stage transfers ("transfer", ...) and split expansions ("split", delta,
-# duals).  Unset outside a build.
+# Work shared by the pairs of one table build: stage transfers ("transfer",
+# ...) and split-stage pushforwards ("split", delta, duals).  Unset outside a
+# build.
 _build_memo: ContextVar[dict] = ContextVar("build_memo")
 
 
 @contextmanager
 def _build_scope():
-    """Open a fresh build memo for the enclosed table build; dropped on exit."""
-    token = _build_memo.set({})
+    """Open a build memo for the enclosed table build, or join an open one."""
+    token = _build_memo.set(_build_memo.get({}))
     try:
         yield
     finally:
         _build_memo.reset(token)
 
 
-def tower_hom_degrees(stages: tuple[GrassFiber, ...], src: Label, tgt: Label) -> dict[int, int]:
-    """Root line-bundle degrees of the full pushforward of Hom(src, tgt).
+def tower_hom_degrees(stages: tuple[GrassFiber, ...], src: Label, tgt: Label) -> dict:
+    """Pushforward of Hom(src, tgt) to the root, as {(Ext degree, root degree): mult}.
 
     `src`/`tgt` carry one weight per stage, root-first, each inside the
-    stage's box.  Stages are pushed down from the top: per stage the content
-    S^(incoming) (x) S^(src_k)(R)^dual (x) S^(tgt_k)(R) is expanded into
-    weights on the stage subbundle; only componentwise non-negative weights
-    have direct images (all in degree zero), the rest die in every degree.
+    stage's box.  Stages are pushed down from the top by the relative Bott
+    walk (see the module docstring); an item (s, e) is a summand O(e) of the
+    root in Ext degree s.
     """
     ranked = tuple(pair for segment in segment_stages(stages) for pair in segment)
     if len(src) != len(stages) or len(tgt) != len(stages):
@@ -146,59 +145,71 @@ def tower_hom_degrees(stages: tuple[GrassFiber, ...], src: Label, tgt: Label) ->
     return _chain(ranked, src, tgt)
 
 
-def _chain(ranked, src, tgt) -> dict[int, int]:
+def _chain(ranked, src, tgt) -> dict:
     """`tower_hom_degrees` on (stage, rank) pairs and padded weights.
 
     Folds the per-stage transfers from the top stage down, merging equal
-    (gamma, degree) items between stages.
+    (gamma, Ext degree, root degree) items between stages.
     """
-    # items: (gamma destined for the current stage or None, degree) -> multiplicity
-    items: dict[tuple[Optional[tuple[int, ...]], int], int] = {(None, 0): 1}
+    # items: (gamma destined for the current stage or None, s, root degree) -> multiplicity
+    items: dict[tuple[Optional[tuple[int, ...]], int, int], int] = {(None, 0, 0): 1}
     for k in range(len(ranked) - 1, -1, -1):
         st, rank = ranked[k]
-        next_items: dict[tuple[Optional[tuple[int, ...]], int], int] = {}
-        for (gamma, deg), mult in items.items():
-            for gamma_out, shift, c in _transfer(k, st, rank, gamma, src[k], tgt[k]):
-                key = (gamma_out, deg + shift)
+        next_items: dict[tuple[Optional[tuple[int, ...]], int, int], int] = {}
+        for (gamma, s, deg), mult in items.items():
+            for gamma_out, ds, shift, c in _transfer(st, rank, gamma, src[k], tgt[k]):
+                key = (gamma_out, s + ds, deg + shift)
                 next_items[key] = next_items.get(key, 0) + mult * c
         items = next_items
-    out: dict[int, int] = {}
-    for (gamma, deg), mult in items.items():
+    out: dict[tuple[int, int], int] = {}
+    for (gamma, s, deg), mult in items.items():
         if gamma is not None:
             raise ArithmeticError(f"weight {gamma} was never pushed down to the root")
-        out[deg] = out.get(deg, 0) + mult
+        out[(s, deg)] = out.get((s, deg), 0) + mult
     return dict(sorted(out.items()))
 
 
-def _transfer(k, st, rank, gamma, lam, mu):
-    """One stage of the chain: (gamma', degree shift, multiplicity) terms.
+def _push(delta, rank: int, duals) -> tuple:
+    """S^delta(R^dual) on Grass(l, E), rank E = `rank`, pushed down by relative Bott.
 
-    gamma' is the normalized weight handed to the stage below (taut stage) or
-    None with a root line-bundle degree shift (split stage).  Within a build,
-    each distinct input and split delta is expanded once; failures are not stored.
+    `_transfer` terms; a split stage expands S^dom(E^dual) over root degrees `duals`.
+    """
+    walked = bwb.dotted_weyl(delta + (0,) * (rank - len(delta)), range(rank - 1, -1, -1))
+    if walked is None:
+        return ()
+    s, dom = walked
+    if duals is None:
+        return ((dom, s, 0, 1),)
+    return tuple((None, s, deg, c) for deg, c in split_bundle_expand(dom, duals).items())
+
+
+def _transfer(st, rank, gamma, lam, mu):
+    """One stage of the chain: (gamma', Ext degree, root degree shift, multiplicity) terms.
+
+    gamma' is the full-length weight handed to the stage below (taut stage)
+    or None with a root line-bundle degree shift (split stage).  Within a
+    build, each distinct input and split-stage delta is pushed down once;
+    failures are not stored.
     """
     memo = _build_memo.get({})
-    key = ("transfer", k, st, rank, gamma, lam, mu)
+    key = ("transfer", st, rank, gamma, lam, mu)
     terms = memo.get(key)
     if terms is not None:
         return terms
     factors = [lam, dual_weight(mu)] if gamma is None else [gamma, lam, dual_weight(mu)]
-    out: dict[tuple[Optional[tuple[int, ...]], int], int] = {}
+    duals = None if st.taut else tuple(-d for d in st.split_degrees)
+    out: dict[tuple[Optional[tuple[int, ...]], int, int], int] = {}
     for delta, c in product_expand(factors, st.l).items():
-        if delta[-1] < -(rank - st.l):
-            raise ValueError(f"stage {k}: weight {delta} outside the pushforward model")
-        if delta[-1] < 0:
-            continue
-        if not st.taut:
-            split_key = ("split", delta, tuple(-d for d in st.split_degrees))
-            if split_key not in memo:
-                memo[split_key] = split_bundle_expand(delta, split_key[2])
-            for w, cc in memo[split_key].items():
-                out[(None, w)] = out.get((None, w), 0) + c * cc
+        if duals is None:
+            pushed = _push(delta, rank, None)
         else:
-            key_out = (normalize(delta), 0)
-            out[key_out] = out.get(key_out, 0) + c
-    terms = tuple((g, shift, c) for (g, shift), c in out.items())
+            split_key = ("split", delta, duals)
+            if split_key not in memo:
+                memo[split_key] = _push(delta, rank, duals)
+            pushed = memo[split_key]
+        for gamma_out, s, shift, cc in pushed:
+            out[(gamma_out, s, shift)] = out.get((gamma_out, s, shift), 0) + c * cc
+    terms = tuple((g, s, shift, c) for (g, s, shift), c in out.items())
     memo[key] = terms
     return terms
 
@@ -307,27 +318,6 @@ class ExtTable:
         return self.size == other.size and mine == theirs
 
 
-def schur_pair_ext(d: int, n: int, v, w) -> dict[int, int]:
-    """Ext^*(S^v(R), S^w(R)) on Grass(d, n) for extended weights v, w.
-
-    The absolute reference: one Weyl walk per LR term gamma of the Hom
-    bundle.  `ext_table` calls it only for pairs outside the closed-form
-    bound (see the module docstring); the pairs of one build share each walk.
-    """
-    memo = _build_memo.get({})
-    out: dict[int, int] = {}
-    for gamma, mult in product_expand([dual_weight(as_weight(v, d)), w], d).items():
-        key = (d, n, gamma)
-        if key not in memo:
-            space = bwb.grassmannian(d, n)
-            bundle = bwb.HomogeneousBundle(space, (dual_weight(gamma), (0,) * (n - d)))
-            memo[key] = bwb.flag_cohomology(bundle)
-        res = memo[key]
-        if res is not None:
-            out[res.degree] = out.get(res.degree, 0) + mult * res.dimension
-    return out
-
-
 def _flag_stages(space: bwb.FlagSpace) -> tuple:
     """The flag space as one root-first segment of (stage, rank) pairs."""
     steps = space.steps
@@ -337,39 +327,42 @@ def _flag_stages(space: bwb.FlagSpace) -> tuple:
     return segment
 
 
+def schur_pair_ext(d: int, n: int, v, w) -> dict[int, int]:
+    """Ext^*(S^v(R), S^w(R)) on Grass(d, n) for extended weights v, w, as {s: dim}.
+
+    The stage chain of Grass(d, n), the single split stage (d, 0^n) over a
+    point, where every root degree is 0: one relative walk per LR term of the
+    Hom bundle, shared by the pairs of one build.
+    """
+    chain = _chain(_flag_stages(bwb.grassmannian(d, n)), (as_weight(v, d),), (as_weight(w, d),))
+    return {s: mult for (s, _deg), mult in chain.items()}
+
+
 def ext_table(spec: CollectionSpec) -> ExtTable:
     """Every Ext^s between every ordered pair of the collection, exactly.
 
-    Labels are validated and padded once (flag labels root-first, for the
-    chain).  Each pair goes to its engine (see the module docstring): the
-    closed form for in-bound Grassmannian pairs, `schur_pair_ext` for
-    out-of-bound ones, and the stage chain for flag pairs, which reports
-    Hom only.
+    Labels are validated and padded once, root-first for the chain.  Each
+    pair goes to its engine (see the module docstring): the closed form for
+    in-bound Grassmannian pairs, the stage chain for every other pair.
     """
-    n_obj = len(spec.labels)
+    n = spec.space.n
+    segment = _flag_stages(spec.space)
+    labels = [tuple(as_weight(w, st.l) for w, (st, _rank) in zip(reversed(lab), segment))
+              for lab in spec.labels]
+    # in bound: a Grassmannian pair (v,), (w,) with v_d - w_1 >= -(n - d)
+    closed, bound = spec.space.is_grassmannian, spec.space.steps[0] - n
     dims: dict[tuple[int, int, int], int] = {}
     with _build_scope():
-        if spec.space.is_grassmannian:
-            d, n = spec.space.steps[0], spec.space.n
-            labels = [as_weight(lab[0], d) for lab in spec.labels]
-            for i, v in enumerate(labels):
-                for j, w in enumerate(labels):
-                    if v[-1] - w[0] < d - n:
-                        for s, dim in schur_pair_ext(d, n, v, w).items():
-                            if dim:
-                                dims[(i, j, s)] = dim
-                    elif all(a >= b for a, b in zip(v, w)):
-                        dims[(i, j, 0)] = _skew_dimension(v, w, n)
-        else:
-            segment = _flag_stages(spec.space)
-            labels = [tuple(as_weight(w, st.l) for w, (st, _rank) in zip(reversed(lab), segment))
-                      for lab in spec.labels]
-            for i, v in enumerate(labels):
-                for j, w in enumerate(labels):
-                    hom = sum(_chain(segment, v, w).values())
-                    if hom:
-                        dims[(i, j, 0)] = hom
-    return ExtTable(n_obj, spec.space.dimension(), dims)
+        for i, v in enumerate(labels):
+            for j, w in enumerate(labels):
+                if closed and v[0][-1] - w[0][0] >= bound:
+                    if all(a >= b for a, b in zip(v[0], w[0])):
+                        dims[(i, j, 0)] = _skew_dimension(v[0], w[0], n)
+                    continue
+                # over a point every root degree is 0
+                for (s, _deg), mult in _chain(segment, v, w).items():
+                    dims[(i, j, s)] = mult
+    return ExtTable(len(labels), spec.space.dimension(), dims)
 
 
 @dataclass(frozen=True)

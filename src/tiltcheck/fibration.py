@@ -152,11 +152,13 @@ class FibrationPlan:
         return dim
 
 
-def _convolve(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-    out: dict[int, int] = {}
-    for da, ma in a.items():
-        for db, mb in b.items():
-            out[da + db] = out.get(da + db, 0) + ma * mb
+def _convolve(a: dict, b: dict) -> dict:
+    """Product of two {(Ext degree, root degree): multiplicity} counters."""
+    out: dict[tuple[int, int], int] = {}
+    for (sa, da), ma in a.items():
+        for (sb, db), mb in b.items():
+            key = (sa + sb, da + db)
+            out[key] = out.get(key, 0) + ma * mb
     return out
 
 
@@ -164,10 +166,11 @@ def candidate_ext_table(plan: FibrationPlan) -> ExtTable:
     """Full Ext table of the candidate bundle, exact integers.
 
     Per summand pair, every fiber layer is pushed down: Grass segments through
-    the weight chain, table layers through their records; the surviving base
-    degrees meet the root pair and its twist shift in the root cohomology.
-    Stages, layer objects and twist offsets are set up once per table, and
-    the pairs share one build memo of stage transfers.
+    the weight chain, table layers through their records (all in Ext degree
+    0); each surviving (Ext degree s, base degree) meets the root pair and its
+    twist shift in the root cohomology, whose degree adds to s.  Stages,
+    layer objects and twist offsets are set up once per table, and the pairs
+    share one build memo of stage transfers.
     """
     root = plan.root
     layers = plan.layers()
@@ -191,10 +194,10 @@ def candidate_ext_table(plan: FibrationPlan) -> ExtTable:
     with _build_scope():
         for ia, A in enumerate(summands):
             for ib, B in enumerate(summands):
-                counter: dict[int, int] = {0: 1}
+                counter: dict[tuple[int, int], int] = {(0, 0): 1}
                 for head, at in segments:
                     if isinstance(head, TableFiber):
-                        part = head.pushforward(B[at], A[at])
+                        part = {(0, deg): m for deg, m in head.pushforward(B[at], A[at]).items()}
                     else:
                         # layer objects come padded from GrassFiber.objects
                         part = _chain(head, tuple(A[p] for p in at), tuple(B[p] for p in at))
@@ -203,10 +206,10 @@ def candidate_ext_table(plan: FibrationPlan) -> ExtTable:
                     counter = _convolve(counter, part)
                 else:
                     base_shift = B[-1] - A[-1] + offsets[ib] - offsets[ia]
-                    for deg, mult in counter.items():
+                    for (s, deg), mult in counter.items():
                         res = pn_line_cohomology(base_shift + deg, root.dim)
                         if res is not None:
-                            key = (ia, ib, res.degree)
+                            key = (ia, ib, s + res.degree)
                             dims[key] = dims.get(key, 0) + mult * res.dimension
     return ExtTable(len(summands), plan.total_dimension(), dims)
 
@@ -227,14 +230,16 @@ def twist_search(base, fiber: Fiber, cap: int = 8) -> FibrationPlan:
     """Least twist exponent in [0, cap] with no positive-degree Ext.
 
     On failure returns the cap plan, unverified, carrying the first
-    obstruction witness (source, target, degree, dimension).
+    obstruction witness (source, target, degree, dimension).  Only the root
+    shift depends on the twist, so every twist tried shares one build memo.
     """
     if cap < 1:
         raise ValueError("cap must be positive")
-    for m in range(cap + 1):
-        plan = verify_plan(FibrationPlan(base, fiber, m))
-        if plan.verified:
-            break
+    with _build_scope():
+        for m in range(cap + 1):
+            plan = verify_plan(FibrationPlan(base, fiber, m))
+            if plan.verified:
+                break
     return plan
 
 

@@ -247,15 +247,14 @@ def test_euler_report_same_under_optimized_interpreter():
 
 def test_grass_pushforward():
     # the rule checked above, as the stage chain applies it to Grass(2, 4) over
-    # a point: S^gamma(R^dual) for gamma = src - tgt pushes forward to S^gamma
-    # of the ambient bundle if gamma >= 0, vanishes for other in-bound gamma,
-    # and is refused below the bound -(rank - l) = -2
+    # a point: S^gamma(R^dual) for gamma = src - tgt pushes forward in the
+    # degree and to the dominant weight of the dotted walk of (gamma, 0, 0)
     fiber = (coll.GrassFiber(2, (0, 0, 0, 0)),)
-    assert coll.tower_hom_degrees(fiber, ((0, 0),), ((0, 0),)) == {0: 1}
-    assert coll.tower_hom_degrees(fiber, ((1, 0),), ((0, 0),)) == {0: schur_dimension((1,), 4)}
+    assert coll.tower_hom_degrees(fiber, ((0, 0),), ((0, 0),)) == {(0, 0): 1}
+    assert coll.tower_hom_degrees(fiber, ((1, 0),), ((0, 0),)) == {(0, 0): schur_dimension((1,), 4)}
     assert coll.tower_hom_degrees(fiber, ((0, 0),), ((1, 0),)) == {}
-    with pytest.raises(ValueError, match="outside the pushforward model"):
-        coll.tower_hom_degrees(fiber, ((0, 0),), ((3, 0),))
+    res = bwb.flag_cohomology(bwb.of_sub_dual(bwb.grassmannian(2, 4), (0, -3)))
+    assert coll.tower_hom_degrees(fiber, ((0, 0),), ((3, 0),)) == {(res.degree, 0): res.dimension}
     with pytest.raises(ValueError):
         coll.tower_hom_degrees(fiber, ((0, 1),), ((0, 0),))
 

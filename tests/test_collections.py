@@ -1,6 +1,7 @@
 import importlib.resources as resources
 import json
-from contextlib import contextmanager
+import random
+from contextlib import contextmanager, nullcontext
 from itertools import product as iter_product
 from math import comb
 
@@ -157,19 +158,24 @@ def test_flag_with_step_gaps_verifies():
         assert report.k0_rank == count
 
 
+def absolute_pair_ext(d, n, v, w):
+    """Ext^*(S^v R, S^w R) on Grass(d, n): one absolute Weyl walk in GL(n) per LR term."""
+    space = bwb.grassmannian(d, n)
+    out = {}
+    for gamma, mult in product_expand([dual_weight(as_weight(v, d)), w], d).items():
+        res = bwb.flag_cohomology(bwb.HomogeneousBundle(space, (dual_weight(gamma), (0,) * (n - d))))
+        if res is not None:
+            out[res.degree] = out.get(res.degree, 0) + mult * res.dimension
+    return out
+
+
 def unmemoized_ext_table(spec):
-    """Grassmannian Ext table with one Weyl walk per LR term of every pair."""
+    """Grassmannian Ext table with one absolute walk per LR term of every pair."""
     d, n = spec.space.steps[0], spec.space.n
-    dims = {}
-    for i, (v,) in enumerate(spec.labels):
-        for j, (w,) in enumerate(spec.labels):
-            factors = [dual_weight(as_weight(v, d)), w]
-            for gamma, mult in product_expand(factors, d).items():
-                bundle = bwb.HomogeneousBundle(spec.space, (dual_weight(gamma), (0,) * (n - d)))
-                res = bwb.flag_cohomology(bundle)
-                if res is not None:
-                    key = (i, j, res.degree)
-                    dims[key] = dims.get(key, 0) + mult * res.dimension
+    dims = {(i, j, s): dim
+            for i, (v,) in enumerate(spec.labels)
+            for j, (w,) in enumerate(spec.labels)
+            for s, dim in absolute_pair_ext(d, n, v, w).items()}
     return coll.ExtTable(len(spec.labels), spec.space.dimension(), dims)
 
 
@@ -231,17 +237,23 @@ def grassmannian_pairs(draw):
 def test_closed_form_matches_walk_on_extended_pairs(case):
     d, n, v, w = case
     labels = ((v,), (w,)) if v != w else ((v,),)
-    walk = coll.schur_pair_ext
-    walked = []
+    chain = coll._chain
+    chained = []
+
+    def counted(ranked, src, tgt):
+        chained.append(src + tgt)
+        return chain(ranked, src, tgt)
+
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(coll, "schur_pair_ext", lambda *args: walked.append(args[2:]) or walk(*args))
+        patch.setattr(coll, "_chain", counted)
         table = coll.ext_table(coll.CollectionSpec(bwb.grassmannian(d, n), labels))
-    # one engine per pair: exactly the out-of-bound pairs walk
+    # one engine per pair: exactly the out-of-bound pairs take the chain
     pairs = [(a, b) for (a,) in labels for (b,) in labels]
-    assert walked == [(a, b) for a, b in pairs if out_of_bound(d, n, a, b)]
+    assert chained == [(a, b) for a, b in pairs if out_of_bound(d, n, a, b)]
     for (i, (a,)), (j, (b,)) in iter_product(enumerate(labels), repeat=2):
-        expected = walk(d, n, a, b)
+        expected = absolute_pair_ext(d, n, a, b)
         assert {s: x for (p, q, s), x in table.dims.items() if (p, q) == (i, j)} == expected
+        assert coll.schur_pair_ext(d, n, a, b) == expected
         if not out_of_bound(d, n, a, b):
             assert set(expected) <= {0}, (a, b)  # the bound certifies Ext^(>0) = 0
 
@@ -262,26 +274,28 @@ def test_beilinson_range_keeps_higher_ext_witness():
 
 
 def test_one_weyl_walk_per_distinct_weight(monkeypatch):
-    # in-box pairs take the closed form, so the walks come from out-of-bound pairs
+    # in-box pairs take the closed form, so the walks come from out-of-bound
+    # pairs: one relative walk per distinct split key ("split", delta, duals)
     spec = walk_routed_collection()
-    gammas = {
-        gamma
+    deltas = {
+        delta
         for (v,) in spec.labels
         for (w,) in spec.labels
         if out_of_bound(2, 5, v, w)
-        for gamma in product_expand([dual_weight(v), w], 2)
+        for delta in product_expand([v, dual_weight(w)], 2)
     }
     reference = unmemoized_ext_table(spec)
     walked = []
-    walk = bwb.flag_cohomology
+    walk = bwb.dotted_weyl
 
-    def counted(bundle):
-        walked.append(bundle.blocks)
-        return walk(bundle)
+    def counted(weight, rho):
+        walked.append(tuple(weight))
+        return walk(weight, rho)
 
-    monkeypatch.setattr(bwb, "flag_cohomology", counted)
+    monkeypatch.setattr(bwb, "dotted_weyl", counted)
     assert coll.ext_table(spec) == reference
-    assert len(walked) == len(set(walked)) == len(gammas)
+    assert len(walked) == len(set(walked)) == len(deltas)
+    assert set(walked) == {delta + (0, 0, 0) for delta in deltas}
     walked.clear()
     coll.ext_table(coll.kapranov_collection(2, 5))
     assert walked == []
@@ -291,22 +305,22 @@ def test_no_memo_survives_ext_table(monkeypatch):
     spec = walk_routed_collection()  # in-box pairs never walk, so none could raise
     coll.ext_table(spec)
     assert coll._build_memo.get(None) is None
-    walk = bwb.flag_cohomology
+    walk = bwb.dotted_weyl
     calls = []
 
-    def failing(bundle):
-        calls.append(bundle)
+    def failing(weight, rho):
+        calls.append(weight)
         if len(calls) > 3:
             raise ArithmeticError("walk failed")
-        return walk(bundle)
+        return walk(weight, rho)
 
-    monkeypatch.setattr(bwb, "flag_cohomology", failing)
+    monkeypatch.setattr(bwb, "dotted_weyl", failing)
     with pytest.raises(ArithmeticError):
         coll.ext_table(spec)
     assert coll._build_memo.get(None) is None
     # outside a table build every call walks afresh
     calls.clear()
-    monkeypatch.setattr(bwb, "flag_cohomology", lambda bundle: calls.append(bundle) or walk(bundle))
+    monkeypatch.setattr(bwb, "dotted_weyl", lambda weight, rho: calls.append(weight) or walk(weight, rho))
     first = coll.schur_pair_ext(2, 4, (1,), (1,))
     walks = len(calls)
     assert coll.schur_pair_ext(2, 4, (1,), (1,)) == first
@@ -315,33 +329,38 @@ def test_no_memo_survives_ext_table(monkeypatch):
 
 
 def reference_chain(ranked, src, tgt):
-    """The stage chain of one pair, unmemoized: every item of every stage re-expanded."""
-    items = [(None, 0, 1)]
+    """The stage chain of one pair, unmemoized: every item of every stage re-expanded.
+
+    Returns {(Ext degree, root degree): multiplicity}.  Each weight delta on a
+    stage is pushed down by the relative walk of (delta, 0^(rank - l)).
+    """
+    items = [(None, 0, 0, 1)]
     for k in range(len(ranked) - 1, -1, -1):
         st, rank = ranked[k]
         lam, mu = as_weight(src[k], st.l), as_weight(tgt[k], st.l)
+        rho = tuple(range(rank - 1, -1, -1))
         next_items = []
-        for gamma, deg, mult in items:
+        for gamma, s, deg, mult in items:
             factors = [lam, dual_weight(mu)]
             if gamma is not None:
                 factors.insert(0, as_weight(gamma, st.l))
             for delta, c in product_expand(factors, st.l).items():
-                if delta[-1] < -(rank - st.l):
-                    raise ValueError(f"stage {k}: weight {delta} outside the pushforward model")
-                if delta[-1] < 0:
+                walked = bwb.dotted_weyl(delta + (0,) * (rank - st.l), rho)
+                if walked is None:
                     continue
+                inversions, dom = walked
                 if not st.taut:
                     duals = tuple(-d for d in st.split_degrees)
-                    for w, cc in split_bundle_expand(delta, duals).items():
-                        next_items.append((None, deg + w, mult * c * cc))
+                    for w, cc in split_bundle_expand(dom, duals).items():
+                        next_items.append((None, s + inversions, deg + w, mult * c * cc))
                 else:
-                    next_items.append((normalize(delta), deg, mult * c))
+                    next_items.append((dom, s + inversions, deg, mult * c))
         items = next_items
     out = {}
-    for gamma, deg, mult in items:
+    for gamma, s, deg, mult in items:
         if gamma is not None:
             raise ArithmeticError(f"weight {gamma} was never pushed down to the root")
-        out[deg] = out.get(deg, 0) + mult
+        out[(s, deg)] = out.get((s, deg), 0) + mult
     return dict(sorted(out.items()))
 
 
@@ -383,17 +402,19 @@ def reference_candidate_ext_table(plan):
     dims = {}
     for ia, A in enumerate(summands):
         for ib, B in enumerate(summands):
-            counter = {0: 1}
+            counter = {(0, 0): 1}
             for table, ranked, ks in segments:
                 if table is not None:
-                    part = table.pushforward(B[top - ks[0]], A[top - ks[0]])
+                    part = {(0, deg): m
+                            for deg, m in table.pushforward(B[top - ks[0]], A[top - ks[0]]).items()}
                 else:
                     part = reference_chain(ranked, tuple(A[top - k] for k in ks),
                                            tuple(B[top - k] for k in ks))
                 convolved = {}
-                for da, ma in counter.items():
-                    for db, mb in part.items():
-                        convolved[da + db] = convolved.get(da + db, 0) + ma * mb
+                for (sa, da), ma in counter.items():
+                    for (sb, db), mb in part.items():
+                        key = (sa + sb, da + db)
+                        convolved[key] = convolved.get(key, 0) + ma * mb
                 counter = convolved
             if not counter:
                 continue
@@ -401,10 +422,11 @@ def reference_candidate_ext_table(plan):
             for k, (fiber, twist) in enumerate(layers):
                 objs = objects[k]
                 shift += twist * (objs.index(B[top - k]) - objs.index(A[top - k]))
-            for deg, mult in counter.items():
+            for (s, deg), mult in counter.items():
                 res = bwb.pn_line_cohomology(shift + deg, root.dim)
                 if res is not None:
-                    dims[(ia, ib, res.degree)] = dims.get((ia, ib, res.degree), 0) + mult * res.dimension
+                    key = (ia, ib, s + res.degree)
+                    dims[key] = dims.get(key, 0) + mult * res.dimension
     return coll.ExtTable(len(summands), dim, dims)
 
 
@@ -435,7 +457,10 @@ def test_memoized_chain_matches_reference_per_pair(monkeypatch, n, steps):
                 assert coll._chain(segment, li, lj) == expected[i, j], (li, lj)
         # one expansion per distinct stage input, shared by every pair
         assert len(expansions) == len(transfer_keys()) < len(labels) ** 2
-    dims = {(i, j, 0): sum(degs.values()) for (i, j), degs in expected.items() if degs}
+    dims = {}
+    for (i, j), degs in expected.items():
+        for (s, _deg), mult in degs.items():
+            dims[(i, j, s)] = dims.get((i, j, s), 0) + mult
     assert coll.ext_table(spec) == coll.ExtTable(len(labels), spec.space.dimension(), dims)
 
 
@@ -484,6 +509,19 @@ def test_candidate_table_expands_each_transfer_once(monkeypatch):
     assert len(expansions) == len(built[0]) < len(plan.summands()) ** 2
 
 
+def test_twist_search_expands_each_transfer_once(monkeypatch):
+    # transfers do not depend on the twist, so the twists tried share one memo
+    fiber = fib.GrassFiber(2, (0, 1, 2, 3))
+    expansions = count_calls(monkeypatch, "product_expand")
+    fib.candidate_ext_table(fib.FibrationPlan(fib.BaseModel(1), fiber, 0))
+    assert len(expansions) == 36
+    expansions.clear()
+    plan = fib.twist_search(fib.BaseModel(1), fiber, 8)
+    assert plan.verified and plan.twist == 3
+    assert len(expansions) == 36
+    assert coll._build_memo.get(None) is None
+
+
 def test_flag_table_splits_each_delta_once(monkeypatch):
     # split-stage transfers share their deltas: one expansion per distinct argument
     spec = coll.flag_collection(bwb.FlagSpace(6, (1, 3, 5)))
@@ -493,24 +531,35 @@ def test_flag_table_splits_each_delta_once(monkeypatch):
     assert len(splits) == len(set(splits)) == 84
 
 
-def test_chain_keeps_pushforward_model_error():
-    stages = (coll.GrassFiber(1, (0, 0)),)
-    message = r"^stage 0: weight \(-5,\) outside the pushforward model$"
-    with pytest.raises(ValueError, match=message):
-        reference_chain(((stages[0], 2),), ((0,),), ((5,),))
-    with pytest.raises(ValueError, match=message):
-        coll.tower_hom_degrees(stages, ((0,),), ((5,),))
-    with pytest.raises(ValueError, match=message), coll._build_scope():
-        coll.tower_hom_degrees(stages, ((0,),), ((5,),))
+def test_chain_reports_higher_direct_images():
+    # Grass(2, 4) over a point: weights below -(rank - l) push down in the
+    # degree and to the dominant weight of their walk, as the absolute walk has it
+    stages = (coll.GrassFiber(2, (0, 0, 0, 0)),)
+    assert absolute_pair_ext(2, 4, (0, 0), (3, 0)) == {2: 4}
+    assert absolute_pair_ext(2, 4, (0, 0), (3, 3)) == {}
+    for build in (nullcontext, coll._build_scope):
+        with build():
+            assert coll.tower_hom_degrees(stages, ((0, 0),), ((3, 0),)) == {(2, 0): 4}
+            assert coll.tower_hom_degrees(stages, ((0, 0),), ((3, 3),)) == {}
+    # H^1(P^1, O(-5)) = k^4 over the root of a split stage
+    assert reference_chain(((coll.GrassFiber(1, (0, 0)), 2),), ((0,),), ((5,),)) == {(1, 0): 4}
 
 
 def test_failing_transfer_is_not_cached(monkeypatch):
     stages = (coll.GrassFiber(1, (0, 0)),)
+    expand = coll.product_expand
+
+    def failing(factors, rank):
+        raise ArithmeticError("expansion failed")
+
     with coll._build_scope():
+        monkeypatch.setattr(coll, "product_expand", failing)
         for _ in range(2):
-            with pytest.raises(ValueError, match="outside the pushforward model"):
+            with pytest.raises(ArithmeticError):
                 coll.tower_hom_degrees(stages, ((0,),), ((5,),))
         assert transfer_keys() == []
+        monkeypatch.setattr(coll, "product_expand", expand)
+        assert coll.tower_hom_degrees(stages, ((0,),), ((5,),)) == {(1, 0): 4}
     # a transfer that raises halfway through its split-stage expansions
     segment = reference_flag_segment(4, (1, 2))
     stages = tuple(st for st, _rank in segment)
@@ -529,7 +578,7 @@ def test_failing_transfer_is_not_cached(monkeypatch):
         monkeypatch.setattr(coll, "split_bundle_expand", failing_once)
         with pytest.raises(ArithmeticError):
             coll.tower_hom_degrees(stages, src, tgt)
-        assert all(key[1] != 0 for key in transfer_keys())
+        assert all(key[1] != stages[0] for key in transfer_keys())
         assert coll.tower_hom_degrees(stages, src, tgt) == expected
 
 
@@ -579,6 +628,49 @@ def test_no_memo_survives_chain_tables(monkeypatch):
 def test_schur_pair_ext_rejects_bad_weights(d, v, w):
     with pytest.raises(ValueError):
         coll.schur_pair_ext(d, 5, v, w)
+
+
+def det_hom_bundle(space, src, tgt):
+    """Hom(src, tgt) for labels whose stage weights are constant, as one line bundle.
+
+    Stage k carries det(R_k)^c, and det R_k = det D_1 (x) ... (x) det D_k,
+    so the block of D_i^dual is the sum over k >= i of (src_k - tgt_k).
+    """
+    diffs = [a[0] - b[0] for a, b in zip(src, tgt)]
+    *blocks, last = space.block_lengths
+    return bwb.HomogeneousBundle(
+        space, tuple((sum(diffs[i:]),) * size for i, size in enumerate(blocks)) + ((0,) * last,))
+
+
+def test_flag_collection_with_out_of_box_label_fails():
+    # negative control: ((-1,), (-1, -1)) lies outside the stage boxes of Flag(1, 2; 3)
+    space = bwb.FlagSpace(3, (1, 2))
+    labels = coll.flag_collection(space).labels + (((-1,), (-1, -1)),)
+    report = coll.verify_tilting(coll.CollectionSpec(space, labels))
+    assert not report.passed
+    assert report.higher_ext_witness == (6, 0, 3, 1)
+    # Ext^3(E_6, E_0) = H^3(R_1^2 (x) det R_2^2), by the absolute walk
+    res = bwb.flag_cohomology(det_hom_bundle(space, labels[6], labels[0]))
+    assert (res.degree, res.dimension) == (3, 1)
+
+
+def test_chain_matches_flag_cohomology_on_det_power_labels():
+    # an independent check of the flag chain in every degree: with constant
+    # stage weights, Hom is a line bundle the multi-block walk computes whole
+    rng = random.Random(20151018)
+    higher = 0
+    for n, steps in [(3, (1, 2)), (4, (1, 3)), (5, (2, 3)), (4, (1, 2, 3))]:
+        space = bwb.FlagSpace(n, steps)
+        for _ in range(40):
+            src, tgt = (tuple((rng.randint(-4, 4),) * l for l in steps) for _ in range(2))
+            labels = (src, tgt) if src != tgt else (src,)
+            table = coll.ext_table(coll.CollectionSpec(space, labels))
+            for (i, a), (j, b) in iter_product(enumerate(labels), repeat=2):
+                res = bwb.flag_cohomology(det_hom_bundle(space, a, b))
+                expected = {} if res is None else {res.degree: res.dimension}
+                assert {s: x for (p, q, s), x in table.dims.items() if (p, q) == (i, j)} == expected
+                higher += bool(res is not None and res.degree > 0)
+    assert higher > 0
 
 
 def test_beilinson_p3_end_dimension():

@@ -10,7 +10,7 @@ DATA = resources.files("tiltcheck") / "data"
 
 
 def pushforward(fiber, j, i):
-    """Root degrees of the direct image of Hom(E_i, E_j) along one split stage."""
+    """{(Ext degree, root degree): mult} of the direct image of Hom(E_i, E_j) along one split stage."""
     objs = fiber.objects(len(fiber.split_degrees))
     return coll.tower_hom_degrees((fiber,), (objs[i],), (objs[j],))
 
@@ -35,9 +35,9 @@ def test_grassfiber_objects_order():
 
 def test_relative_pushforward_examples():
     fiber = fib.GrassFiber(1, (0, 1))
-    assert pushforward(fiber, 1, 0) == {-1: 1, 0: 1}
-    assert pushforward(fiber, 0, 0) == {0: 1}
-    assert pushforward(fiber, 1, 1) == {0: 1}
+    assert pushforward(fiber, 1, 0) == {(0, -1): 1, (0, 0): 1}
+    assert pushforward(fiber, 0, 0) == {(0, 0): 1}
+    assert pushforward(fiber, 1, 1) == {(0, 0): 1}
     assert pushforward(fiber, 0, 1) == {}
 
 
@@ -75,13 +75,13 @@ def test_twist_monotonicity():
 
 
 def test_pushforward_shape_conformance():
-    # degree-zero support only is structural; check the order shape: nothing
-    # backward, trivial diagonal, for a few split fibers
+    # the order shape of in-box fiber objects: nothing backward in any Ext
+    # degree, trivial diagonal, for a few split fibers
     for l, degrees in [(1, (0, 1, 2)), (2, (0, 1, -1)), (2, (0, 0, 0, 0))]:
         fiber = fib.GrassFiber(l, degrees)
         objs = fiber.objects(len(degrees))
         for i in range(len(objs)):
-            assert pushforward(fiber, i, i) == {0: 1}
+            assert pushforward(fiber, i, i) == {(0, 0): 1}
             for j in range(i):
                 assert pushforward(fiber, j, i) == {}, (l, degrees, i, j)
 
@@ -198,8 +198,8 @@ def test_table_fiber_validation():
 def test_table_fiber_matches_grass_fiber():
     grass = fib.GrassFiber(1, (0, 1))
     records = {(0, 0, 0, 0): 1, (1, 1, 0, 0): 1}
-    for deg, mult in pushforward(grass, 1, 0).items():
-        records[(1, 0, 0, deg)] = mult
+    for (s, deg), mult in pushforward(grass, 1, 0).items():
+        records[(1, 0, s, deg)] = mult
     table_fiber = fib.TableFiber(("R", "O"), records)
     base = fib.BaseModel(1)
     for m in (0, 1, 2):

@@ -97,3 +97,31 @@ def test_benchmark_names_resolve():
     for qualname in spans.SPANNED + spans.COUNTED + spans.OBSERVED:
         owner, attr = spans._resolve(qualname)
         assert callable(getattr(owner, attr)), qualname
+
+
+FAILING_PROPERTY = '''
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_fails(x):
+    assert x < 5
+
+
+def test_passes():
+    pass
+'''
+
+
+def test_failing_property_is_reported_under_the_warning_filters(tmp_path):
+    # a failing property makes hypothesis import libcst, whose import warns;
+    # under the project's filters that must stay a test failure, not a crash
+    (tmp_path / "test_probe.py").write_text(FAILING_PROPERTY, encoding="utf-8")
+    config = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", str(config),
+         "--rootdir", str(tmp_path), "test_probe.py"],
+        cwd=tmp_path, capture_output=True, text=True, check=False)
+    assert "INTERNALERROR" not in run.stdout + run.stderr
+    assert "1 failed, 1 passed" in run.stdout
+    assert run.returncode == 1

@@ -212,8 +212,7 @@ def test_skew_dimension_matches_lr_sum(n):
 # Hom expansions
 
 def hom_expand(a, b, rank):
-    """S^(-a) (x) S^b, the Hom of S^a(F), S^b(F) for F of rank `rank`, as
-    `collections.schur_pair_ext` expands it."""
+    """S^(-a) (x) S^b, the Hom of S^a(F), S^b(F) for F of rank `rank`."""
     return product_expand([dual_weight(as_weight(a, rank)), b], rank)
 
 
