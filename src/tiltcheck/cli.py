@@ -215,15 +215,17 @@ def _cmd_descent(args, pretty):
             payload = json.load(fh)
         stages = []
         for st in payload["stages"]:
+            alg = st["algebra"]
             algebra = descent.CSAClass(
-                int(st["algebra"]["degree"]),
-                int(st["algebra"]["period"]),
-                tuple(st["algebra"]["indices"]) if "indices" in st["algebra"] else None,
+                partitions.json_int(alg["degree"], "algebra degree"),
+                partitions.json_int(alg["period"], "algebra period"),
+                tuple(partitions.json_int(x, "algebra index") for x in alg["indices"])
+                if "indices" in alg else None,
             )
             if st["kind"] == "bs":
                 stages.append(("bs", algebra))
             elif st["kind"] == "gbs":
-                stages.append(("gbs", algebra, int(st["params"]["d"])))
+                stages.append(("gbs", algebra, partitions.json_int(st["params"]["d"], "gbs d")))
             else:
                 raise ValueError(f"unknown tower stage kind {st['kind']!r}")
         summary = descent.twisted_tower_summary(stages)

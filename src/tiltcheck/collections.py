@@ -32,13 +32,14 @@ function, `segment_stages`, that gives every stage its ambient rank: a flag
 space is a single segment of stages over a point, and a plan stacks segments
 and fiber tables over its root (see `fibration`).
 
-A table build (`ext_table` here, `fibration.candidate_ext_table` for
-candidate bundles) validates its stages and pads its labels once, then opens
-a build memo shared by its chain pairs: one stage transfer per distinct
-(stage, incoming weight, source and target stage weights), and one walk and
-line-bundle expansion per distinct weight a split stage pushes down.  A
-pair's chain folds the cached transfers.  The memo is dropped when the
-outermost build returns or raises; outside a build every call computes afresh.
+Every table, a collection's (`ext_table`) or a candidate bundle's
+(`fibration.candidate_ext_table`), is one pair loop, `_chain_table`, over
+root-first labels; a fiber table is one more chain stage.  The loop opens a
+build memo shared by its chain pairs: one stage transfer per distinct (stage,
+incoming weight, source and target stage weights), and one walk and
+line-bundle expansion per distinct weight a split stage pushes down.  The
+memo is dropped when the outermost build returns or raises; outside a build
+every call computes afresh.
 """
 
 from __future__ import annotations
@@ -187,10 +188,14 @@ def _transfer(st, rank, gamma, lam, mu):
     """One stage of the chain: (gamma', Ext degree, root degree shift, multiplicity) terms.
 
     gamma' is the full-length weight handed to the stage below (taut stage)
-    or None with a root line-bundle degree shift (split stage).  Within a
-    build, each distinct input and split-stage delta is pushed down once;
-    failures are not stored.
+    or None with a root line-bundle degree shift (split stage, fiber table).
+    Within a build, each distinct input and split-stage delta is pushed down
+    once; failures are not stored.  A fiber table (rank None) holds a dict,
+    which cannot key the memo, so its records, all in Ext degree 0, are read
+    afresh.
     """
+    if rank is None:
+        return tuple((None, 0, deg, m) for deg, m in st.pushforward(mu, lam).items())
     memo = _build_memo.get({})
     key = ("transfer", st, rank, gamma, lam, mu)
     terms = memo.get(key)
@@ -307,9 +312,6 @@ class ExtTable:
             if s > 0 and v:
                 yield (i, j, s), v
 
-    def euler(self, i: int, j: int) -> int:
-        return sum((-1) ** s * self.get(i, j, s) for s in range(self.max_degree + 1))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExtTable):
             return NotImplemented
@@ -338,19 +340,18 @@ def schur_pair_ext(d: int, n: int, v, w) -> dict[int, int]:
     return {s: mult for (s, _deg), mult in chain.items()}
 
 
-def ext_table(spec: CollectionSpec) -> ExtTable:
-    """Every Ext^s between every ordered pair of the collection, exactly.
+def _chain_table(ranked, labels, root_dim: int, shifts) -> dict:
+    """{(i, j, s): dim Ext^s} for every ordered pair of root-first labels on `ranked`.
 
-    Labels are validated and padded once, root-first for the chain.  Each
-    pair goes to its engine (see the module docstring): the closed form for
-    in-bound Grassmannian pairs, the stage chain for every other pair.
+    A pair's chain meets the root: its root degree e adds the cohomology of
+    O(shifts[j] - shifts[i] + e) on P^root_dim to the chain's Ext degree.
     """
-    n = spec.space.n
-    segment = _flag_stages(spec.space)
-    labels = [tuple(as_weight(w, st.l) for w, (st, _rank) in zip(reversed(lab), segment))
-              for lab in spec.labels]
-    # in bound: a Grassmannian pair (v,), (w,) with v_d - w_1 >= -(n - d)
-    closed, bound = spec.space.is_grassmannian, spec.space.steps[0] - n
+    # one split stage over a point is Grass(l, n); in bound: v_l - w_1 >= l - n
+    closed = root_dim == 0 and len(ranked) == 1 and ranked[0][1] is not None
+    if closed:
+        [(st, n)] = ranked
+        bound = st.l - n
+    root: dict[int, Optional[bwb.CohomologyResult]] = {}
     dims: dict[tuple[int, int, int], int] = {}
     with _build_scope():
         for i, v in enumerate(labels):
@@ -359,10 +360,28 @@ def ext_table(spec: CollectionSpec) -> ExtTable:
                     if all(a >= b for a, b in zip(v[0], w[0])):
                         dims[(i, j, 0)] = _skew_dimension(v[0], w[0], n)
                     continue
-                # over a point every root degree is 0
-                for (s, _deg), mult in _chain(segment, v, w).items():
-                    dims[(i, j, s)] = mult
-    return ExtTable(len(labels), spec.space.dimension(), dims)
+                for (s, e), mult in _chain(ranked, v, w).items():
+                    e += shifts[j] - shifts[i]
+                    if e not in root:
+                        root[e] = bwb.pn_line_cohomology(e, root_dim)
+                    res = root[e]
+                    if res is not None:
+                        key = (i, j, s + res.degree)
+                        dims[key] = dims.get(key, 0) + mult * res.dimension
+    return dims
+
+
+def ext_table(spec: CollectionSpec) -> ExtTable:
+    """Every Ext^s between every ordered pair of the collection, exactly.
+
+    Labels are validated and padded once, root-first; the space is its flag
+    stages over a point.
+    """
+    ranked = _flag_stages(spec.space)
+    labels = [tuple(as_weight(w, st.l) for w, (st, _rank) in zip(reversed(lab), ranked))
+              for lab in spec.labels]
+    return ExtTable(len(labels), spec.space.dimension(),
+                    _chain_table(ranked, labels, 0, [0] * len(labels)))
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,8 @@ from itertools import product as iter_product
 from typing import Optional, Union
 
 from .bwb import pn_line_cohomology
-from .collections import ExtTable, GrassFiber, _build_scope, _chain, segment_stages
+from .collections import ExtTable, GrassFiber, _build_scope, _chain_table, segment_stages
+from .partitions import json_int
 
 
 @dataclass(frozen=True)
@@ -152,66 +153,23 @@ class FibrationPlan:
         return dim
 
 
-def _convolve(a: dict, b: dict) -> dict:
-    """Product of two {(Ext degree, root degree): multiplicity} counters."""
-    out: dict[tuple[int, int], int] = {}
-    for (sa, da), ma in a.items():
-        for (sb, db), mb in b.items():
-            key = (sa + sb, da + db)
-            out[key] = out.get(key, 0) + ma * mb
-    return out
-
-
 def candidate_ext_table(plan: FibrationPlan) -> ExtTable:
     """Full Ext table of the candidate bundle, exact integers.
 
-    Per summand pair, every fiber layer is pushed down: Grass segments through
-    the weight chain, table layers through their records (all in Ext degree
-    0); each surviving (Ext degree s, base degree) meets the root pair and its
-    twist shift in the root cohomology, whose degree adds to s.  Stages,
-    layer objects and twist offsets are set up once per table, and the pairs
-    share one build memo of stage transfers.
+    The layers are one root-first chain of stages over the root.  A summand
+    carries the root shift of its base degree plus, per layer, the twist
+    times its object's position there.
     """
-    root = plan.root
     layers = plan.layers()
-    top = len(layers) - 1
-    # summand component for bottom-first layer k sits at position top - k;
-    # segments: (table fiber, position) or (Grass segment, positions)
-    segments = []
-    positions = []
-    for segment in segment_stages(fiber for fiber, _twist in layers):
-        at = tuple(range(top - len(positions), top - len(positions) - len(segment), -1))
-        positions += [{obj: p for p, obj in enumerate(fiber.objects(rank))}
-                      for fiber, rank in segment]
-        fiber, rank = segment[0]
-        segments.append((fiber, at[0]) if rank is None else (segment, at))
+    ranked = [pair for segment in segment_stages(f for f, _twist in layers) for pair in segment]
+    positions = [{obj: p for p, obj in enumerate(fiber.objects(rank))} for fiber, rank in ranked]
     summands = plan.summands()
-    # the twist shift of a pair (A, B) is offsets[B] - offsets[A]
-    offsets = [sum(twist * positions[k][A[top - k]]
-                   for k, (_fiber, twist) in enumerate(layers))
-               for A in summands]
-    dims: dict[tuple[int, int, int], int] = {}
-    with _build_scope():
-        for ia, A in enumerate(summands):
-            for ib, B in enumerate(summands):
-                counter: dict[tuple[int, int], int] = {(0, 0): 1}
-                for head, at in segments:
-                    if isinstance(head, TableFiber):
-                        part = {(0, deg): m for deg, m in head.pushforward(B[at], A[at]).items()}
-                    else:
-                        # layer objects come padded from GrassFiber.objects
-                        part = _chain(head, tuple(A[p] for p in at), tuple(B[p] for p in at))
-                    if not part:
-                        break
-                    counter = _convolve(counter, part)
-                else:
-                    base_shift = B[-1] - A[-1] + offsets[ib] - offsets[ia]
-                    for (s, deg), mult in counter.items():
-                        res = pn_line_cohomology(base_shift + deg, root.dim)
-                        if res is not None:
-                            key = (ia, ib, s + res.degree)
-                            dims[key] = dims.get(key, 0) + mult * res.dimension
-    return ExtTable(len(summands), plan.total_dimension(), dims)
+    # a summand lists the top fiber object first and the root degree last
+    labels = [A[-2::-1] for A in summands]
+    shifts = [A[-1] + sum(twist * positions[k][lab[k]] for k, (_fiber, twist) in enumerate(layers))
+              for A, lab in zip(summands, labels)]
+    return ExtTable(len(labels), plan.total_dimension(),
+                    _chain_table(ranked, labels, plan.root.dim, shifts))
 
 
 def verify_plan(plan: FibrationPlan) -> FibrationPlan:
@@ -278,10 +236,11 @@ def parse_fiber_table(text: str) -> TableFiber:
     labels = tuple(str(x) for x in payload["objects"])
     records: dict[tuple[int, int, int, int], int] = {}
     for rec in payload["pushforwards"]:
-        key = (int(rec["j"]), int(rec["i"]), int(rec["s"]), int(rec["base_degree"]))
+        key = tuple(json_int(rec[name], f"record {name}")
+                    for name in ("j", "i", "s", "base_degree"))
         if key in records:
             raise ValueError(f"duplicate pushforward record {key}")
-        records[key] = int(rec["multiplicity"])
+        records[key] = json_int(rec["multiplicity"], "record multiplicity")
     return TableFiber(labels, records)
 
 
@@ -298,27 +257,32 @@ def parse_plan(payload: dict, plan_dir: str = ""):
     {"kind": "grass-taut", "l": int} for tautological stages, or
     {"kind": "table", "path": "..."} for fiber tables.  A relative table path
     is read from `plan_dir`, the directory of the plan file; an absolute one
-    as it stands.
+    as it stands.  Every number is a JSON integer.
     """
+    if not isinstance(payload, dict):
+        raise ValueError("a plan must be a JSON object")
     root_spec = payload.get("root", {"kind": "point"})
+    if not isinstance(root_spec, dict):
+        raise ValueError("a plan root must be a JSON object")
     kind = root_spec.get("kind", "pn")
     if kind == "point":
         root = point_base()
     elif kind == "pn":
-        degrees = tuple(root_spec.get("degrees", ())) or ()
-        root = BaseModel(int(root_spec["dim"]), degrees)
+        degrees = tuple(json_int(d, "root degree") for d in root_spec.get("degrees", ()))
+        root = BaseModel(json_int(root_spec["dim"], "root dim"), degrees)
     else:
         raise ValueError(f"unknown root kind {kind!r}")
     stages = []
     for st in payload.get("stages", ()):
         skind = st["kind"]
         if skind == "grass":
-            stages.append(GrassFiber(int(st["l"]), tuple(int(d) for d in st["degrees"])))
+            stages.append(GrassFiber(json_int(st["l"], "stage l"),
+                                     tuple(json_int(d, "stage degree") for d in st["degrees"])))
         elif skind == "grass-taut":
-            stages.append(GrassFiber(int(st["l"]), taut=True))
+            stages.append(GrassFiber(json_int(st["l"], "stage l"), taut=True))
         elif skind == "table":
             stages.append(load_fiber_table(os.path.join(plan_dir, st["path"])))
         else:
             raise ValueError(f"unknown stage kind {skind!r}")
-    cap = int(payload.get("cap", 8))
+    cap = json_int(payload.get("cap", 8), "cap")
     return root, stages, cap

@@ -22,6 +22,13 @@ def normalize(parts) -> tuple[int, ...]:
     return p
 
 
+def json_int(value, what: str) -> int:
+    """`value` if it is a JSON integer: a float, boolean or string is refused."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def conjugate(p) -> tuple[int, ...]:
     """Transpose of the Young diagram."""
     p = normalize(p)

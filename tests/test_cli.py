@@ -137,6 +137,67 @@ def test_plan_table_path_relative_to_plan_file(capsys, tmp_path, monkeypatch):
         assert report["result"]["summand_count"] == "4"
 
 
+GRASS_STAGE = {"kind": "grass", "l": 1, "degrees": [0, 1]}
+PN_ROOT = {"kind": "pn", "dim": 1}
+
+
+def conic_table_with(**changes):
+    """The shipped conic fiber table with its first record changed."""
+    table = json.loads((resources.files("tiltcheck") / "data" / "conic_fiber.json")
+                       .read_text(encoding="utf-8"))
+    table["pushforwards"][0].update(changes)
+    return table
+
+
+@pytest.mark.parametrize(
+    "plan, table",
+    [
+        ([], None),
+        ({"root": [1]}, None),
+        ({"root": PN_ROOT, "stages": [{**GRASS_STAGE, "degrees": [0, 1.7]}]}, None),
+        ({"root": {**PN_ROOT, "dim": 1.9}, "stages": [GRASS_STAGE]}, None),
+        ({"root": {**PN_ROOT, "degrees": [0, 1.5]}, "stages": [GRASS_STAGE]}, None),
+        ({"root": PN_ROOT, "stages": [{**GRASS_STAGE, "l": True}]}, None),
+        ({"root": PN_ROOT, "stages": [GRASS_STAGE], "cap": "4"}, None),
+        ({"root": PN_ROOT, "stages": [{"kind": "table", "path": "table.json"}]},
+         conic_table_with(multiplicity=1.0)),
+        ({"root": PN_ROOT, "stages": [{"kind": "table", "path": "table.json"}]},
+         conic_table_with(base_degree="0")),
+    ],
+    ids=["list", "root-list", "stage-degree-float", "root-dim-float", "root-degree-float",
+         "stage-l-bool", "cap-string", "table-multiplicity-float", "table-degree-string"],
+)
+def test_malformed_plan_file_exits_2(capsys, tmp_path, plan, table):
+    if table is not None:
+        (tmp_path / "table.json").write_text(json.dumps(table))
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(plan))
+    for mode in ("search", "plan"):
+        assert cli.run(["fibration", mode, "--plan", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("tiltcheck: invalid input: ")
+
+
+@pytest.mark.parametrize(
+    "stage",
+    [
+        {"algebra": {"degree": 4.9, "period": 2}, "kind": "bs"},
+        {"algebra": {"degree": 4, "period": 2}, "kind": "gbs", "params": {"d": 2.2}},
+        {"algebra": {"degree": 4, "period": True}, "kind": "bs"},
+        {"algebra": {"degree": 4, "period": 2, "indices": [1, "2"]}, "kind": "bs"},
+    ],
+    ids=["degree-float", "d-float", "period-bool", "index-string"],
+)
+def test_malformed_tower_file_exits_2(capsys, tmp_path, stage):
+    path = tmp_path / "tower.json"
+    path.write_text(json.dumps({"stages": [stage]}))
+    assert cli.run(["descent", "tower", "--plan", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("tiltcheck: invalid input: ")
+
+
 def test_determinism_byte_identical(capsys):
     argv = ["verify", "kapranov", "--d", "2", "--n", "4"]
     cli.run(argv)
@@ -188,8 +249,11 @@ def test_engine_errors_exit_2(capsys, monkeypatch, error):
     [
         (["verify", "kapranov", "--d", "2", "--n", "4"], 0),
         (["verify", "beilinson", "--n", "2", "--degrees", "0,1,2,3"], 1),
+        (["verify", "flag", "--steps", "1,2", "--n", "3"], 0),
+        (["fibration", "search", "--plan",
+          str(resources.files("tiltcheck") / "data" / "hirzebruch_plan.json")], 0),
     ],
-    ids=["kapranov", "beilinson"],
+    ids=["kapranov", "beilinson", "flag", "fibration"],
 )
 def test_optimized_interpreter_same_reports(argv, code):
     # python -O strips assert statements; the integrity checks must not be asserts

@@ -100,7 +100,7 @@ def test_euler_consistency_with_localization():
     table = coll.ext_table(spec)
     for i, li in enumerate(spec.labels):
         for j, lj in enumerate(spec.labels):
-            chi = table.euler(i, j)
+            chi = sum((-1) ** s * table.get(i, j, s) for s in range(table.max_degree + 1))
             assert chi == bwb.localization_euler(normalize(li[0]), normalize(lj[0]), 2, 4)
 
 
@@ -185,7 +185,8 @@ def test_memoized_table_euler_matches_localization(d, n):
     table = coll.ext_table(spec)
     for i, (a,) in enumerate(spec.labels):
         for j, (b,) in enumerate(spec.labels):
-            assert table.euler(i, j) == bwb.localization_euler(a, b, d, n), (a, b)
+            chi = sum((-1) ** s * table.get(i, j, s) for s in range(table.max_degree + 1))
+            assert chi == bwb.localization_euler(a, b, d, n), (a, b)
 
 
 @pytest.mark.parametrize(
@@ -465,7 +466,7 @@ def test_memoized_chain_matches_reference_per_pair(monkeypatch, n, steps):
 
 
 def plan_twists():
-    """The shipped plans and three mixed plans, at every twist up to their cap."""
+    """The shipped plans and five mixed plans, at every twist up to their cap."""
     plans = []
     for name in ("hirzebruch_plan.json", "flag_1_2_3_plan.json", "sp4_borel_split_plan.json"):
         payload = json.loads((DATA / name).read_text(encoding="utf-8"))
@@ -473,6 +474,10 @@ def plan_twists():
     conic = fib.parse_fiber_table((DATA / "conic_fiber.json").read_text(encoding="utf-8"))
     plans.append(("conic", fib.BaseModel(1), [conic], 3))
     plans.append(("grass-conic", fib.BaseModel(1), [fib.GrassFiber(1, (0, 1)), conic], 3))
+    # a table stage below, and between, split Grass stages of the one chain
+    plans.append(("conic-grass", fib.BaseModel(1), [conic, fib.GrassFiber(1, (0, 1))], 2))
+    plans.append(("grass-conic-grass", fib.BaseModel(1),
+                  [fib.GrassFiber(1, (0, 1)), conic, fib.GrassFiber(1, (0, 2))], 1))
     # two split segments: stage 0 of each, with equal ranks and labels
     split_twice = [fib.GrassFiber(1, (0, 1)), fib.GrassFiber(1, (0, 2))]
     plans.append(("grass-grass", fib.BaseModel(1), split_twice, 2))
@@ -494,7 +499,7 @@ def test_candidate_table_expands_each_transfer_once(monkeypatch):
         json.loads((DATA / "flag_1_2_3_plan.json").read_text(encoding="utf-8")))
     plan = fib.FibrationPlan(fib.FibrationPlan(root, stages[0], 0), stages[1], 0)
     reference = reference_candidate_ext_table(plan)
-    scope = fib._build_scope
+    scope = coll._build_scope
     built = []
 
     @contextmanager
@@ -503,10 +508,19 @@ def test_candidate_table_expands_each_transfer_once(monkeypatch):
             yield
             built.append(transfer_keys())
 
-    monkeypatch.setattr(fib, "_build_scope", recording_scope)
+    monkeypatch.setattr(coll, "_build_scope", recording_scope)
     expansions = count_calls(monkeypatch, "product_expand")
     assert fib.candidate_ext_table(plan) == reference
     assert len(expansions) == len(built[0]) < len(plan.summands()) ** 2
+
+
+@pytest.mark.parametrize("d, n", [(2, 4), (2, 5), (3, 6)])
+def test_one_split_stage_over_a_point_is_the_kapranov_table(d, n):
+    # over a point the split degrees do not matter: every pair meets H^0 of a point
+    expected = coll.ext_table(coll.kapranov_collection(d, n))
+    for degrees in ((0,) * n, tuple(range(n)), (3,) + (0,) * (n - 1)):
+        plan = fib.FibrationPlan(fib.point_base(), fib.GrassFiber(d, degrees), 0)
+        assert fib.candidate_ext_table(plan) == expected, degrees
 
 
 def test_twist_search_expands_each_transfer_once(monkeypatch):
