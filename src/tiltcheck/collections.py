@@ -28,29 +28,26 @@ weights.
   (tautological stage).  So the chain reports every Ext degree.
 
 Flag tables and fibration plans share one stage model, `GrassFiber`, and one
-function, `segment_stages`, that gives every stage its ambient rank: a flag
-space is a single segment of stages over a point, and a plan stacks segments
-and fiber tables over its root (see `fibration`).
+function, `rank_stages`, that gives every stage its ambient rank: a flag
+space is a split stage and its tautological stages over a point, and a plan
+stacks such stages and fiber tables over its root (see `fibration`).
 
 Every table, a collection's (`ext_table`) or a candidate bundle's
 (`fibration.candidate_ext_table`), is one pair loop, `_chain_table`, over
-root-first labels; a fiber table is one more chain stage.  The loop opens a
-build memo shared by its chain pairs: one stage transfer per distinct (stage,
-incoming weight, source and target stage weights), and one walk and
-line-bundle expansion per distinct weight a split stage pushes down.  The
-memo is dropped when the outermost build returns or raises; outside a build
-every call computes afresh.
+root-first labels; a fiber table is one more chain stage.  Each table build
+owns one memo dict, passed down the chain of every pair: one stage transfer
+per distinct (stage, incoming weight, source and target stage weights), and
+one walk and line-bundle expansion per distinct weight a split stage pushes
+down.  The per-pair entry points start from an empty memo.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass, field
 from itertools import product as iter_product
 from typing import Optional
 
-from .partitions import enumerate_box_partitions
+from .partitions import enumerate_box_partitions, json_int
 from . import bwb
 from .schur import _skew_dimension, as_weight, dual_weight, product_expand, split_bundle_expand
 
@@ -76,10 +73,11 @@ class GrassFiber:
 
     def __post_init__(self):
         if self.split_degrees is not None:
-            object.__setattr__(self, "split_degrees", tuple(int(d) for d in self.split_degrees))
+            object.__setattr__(self, "split_degrees",
+                               tuple(json_int(d, "split degree") for d in self.split_degrees))
         if (self.split_degrees is None) == (not self.taut):
             raise ValueError("exactly one of split_degrees / taut must be given")
-        if self.l < 1:
+        if json_int(self.l, "l") < 1:
             raise ValueError("l must be positive")
 
     def objects(self, rank: int) -> tuple[tuple[int, ...], ...]:
@@ -88,46 +86,27 @@ class GrassFiber:
         return tuple(as_weight(lam, self.l) for lam in reversed(box.members))
 
 
-def segment_stages(stages) -> list[tuple]:
-    """Bottom-first segments of a bottom-first stage list, with ambient ranks.
+def rank_stages(stages) -> tuple:
+    """A bottom-first stage list as bottom-first (stage, ambient rank) pairs.
 
-    A segment is a tuple of (stage, rank) pairs: a split GrassFiber starts
-    one, with rank its degree count, and each taut GrassFiber joins the one
-    below it, with rank that stage's l.  Any other stage (a fiber table) is a
-    segment of its own, with rank None.
+    A split GrassFiber has rank its degree count, and a taut GrassFiber the l
+    of the Grass stage directly below it.  Any other stage (a fiber table)
+    has rank None.
     """
-    segments: list[tuple] = []
+    ranked: list[tuple] = []
     for k, st in enumerate(stages):
-        if not isinstance(st, GrassFiber):
-            segments.append(((st, None),))
-            continue
-        if not st.taut:
-            rank = len(st.split_degrees)
-            segments.append(())
-        elif segments and segments[-1][-1][1] is not None:
-            rank = segments[-1][-1][0].l
-        else:
-            raise ValueError("tautological stage requires a Grass stage directly below")
-        if st.l > rank:
-            raise ValueError(f"stage {k}: need 1 <= l <= rank, got l={st.l}, rank={rank}")
-        segments[-1] += ((st, rank),)
-    return segments
-
-
-# Work shared by the pairs of one table build: stage transfers ("transfer",
-# ...) and split-stage pushforwards ("split", delta, duals).  Unset outside a
-# build.
-_build_memo: ContextVar[dict] = ContextVar("build_memo")
-
-
-@contextmanager
-def _build_scope():
-    """Open a build memo for the enclosed table build, or join an open one."""
-    token = _build_memo.set(_build_memo.get({}))
-    try:
-        yield
-    finally:
-        _build_memo.reset(token)
+        rank = None
+        if isinstance(st, GrassFiber):
+            if not st.taut:
+                rank = len(st.split_degrees)
+            elif ranked and ranked[-1][1] is not None:
+                rank = ranked[-1][0].l
+            else:
+                raise ValueError("tautological stage requires a Grass stage directly below")
+            if st.l > rank:
+                raise ValueError(f"stage {k}: need 1 <= l <= rank, got l={st.l}, rank={rank}")
+        ranked.append((st, rank))
+    return tuple(ranked)
 
 
 def tower_hom_degrees(stages: tuple[GrassFiber, ...], src: Label, tgt: Label) -> dict:
@@ -138,19 +117,20 @@ def tower_hom_degrees(stages: tuple[GrassFiber, ...], src: Label, tgt: Label) ->
     walk (see the module docstring); an item (s, e) is a summand O(e) of the
     root in Ext degree s.
     """
-    ranked = tuple(pair for segment in segment_stages(stages) for pair in segment)
+    ranked = rank_stages(stages)
     if len(src) != len(stages) or len(tgt) != len(stages):
         raise ValueError("one weight per stage required")
     src = tuple(as_weight(w, st.l) for w, st in zip(src, stages))
     tgt = tuple(as_weight(w, st.l) for w, st in zip(tgt, stages))
-    return _chain(ranked, src, tgt)
+    return _chain(ranked, src, tgt, {})
 
 
-def _chain(ranked, src, tgt) -> dict:
+def _chain(ranked, src, tgt, memo: dict) -> dict:
     """`tower_hom_degrees` on (stage, rank) pairs and padded weights.
 
     Folds the per-stage transfers from the top stage down, merging equal
-    (gamma, Ext degree, root degree) items between stages.
+    (gamma, Ext degree, root degree) items between stages.  `memo` holds the
+    transfers of one table build (see `_transfer`).
     """
     # items: (gamma destined for the current stage or None, s, root degree) -> multiplicity
     items: dict[tuple[Optional[tuple[int, ...]], int, int], int] = {(None, 0, 0): 1}
@@ -158,7 +138,7 @@ def _chain(ranked, src, tgt) -> dict:
         st, rank = ranked[k]
         next_items: dict[tuple[Optional[tuple[int, ...]], int, int], int] = {}
         for (gamma, s, deg), mult in items.items():
-            for gamma_out, ds, shift, c in _transfer(st, rank, gamma, src[k], tgt[k]):
+            for gamma_out, ds, shift, c in _transfer(st, rank, gamma, src[k], tgt[k], memo):
                 key = (gamma_out, s + ds, deg + shift)
                 next_items[key] = next_items.get(key, 0) + mult * c
         items = next_items
@@ -184,19 +164,18 @@ def _push(delta, rank: int, duals) -> tuple:
     return tuple((None, s, deg, c) for deg, c in split_bundle_expand(dom, duals).items())
 
 
-def _transfer(st, rank, gamma, lam, mu):
+def _transfer(st, rank, gamma, lam, mu, memo: dict):
     """One stage of the chain: (gamma', Ext degree, root degree shift, multiplicity) terms.
 
     gamma' is the full-length weight handed to the stage below (taut stage)
     or None with a root line-bundle degree shift (split stage, fiber table).
-    Within a build, each distinct input and split-stage delta is pushed down
-    once; failures are not stored.  A fiber table (rank None) holds a dict,
-    which cannot key the memo, so its records, all in Ext degree 0, are read
-    afresh.
+    `memo` keeps each distinct input ("transfer", ...) and split-stage delta
+    ("split", delta, duals) pushed down once.  A fiber table (rank None) holds
+    a dict, which cannot key the memo, so its records, all in Ext degree 0,
+    are read afresh.
     """
     if rank is None:
         return tuple((None, 0, deg, m) for deg, m in st.pushforward(mu, lam).items())
-    memo = _build_memo.get({})
     key = ("transfer", st, rank, gamma, lam, mu)
     terms = memo.get(key)
     if terms is not None:
@@ -321,12 +300,11 @@ class ExtTable:
 
 
 def _flag_stages(space: bwb.FlagSpace) -> tuple:
-    """The flag space as one root-first segment of (stage, rank) pairs."""
+    """The flag space as root-first (stage, rank) pairs."""
     steps = space.steps
     stages = [GrassFiber(steps[-1], (0,) * space.n)]
     stages += [GrassFiber(l, taut=True) for l in reversed(steps[:-1])]
-    [segment] = segment_stages(stages)
-    return segment
+    return rank_stages(stages)
 
 
 def schur_pair_ext(d: int, n: int, v, w) -> dict[int, int]:
@@ -334,9 +312,9 @@ def schur_pair_ext(d: int, n: int, v, w) -> dict[int, int]:
 
     The stage chain of Grass(d, n), the single split stage (d, 0^n) over a
     point, where every root degree is 0: one relative walk per LR term of the
-    Hom bundle, shared by the pairs of one build.
+    Hom bundle, computed afresh on every call.
     """
-    chain = _chain(_flag_stages(bwb.grassmannian(d, n)), (as_weight(v, d),), (as_weight(w, d),))
+    chain = _chain(_flag_stages(bwb.grassmannian(d, n)), (as_weight(v, d),), (as_weight(w, d),), {})
     return {s: mult for (s, _deg), mult in chain.items()}
 
 
@@ -352,22 +330,22 @@ def _chain_table(ranked, labels, root_dim: int, shifts) -> dict:
         [(st, n)] = ranked
         bound = st.l - n
     root: dict[int, Optional[bwb.CohomologyResult]] = {}
+    memo: dict = {}
     dims: dict[tuple[int, int, int], int] = {}
-    with _build_scope():
-        for i, v in enumerate(labels):
-            for j, w in enumerate(labels):
-                if closed and v[0][-1] - w[0][0] >= bound:
-                    if all(a >= b for a, b in zip(v[0], w[0])):
-                        dims[(i, j, 0)] = _skew_dimension(v[0], w[0], n)
-                    continue
-                for (s, e), mult in _chain(ranked, v, w).items():
-                    e += shifts[j] - shifts[i]
-                    if e not in root:
-                        root[e] = bwb.pn_line_cohomology(e, root_dim)
-                    res = root[e]
-                    if res is not None:
-                        key = (i, j, s + res.degree)
-                        dims[key] = dims.get(key, 0) + mult * res.dimension
+    for i, v in enumerate(labels):
+        for j, w in enumerate(labels):
+            if closed and v[0][-1] - w[0][0] >= bound:
+                if all(a >= b for a, b in zip(v[0], w[0])):
+                    dims[(i, j, 0)] = _skew_dimension(v[0], w[0], n)
+                continue
+            for (s, e), mult in _chain(ranked, v, w, memo).items():
+                e += shifts[j] - shifts[i]
+                if e not in root:
+                    root[e] = bwb.pn_line_cohomology(e, root_dim)
+                res = root[e]
+                if res is not None:
+                    key = (i, j, s + res.degree)
+                    dims[key] = dims.get(key, 0) + mult * res.dimension
     return dims
 
 

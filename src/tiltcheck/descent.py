@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as iter_product
-from math import comb, gcd
+from math import comb, gcd, prod
 from typing import Optional
 
 from .partitions import conjugate, normalize
@@ -120,14 +120,7 @@ def descent_multiplicity(lam, n: int) -> int:
     Product of n * (conjugate part) over the nonzero conjugate parts; the
     empty product is 1.  Minimality is not claimed.
     """
-    return _prod(n * c for c in conjugate(lam) if c > 0)
-
-
-def _prod(it) -> int:
-    out = 1
-    for x in it:
-        out *= x
-    return out
+    return prod(n * c for c in conjugate(lam) if c > 0)
 
 
 def wedge_schur_multiplicities(conj_parts, d: int) -> dict[tuple[int, ...], int]:
@@ -236,7 +229,7 @@ def generalized_bs_summary(a: CSAClass, d: int) -> DescentSummary:
     for lam in box:
         conj = conjugate(lam)
         mults.append(descent_multiplicity(lam, n))
-        split_ranks.append(_prod(comb(d, c) for c in conj))
+        split_ranks.append(prod(comb(d, c) for c in conj))
     ranks = tuple(m * r for m, r in zip(mults, split_ranks))
     end_dim = sum(
         mults[i] * mults[j] * hom
@@ -281,14 +274,14 @@ def twisted_tower_summary(stages) -> DescentSummary:
         return summaries[0]
     labels = tuple(iter_product(*(s.summand_labels for s in summaries)))
     mults = tuple(
-        _prod(parts) for parts in iter_product(*(s.multiplicities for s in summaries))
+        prod(parts) for parts in iter_product(*(s.multiplicities for s in summaries))
     )
-    ranks = tuple(_prod(parts) for parts in iter_product(*(s.ranks for s in summaries)))
+    ranks = tuple(prod(parts) for parts in iter_product(*(s.ranks for s in summaries)))
     return DescentSummary(
         summand_labels=labels,
         multiplicities=mults,
         ranks=ranks,
-        total_rank=_prod(s.total_rank for s in summaries),
-        end_dim=_prod(s.end_dim for s in summaries),
+        total_rank=prod(s.total_rank for s in summaries),
+        end_dim=prod(s.end_dim for s in summaries),
         notes=(_TOWER_NOTE,),
     )

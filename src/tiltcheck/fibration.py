@@ -25,7 +25,7 @@ from itertools import product as iter_product
 from typing import Optional, Union
 
 from .bwb import pn_line_cohomology
-from .collections import ExtTable, GrassFiber, _build_scope, _chain_table, segment_stages
+from .collections import ExtTable, GrassFiber, _chain_table, rank_stages
 from .partitions import json_int
 
 
@@ -67,21 +67,25 @@ class TableFiber:
 
     `records` maps (j, i, s, base_degree) to a multiplicity and must have the
     strongly-exceptional shape: no s > 0 entries, nothing for j < i, and the
-    diagonal equal to the single trivial class {degree 0: 1}.
+    diagonal equal to the single trivial class {degree 0: 1}.  Every entry
+    and multiplicity is an integer.
     """
 
     labels: tuple[str, ...]
     records: dict = field(default_factory=dict)
+    # (j, i) -> {base degree: multiplicity}, degrees ascending
+    _pushforwards: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("fiber labels must be distinct")
         n = len(self.labels)
         diag_seen = set()
-        for (j, i, s, deg), mult in self.records.items():
+        for key, mult in self.records.items():
+            j, i, s, deg = (json_int(x, "record index") for x in key)
             if not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"record index ({j}, {i}) out of range")
-            if int(mult) < 1:
+            if json_int(mult, "record multiplicity") < 1:
                 raise ValueError("multiplicities must be positive")
             if s != 0:
                 raise ValueError(f"record ({j}, {i}, s={s}): positive-degree direct images "
@@ -89,23 +93,25 @@ class TableFiber:
             if j < i:
                 raise ValueError(f"record ({j}, {i}): backward pushforwards must vanish")
             if j == i:
-                if deg != 0 or int(mult) != 1:
+                if deg != 0 or mult != 1:
                     raise ValueError(f"diagonal ({i}, {i}) must be exactly {{0: 1}}")
                 diag_seen.add(i)
         if diag_seen != set(range(n)):
             missing = sorted(set(range(n)) - diag_seen)
             raise ValueError(f"diagonal records missing for objects {missing}")
+        # every record has s = 0, so (j, i, deg) is unique
+        pushforwards: dict = {}
+        for (j, i, _s, deg), mult in sorted(self.records.items()):
+            pushforwards.setdefault((j, i), {})[deg] = mult
+        object.__setattr__(self, "_pushforwards", pushforwards)
 
     def objects(self, rank=None) -> tuple[int, ...]:
         """Object indices; `rank` is unused, as the table lists its objects."""
         return tuple(range(len(self.labels)))
 
     def pushforward(self, j: int, i: int) -> dict[int, int]:
-        out = {}
-        for (jj, ii, _s, deg), mult in self.records.items():
-            if jj == j and ii == i:
-                out[deg] = out.get(deg, 0) + mult
-        return dict(sorted(out.items()))
+        """{base degree: multiplicity} of the (j, i) records, degrees ascending."""
+        return dict(self._pushforwards.get((j, i), {}))
 
 
 Fiber = Union[GrassFiber, TableFiber]
@@ -141,16 +147,14 @@ class FibrationPlan:
 
     def summands(self) -> tuple[tuple, ...]:
         """Candidate summand labels: top fiber object first, root degree last."""
-        objects = [fiber.objects(rank)
-                   for segment in segment_stages(f for f, _twist in self.layers())
-                   for fiber, rank in segment]
+        ranked = rank_stages(f for f, _twist in self.layers())
+        objects = [fiber.objects(rank) for fiber, rank in ranked]
         return tuple(iter_product(*reversed(objects), self.root.tilting_degrees))
 
     def total_dimension(self) -> int:
-        dim = self.root.dim
-        for segment in segment_stages(f for f, _twist in self.layers()):
-            dim += sum(fiber.l * (rank - fiber.l) for fiber, rank in segment if rank is not None)
-        return dim
+        ranked = rank_stages(f for f, _twist in self.layers())
+        return self.root.dim + sum(fiber.l * (rank - fiber.l)
+                                   for fiber, rank in ranked if rank is not None)
 
 
 def candidate_ext_table(plan: FibrationPlan) -> ExtTable:
@@ -161,7 +165,7 @@ def candidate_ext_table(plan: FibrationPlan) -> ExtTable:
     times its object's position there.
     """
     layers = plan.layers()
-    ranked = [pair for segment in segment_stages(f for f, _twist in layers) for pair in segment]
+    ranked = rank_stages(f for f, _twist in layers)
     positions = [{obj: p for p, obj in enumerate(fiber.objects(rank))} for fiber, rank in ranked]
     summands = plan.summands()
     # a summand lists the top fiber object first and the root degree last
@@ -188,16 +192,15 @@ def twist_search(base, fiber: Fiber, cap: int = 8) -> FibrationPlan:
     """Least twist exponent in [0, cap] with no positive-degree Ext.
 
     On failure returns the cap plan, unverified, carrying the first
-    obstruction witness (source, target, degree, dimension).  Only the root
-    shift depends on the twist, so every twist tried shares one build memo.
+    obstruction witness (source, target, degree, dimension).  Each twist tried
+    is one candidate table build.
     """
     if cap < 1:
         raise ValueError("cap must be positive")
-    with _build_scope():
-        for m in range(cap + 1):
-            plan = verify_plan(FibrationPlan(base, fiber, m))
-            if plan.verified:
-                break
+    for m in range(cap + 1):
+        plan = verify_plan(FibrationPlan(base, fiber, m))
+        if plan.verified:
+            break
     return plan
 
 

@@ -1,7 +1,6 @@
 import importlib.resources as resources
 import json
 import random
-from contextlib import contextmanager, nullcontext
 from itertools import product as iter_product
 from math import comb
 
@@ -241,9 +240,9 @@ def test_closed_form_matches_walk_on_extended_pairs(case):
     chain = coll._chain
     chained = []
 
-    def counted(ranked, src, tgt):
+    def counted(ranked, src, tgt, memo):
         chained.append(src + tgt)
-        return chain(ranked, src, tgt)
+        return chain(ranked, src, tgt, memo)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(coll, "_chain", counted)
@@ -304,8 +303,7 @@ def test_one_weyl_walk_per_distinct_weight(monkeypatch):
 
 def test_no_memo_survives_ext_table(monkeypatch):
     spec = walk_routed_collection()  # in-box pairs never walk, so none could raise
-    coll.ext_table(spec)
-    assert coll._build_memo.get(None) is None
+    reference = unmemoized_ext_table(spec)
     walk = bwb.dotted_weyl
     calls = []
 
@@ -318,15 +316,15 @@ def test_no_memo_survives_ext_table(monkeypatch):
     monkeypatch.setattr(bwb, "dotted_weyl", failing)
     with pytest.raises(ArithmeticError):
         coll.ext_table(spec)
-    assert coll._build_memo.get(None) is None
-    # outside a table build every call walks afresh
-    calls.clear()
+    # every table build, and every call outside one, walks afresh
     monkeypatch.setattr(bwb, "dotted_weyl", lambda weight, rho: calls.append(weight) or walk(weight, rho))
-    first = coll.schur_pair_ext(2, 4, (1,), (1,))
-    walks = len(calls)
-    assert coll.schur_pair_ext(2, 4, (1,), (1,)) == first
-    assert len(calls) == 2 * walks > 0
-    assert coll._build_memo.get(None) is None
+    for build, expected in ((lambda: coll.ext_table(spec), reference),
+                            (lambda: coll.schur_pair_ext(2, 4, (1,), (1,)), {0: 1})):
+        calls.clear()
+        assert build() == expected
+        walks = len(calls)
+        assert build() == expected
+        assert len(calls) == 2 * walks > 0
 
 
 def reference_chain(ranked, src, tgt):
@@ -365,7 +363,7 @@ def reference_chain(ranked, src, tgt):
     return dict(sorted(out.items()))
 
 
-def reference_flag_segment(n, steps):
+def reference_flag_stages(n, steps):
     """Flag(steps; n) as root-first (stage, ambient rank) pairs, ranks worked out here."""
     ranked = [(coll.GrassFiber(steps[-1], (0,) * n), n)]
     for l, above in zip(reversed(steps[:-1]), reversed(steps[1:])):
@@ -431,8 +429,8 @@ def reference_candidate_ext_table(plan):
     return coll.ExtTable(len(summands), dim, dims)
 
 
-def transfer_keys():
-    return [key for key in coll._build_memo.get() if key[0] == "transfer"]
+def transfer_keys(memo):
+    return [key for key in memo if key[0] == "transfer"]
 
 
 def count_calls(monkeypatch, name):
@@ -446,18 +444,18 @@ def count_calls(monkeypatch, name):
 @pytest.mark.parametrize("n, steps", [(3, (1, 2)), (4, (1, 2, 3)), (4, (1, 3)), (5, (2, 3))])
 def test_memoized_chain_matches_reference_per_pair(monkeypatch, n, steps):
     spec = coll.flag_collection(bwb.FlagSpace(n, steps))
-    segment = reference_flag_segment(n, steps)
-    assert coll._flag_stages(spec.space) == segment
+    ranked = reference_flag_stages(n, steps)
+    assert coll._flag_stages(spec.space) == ranked
     labels = [tuple(reversed(lab)) for lab in spec.labels]
-    expected = {(i, j): reference_chain(segment, li, lj)
+    expected = {(i, j): reference_chain(ranked, li, lj)
                 for i, li in enumerate(labels) for j, lj in enumerate(labels)}
     expansions = count_calls(monkeypatch, "product_expand")
-    with coll._build_scope():
-        for i, li in enumerate(labels):
-            for j, lj in enumerate(labels):
-                assert coll._chain(segment, li, lj) == expected[i, j], (li, lj)
-        # one expansion per distinct stage input, shared by every pair
-        assert len(expansions) == len(transfer_keys()) < len(labels) ** 2
+    memo = {}
+    for i, li in enumerate(labels):
+        for j, lj in enumerate(labels):
+            assert coll._chain(ranked, li, lj, memo) == expected[i, j], (li, lj)
+    # one expansion per distinct stage input, shared by every pair
+    assert len(expansions) == len(transfer_keys(memo)) < len(labels) ** 2
     dims = {}
     for (i, j), degs in expected.items():
         for (s, _deg), mult in degs.items():
@@ -499,19 +497,12 @@ def test_candidate_table_expands_each_transfer_once(monkeypatch):
         json.loads((DATA / "flag_1_2_3_plan.json").read_text(encoding="utf-8")))
     plan = fib.FibrationPlan(fib.FibrationPlan(root, stages[0], 0), stages[1], 0)
     reference = reference_candidate_ext_table(plan)
-    scope = coll._build_scope
-    built = []
-
-    @contextmanager
-    def recording_scope():
-        with scope():
-            yield
-            built.append(transfer_keys())
-
-    monkeypatch.setattr(coll, "_build_scope", recording_scope)
+    transfers = count_calls(monkeypatch, "_transfer")
     expansions = count_calls(monkeypatch, "product_expand")
     assert fib.candidate_ext_table(plan) == reference
-    assert len(expansions) == len(built[0]) < len(plan.summands()) ** 2
+    # a transfer's arguments, its memo aside, are its memo key
+    distinct = {args[:-1] for args in transfers if args[1] is not None}
+    assert len(expansions) == len(distinct) < len(plan.summands()) ** 2
 
 
 @pytest.mark.parametrize("d, n", [(2, 4), (2, 5), (3, 6)])
@@ -524,7 +515,7 @@ def test_one_split_stage_over_a_point_is_the_kapranov_table(d, n):
 
 
 def test_twist_search_expands_each_transfer_once(monkeypatch):
-    # transfers do not depend on the twist, so the twists tried share one memo
+    # each twist tried is one table build, which expands each transfer once
     fiber = fib.GrassFiber(2, (0, 1, 2, 3))
     expansions = count_calls(monkeypatch, "product_expand")
     fib.candidate_ext_table(fib.FibrationPlan(fib.BaseModel(1), fiber, 0))
@@ -532,8 +523,7 @@ def test_twist_search_expands_each_transfer_once(monkeypatch):
     expansions.clear()
     plan = fib.twist_search(fib.BaseModel(1), fiber, 8)
     assert plan.verified and plan.twist == 3
-    assert len(expansions) == 36
-    assert coll._build_memo.get(None) is None
+    assert len(expansions) == 4 * 36
 
 
 def test_flag_table_splits_each_delta_once(monkeypatch):
@@ -551,34 +541,31 @@ def test_chain_reports_higher_direct_images():
     stages = (coll.GrassFiber(2, (0, 0, 0, 0)),)
     assert absolute_pair_ext(2, 4, (0, 0), (3, 0)) == {2: 4}
     assert absolute_pair_ext(2, 4, (0, 0), (3, 3)) == {}
-    for build in (nullcontext, coll._build_scope):
-        with build():
-            assert coll.tower_hom_degrees(stages, ((0, 0),), ((3, 0),)) == {(2, 0): 4}
-            assert coll.tower_hom_degrees(stages, ((0, 0),), ((3, 3),)) == {}
+    assert coll.tower_hom_degrees(stages, ((0, 0),), ((3, 0),)) == {(2, 0): 4}
+    assert coll.tower_hom_degrees(stages, ((0, 0),), ((3, 3),)) == {}
     # H^1(P^1, O(-5)) = k^4 over the root of a split stage
     assert reference_chain(((coll.GrassFiber(1, (0, 0)), 2),), ((0,),), ((5,),)) == {(1, 0): 4}
 
 
 def test_failing_transfer_is_not_cached(monkeypatch):
-    stages = (coll.GrassFiber(1, (0, 0)),)
+    ranked = coll.rank_stages((coll.GrassFiber(1, (0, 0)),))
     expand = coll.product_expand
 
     def failing(factors, rank):
         raise ArithmeticError("expansion failed")
 
-    with coll._build_scope():
-        monkeypatch.setattr(coll, "product_expand", failing)
-        for _ in range(2):
-            with pytest.raises(ArithmeticError):
-                coll.tower_hom_degrees(stages, ((0,),), ((5,),))
-        assert transfer_keys() == []
-        monkeypatch.setattr(coll, "product_expand", expand)
-        assert coll.tower_hom_degrees(stages, ((0,),), ((5,),)) == {(1, 0): 4}
+    memo = {}
+    monkeypatch.setattr(coll, "product_expand", failing)
+    for _ in range(2):
+        with pytest.raises(ArithmeticError):
+            coll._chain(ranked, ((0,),), ((5,),), memo)
+    assert transfer_keys(memo) == []
+    monkeypatch.setattr(coll, "product_expand", expand)
+    assert coll._chain(ranked, ((0,),), ((5,),), memo) == {(1, 0): 4}
     # a transfer that raises halfway through its split-stage expansions
-    segment = reference_flag_segment(4, (1, 2))
-    stages = tuple(st for st, _rank in segment)
+    ranked = reference_flag_stages(4, (1, 2))
     src, tgt = ((2, 2), (1,)), ((2, 1), (0,))  # its stage-0 transfer expands twice
-    expected = reference_chain(segment, src, tgt)
+    expected = reference_chain(ranked, src, tgt)
     expand = coll.split_bundle_expand
     calls = []
 
@@ -588,12 +575,12 @@ def test_failing_transfer_is_not_cached(monkeypatch):
             raise ArithmeticError("expansion failed")
         return expand(delta, degrees)
 
-    with coll._build_scope():
-        monkeypatch.setattr(coll, "split_bundle_expand", failing_once)
-        with pytest.raises(ArithmeticError):
-            coll.tower_hom_degrees(stages, src, tgt)
-        assert all(key[1] != stages[0] for key in transfer_keys())
-        assert coll.tower_hom_degrees(stages, src, tgt) == expected
+    memo = {}
+    monkeypatch.setattr(coll, "split_bundle_expand", failing_once)
+    with pytest.raises(ArithmeticError):
+        coll._chain(ranked, src, tgt, memo)
+    assert all(key[1] != ranked[0][0] for key in transfer_keys(memo))
+    assert coll._chain(ranked, src, tgt, memo) == expected
 
 
 def test_no_memo_survives_chain_tables(monkeypatch):
@@ -602,9 +589,7 @@ def test_no_memo_survives_chain_tables(monkeypatch):
         json.loads((DATA / "flag_1_2_3_plan.json").read_text(encoding="utf-8")))
     plan = fib.FibrationPlan(fib.FibrationPlan(root, stages[0], 0), stages[1], 0)
     table = coll.ext_table(flag)
-    assert coll._build_memo.get(None) is None
     assert fib.candidate_ext_table(plan) == table
-    assert coll._build_memo.get(None) is None
     expand = coll.product_expand
     calls = []
 
@@ -614,21 +599,25 @@ def test_no_memo_survives_chain_tables(monkeypatch):
             raise ArithmeticError("expansion failed")
         return expand(factors, rank)
 
+    builds = (lambda: coll.ext_table(flag), lambda: fib.candidate_ext_table(plan))
     monkeypatch.setattr(coll, "product_expand", failing)
-    for build in (lambda: coll.ext_table(flag), lambda: fib.candidate_ext_table(plan)):
+    for build in builds:
         calls.clear()
         with pytest.raises(ArithmeticError):
             build()
-        assert coll._build_memo.get(None) is None
-    # outside a table build every chain expands afresh
+    # every table build, and every chain outside one, expands afresh
     monkeypatch.setattr(coll, "product_expand", expand)
     expansions = count_calls(monkeypatch, "product_expand")
+    ranked = coll._flag_stages(flag.space)
+    stages = tuple(st for st, _rank in ranked)
     src, tgt = ((0, 0), (0,)), ((1, 1), (1,))
-    stages = tuple(st for st, _rank in coll._flag_stages(flag.space))
-    first = coll.tower_hom_degrees(stages, src, tgt)
-    once = len(expansions)
-    assert coll.tower_hom_degrees(stages, src, tgt) == first
-    assert len(expansions) == 2 * once > 0
+    per_pair = (lambda: coll.tower_hom_degrees(stages, src, tgt), reference_chain(ranked, src, tgt))
+    for build, expected in ((builds[0], table), (builds[1], table), per_pair):
+        expansions.clear()
+        assert build() == expected
+        once = len(expansions)
+        assert build() == expected
+        assert len(expansions) == 2 * once > 0
 
 
 @pytest.mark.parametrize(

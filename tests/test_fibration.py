@@ -195,6 +195,49 @@ def test_table_fiber_validation():
         fib.TableFiber(("a", "a"), good)
 
 
+TWO_OBJECTS = {(0, 0, 0, 0): 1, (1, 1, 0, 0): 1}
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: fib.GrassFiber(1, (0, 1.7)), id="split-degree"),
+    pytest.param(lambda: fib.GrassFiber(1.0, (0, 1)), id="l"),
+    pytest.param(lambda: fib.GrassFiber(True, taut=True), id="bool-l"),
+    pytest.param(lambda: fib.TableFiber(("a",), {(0, 0, 0, 0): 1.5}), id="multiplicity"),
+    pytest.param(lambda: fib.TableFiber(("a", "b"), {**TWO_OBJECTS, (1, 0, 0, 2.5): 2}),
+                 id="base-degree"),
+    pytest.param(lambda: fib.TableFiber(("a", "b"), {**TWO_OBJECTS, (1, 0.0, 0, 1): 2}),
+                 id="index"),
+])
+def test_constructors_refuse_non_integers(build):
+    with pytest.raises(ValueError, match="must be an integer"):
+        build()
+
+
+def record_scan(fiber, j, i):
+    """{base degree: multiplicity} of the (j, i) records, by a scan of them all."""
+    out = {}
+    for (jj, ii, _s, deg), mult in fiber.records.items():
+        if (jj, ii) == (j, i):
+            out[deg] = out.get(deg, 0) + mult
+    return dict(sorted(out.items()))
+
+
+def test_pushforward_matches_record_scan():
+    # records out of degree order, and a pair with two base degrees
+    synthetic = fib.TableFiber(("a", "b", "c"), {
+        (2, 0, 0, 3): 1, (2, 0, 0, -1): 4, (1, 0, 0, 0): 2, (2, 1, 0, -2): 1,
+        (0, 0, 0, 0): 1, (1, 1, 0, 0): 1, (2, 2, 0, 0): 1})
+    fibers = [fib.parse_fiber_table((DATA / name).read_text(encoding="utf-8"))
+              for name in ("conic_fiber.json", "quadric_surface_fiber.json")] + [synthetic]
+    for fiber in fibers:
+        n = len(fiber.labels)
+        for j in range(n):
+            for i in range(n):
+                assert list(fiber.pushforward(j, i).items()) == list(record_scan(fiber, j, i).items())
+    assert synthetic.pushforward(2, 0) == {-1: 4, 3: 1}
+    assert synthetic.pushforward(0, 2) == {}
+
+
 def test_table_fiber_matches_grass_fiber():
     grass = fib.GrassFiber(1, (0, 1))
     records = {(0, 0, 0, 0): 1, (1, 1, 0, 0): 1}
