@@ -2,8 +2,11 @@
 
 Every command prints one report object with sorted keys; numeric payloads are
 serialized as decimal strings so downstream consumers never see truncated
-integers.  Exit codes: 0 pass (or informational), 1 failed verification,
-2 invalid input or an engine error (reported on stderr, no traceback).
+integers.  A report's `result` is the fields of the result object its command
+computes: `VerificationReport` for `verify`, `DescentSummary` plus its
+`summand_count` for `descent`.  Exit codes: 0 pass (or informational),
+1 failed verification, 2 invalid input or an engine error (reported on
+stderr, no traceback).
 """
 
 from __future__ import annotations
@@ -71,41 +74,11 @@ def _cohomology_payload(res):
     return out
 
 
-def _report_payload(report: coll.VerificationReport) -> dict:
-    return {
-        "is_strong_exceptional": report.is_strong_exceptional,
-        "is_exceptional_each": report.is_exceptional_each,
-        "triangularity_witness": report.triangularity_witness,
-        "higher_ext_witness": report.higher_ext_witness,
-        "k0_rank": report.k0_rank,
-        "end_algebra_dim": report.end_algebra_dim,
-        "hom_matrix": [list(r) for r in report.hom_matrix],
-        "order_note": report.order_note,
-        "generation_note": report.generation_note,
-    }
-
-
-def _summary_payload(s: descent.DescentSummary) -> dict:
-    return {
-        "summand_labels": [list(l) if isinstance(l, tuple) else l for l in s.summand_labels],
-        "multiplicities": list(s.multiplicities),
-        "ranks": list(s.ranks),
-        "summand_count": s.summand_count,
-        "total_rank": s.total_rank,
-        "end_dim": s.end_dim,
-        "notes": list(s.notes),
-    }
-
-
 def _plan_payload(plan: fibration.FibrationPlan) -> dict:
     layers = plan.layers()
     table = plan.table
-    higher = []
-    if table is not None:
-        for (i, j, s), v in table.higher_entries():
-            higher.append({"source": i, "target": j, "degree": s, "dimension": v})
-            if len(higher) >= 5:
-                break
+    entries = table.higher_entries()[:5] if table is not None else []
+    higher = [{"source": i, "target": j, "degree": s, "dimension": v} for (i, j, s), v in entries]
     return {
         "verified": plan.verified,
         "twists": [tw for _f, tw in layers],
@@ -189,7 +162,7 @@ def _cmd_verify(args, pretty):
     table = coll.ext_table(spec)
     report = coll.verify_tilting(spec, table)
     verdict = "pass" if report.passed else "fail"
-    return emit("verify", inputs, _report_payload(report), verdict, pretty)
+    return emit("verify", inputs, vars(report), verdict, pretty)
 
 
 def _parse_algebra(args) -> descent.CSAClass:
@@ -230,7 +203,8 @@ def _cmd_descent(args, pretty):
                 raise ValueError(f"unknown tower stage kind {st['kind']!r}")
         summary = descent.twisted_tower_summary(stages)
         inputs = {"variety": "tower", "plan": args.plan, "stage_count": len(stages)}
-    return emit("descent", inputs, _summary_payload(summary), "n/a", pretty)
+    result = {**vars(summary), "summand_count": summary.summand_count}
+    return emit("descent", inputs, result, "n/a", pretty)
 
 
 def _cmd_fibration(args, pretty):

@@ -206,9 +206,10 @@ class CollectionSpec:
     order_note: str = ""
 
     def __post_init__(self):
-        labels = tuple(tuple(tuple(int(x) for x in w) for w in lab) for lab in self.labels)
+        labels = tuple(tuple(tuple(json_int(x, "weight entry") for x in w) for w in lab)
+                       for lab in self.labels)
         object.__setattr__(self, "labels", labels)
-        mults = tuple(self.multiplicities) or (1,) * len(labels)
+        mults = tuple(json_int(m, "multiplicity") for m in self.multiplicities) or (1,) * len(labels)
         object.__setattr__(self, "multiplicities", mults)
         if len(mults) != len(labels):
             raise ValueError("one multiplicity per object required")
@@ -256,7 +257,7 @@ def beilinson_collection(n: int, degrees=None) -> CollectionSpec:
     """Line bundles O(d) on P^n in the order given (default O(0)..O(n))."""
     if n < 1:
         raise ValueError("n must be positive")
-    degrees = tuple(range(n + 1)) if degrees is None else tuple(int(d) for d in degrees)
+    degrees = tuple(range(n + 1)) if degrees is None else tuple(json_int(d, "degree") for d in degrees)
     space = bwb.projective_space(n)
     labels = tuple(((-d,),) for d in degrees)
     return CollectionSpec(space, labels, order_note="line-bundle degrees as given")
@@ -274,7 +275,11 @@ def twist_collection(spec: CollectionSpec, power: int) -> CollectionSpec:
 
 @dataclass(frozen=True)
 class ExtTable:
-    """dims maps (i, j, s) to dim Ext^s(E_i, E_j); absent keys are zero."""
+    """dims maps (i, j, s) to dim Ext^s(E_i, E_j); absent keys are zero.
+
+    `higher_entries`, `higher_witness` and `end_dim` each go once over the
+    nonzero entries rather than probing every (i, j, s).
+    """
 
     size: int
     max_degree: int
@@ -286,10 +291,17 @@ class ExtTable:
     def hom_matrix(self) -> list[list[int]]:
         return [[self.get(i, j, 0) for j in range(self.size)] for i in range(self.size)]
 
-    def higher_entries(self):
-        for (i, j, s), v in sorted(self.dims.items()):
-            if s > 0 and v:
-                yield (i, j, s), v
+    def higher_entries(self) -> list:
+        """The nonzero positive-degree entries as ((i, j, s), dim), sorted."""
+        return sorted((key, v) for key, v in self.dims.items() if key[2] > 0 and v)
+
+    def higher_witness(self) -> Optional[tuple[int, int, int, int]]:
+        """The least nonzero positive-degree entry as (i, j, s, dim), or None."""
+        return min(((*key, v) for key, v in self.dims.items() if key[2] > 0 and v), default=None)
+
+    def end_dim(self, mults) -> int:
+        """dim End of the sum of E_i^(mults[i]): sum of mults[i] mults[j] dim Hom(E_i, E_j)."""
+        return sum(mults[i] * mults[j] * v for (i, j, s), v in self.dims.items() if s == 0)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExtTable):
@@ -389,40 +401,29 @@ def verify_tilting(spec: CollectionSpec, table: Optional[ExtTable] = None) -> Ve
     """Ext-vanishing half of the tilting predicate; failure is data, not error.
 
     Checks End(E_i) = k, vanishing of all shifted Homs, and vanishing of all
-    backward Homs against the stored order.  Fullness is not recomputed (see
+    backward Homs against the stored order, from the table's nonzero entries
+    rather than a probe of every (i, j, s).  Fullness is not recomputed (see
     GENERATION_NOTE); k0_rank reports the necessary free-rank count.
     """
     if table is None:
         table = ext_table(spec)
-    n_obj = table.size
-    higher = next(iter(table.higher_entries()), None)
-    higher_witness = None
-    if higher is not None:
-        (i, j, s), v = higher
-        higher_witness = (i, j, s, v)
-    exceptional_each = all(table.get(i, i, 0) == 1 for i in range(n_obj)) and not any(
-        table.get(i, i, s) for i in range(n_obj) for s in range(1, table.max_degree + 1)
-    )
-    tri_witness = None
-    for i in range(n_obj):
-        for j in range(i):
-            if table.get(i, j, 0):
-                tri_witness = (i, j)
-                break
-        if tri_witness:
-            break
-    is_strong = higher_witness is None and exceptional_each and tri_witness is None
-    mults = spec.multiplicities
-    end_dim = sum(
-        mults[i] * mults[j] * table.get(i, j, 0) for i in range(n_obj) for j in range(n_obj)
-    )
+    units, diagonal_higher, backward = 0, False, []
+    for (i, j, s), v in table.dims.items():
+        if v and i == j:
+            units += s == 0 and v == 1
+            diagonal_higher |= 0 < s <= table.max_degree
+        elif v and s == 0 and j < i:
+            backward.append((i, j))
+    exceptional_each = units == table.size and not diagonal_higher
+    tri_witness = min(backward, default=None)
+    higher_witness = table.higher_witness()
     return VerificationReport(
-        is_strong_exceptional=is_strong,
+        is_strong_exceptional=higher_witness is None and exceptional_each and tri_witness is None,
         is_exceptional_each=exceptional_each,
         triangularity_witness=tri_witness,
         higher_ext_witness=higher_witness,
-        k0_rank=n_obj,
-        end_algebra_dim=end_dim,
+        k0_rank=table.size,
+        end_algebra_dim=table.end_dim(spec.multiplicities),
         hom_matrix=tuple(tuple(row) for row in table.hom_matrix()),
         order_note=spec.order_note,
         generation_note=GENERATION_NOTE,

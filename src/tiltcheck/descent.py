@@ -21,7 +21,7 @@ from itertools import product as iter_product
 from math import comb, gcd, prod
 from typing import Optional
 
-from .partitions import conjugate, normalize
+from .partitions import conjugate, json_int, normalize
 from .collections import ExtTable, ext_table, kapranov_collection, schur_pair_ext
 from .schur import lr_expand
 
@@ -45,7 +45,7 @@ class CSAClass:
         if self.period < 1 or self.degree % self.period != 0:
             raise ValueError("period must divide the degree")
         if self.index_table is not None:
-            table = tuple(int(x) for x in self.index_table)
+            table = tuple(json_int(x, "index") for x in self.index_table)
             object.__setattr__(self, "index_table", table)
             if len(table) != self.period:
                 raise ValueError("index table must have one entry per residue mod period")
@@ -161,34 +161,24 @@ def _wedge_ext_table(d: int, n: int) -> tuple[list[tuple[int, ...]], ExtTable]:
     r"""The d x (n-d) box and the Ext table of its wedge-power sheaves.
 
     Entry (i, j, s) is dim Ext^s(/\^(box[i]')(S), /\^(box[j]')(S)), computed
-    as M^T H M from the Kapranov Ext table H; row i of M holds the Schur
-    multiplicities of the i-th wedge sheaf, indexed like the Kapranov labels.
-    The box lists larger diagrams first, as the Kapranov collection does.
+    as M^T H M from the Kapranov Ext table H, summed over H's nonzero entries
+    and M's columns; row i of M holds the Schur multiplicities of the i-th
+    wedge sheaf, indexed like the Kapranov labels.  The box lists larger
+    diagrams first, as the Kapranov collection does.
     """
     kapranov = kapranov_collection(d, n)
     box = [normalize(label[0]) for label in kapranov.labels]
     index = {lam: k for k, lam in enumerate(box)}
-    rows = [
-        {index[nu]: m for nu, m in wedge_schur_multiplicities(conjugate(lam), d).items()}
-        for lam in box
-    ]
+    columns: list[dict[int, int]] = [{} for _ in box]
+    for i, lam in enumerate(box):
+        for nu, m in wedge_schur_multiplicities(conjugate(lam), d).items():
+            columns[index[nu]][i] = m
     kapranov_table = ext_table(kapranov)
-    h_rows: list[dict[int, dict[int, int]]] = [{} for _ in box]
-    for (k, l, s), v in kapranov_table.dims.items():
-        h_rows[k].setdefault(l, {})[s] = v
     dims: dict[tuple[int, int, int], int] = {}
-    for i, row in enumerate(rows):
-        # left[l][s] = (M H_s)[i][l]
-        left: dict[int, dict[int, int]] = {}
-        for k, a in row.items():
-            for l, by_degree in h_rows[k].items():
-                acc = left.setdefault(l, {})
-                for s, v in by_degree.items():
-                    acc[s] = acc.get(s, 0) + a * v
-        for j, other in enumerate(rows):
-            for l, b in other.items():
-                for s, v in left.get(l, {}).items():
-                    dims[(i, j, s)] = dims.get((i, j, s), 0) + v * b
+    for (k, l, s), v in kapranov_table.dims.items():
+        for i, a in columns[k].items():
+            for j, b in columns[l].items():
+                dims[(i, j, s)] = dims.get((i, j, s), 0) + a * v * b
     return box, ExtTable(len(box), kapranov_table.max_degree, dims)
 
 
@@ -208,8 +198,7 @@ def verify_wedge_collection(d: int, n: int) -> WedgeReport:
     """
     box, table = _wedge_ext_table(d, n)
     witness = next(((box[i], box[j], s, v) for (i, j, s), v in table.higher_entries()), None)
-    end_dim = sum(sum(row) for row in table.hom_matrix())
-    return WedgeReport(witness is None, len(box), end_dim, witness)
+    return WedgeReport(witness is None, len(box), table.end_dim((1,) * len(box)), witness)
 
 
 def generalized_bs_summary(a: CSAClass, d: int) -> DescentSummary:
@@ -231,17 +220,12 @@ def generalized_bs_summary(a: CSAClass, d: int) -> DescentSummary:
         mults.append(descent_multiplicity(lam, n))
         split_ranks.append(prod(comb(d, c) for c in conj))
     ranks = tuple(m * r for m, r in zip(mults, split_ranks))
-    end_dim = sum(
-        mults[i] * mults[j] * hom
-        for i, row in enumerate(table.hom_matrix())
-        for j, hom in enumerate(row)
-    )
     return DescentSummary(
         summand_labels=tuple(box),
         multiplicities=tuple(mults),
         ranks=ranks,
         total_rank=sum(ranks),
-        end_dim=end_dim,
+        end_dim=table.end_dim(mults),
         notes=("multiplicities are sufficient for descent, not claimed minimal",),
     )
 

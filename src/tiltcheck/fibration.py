@@ -43,7 +43,8 @@ class BaseModel:
     def __post_init__(self):
         if self.dim < 0:
             raise ValueError("dimension must be non-negative")
-        degs = tuple(self.tilting_degrees) or tuple(range(self.dim + 1))
+        degs = (tuple(json_int(d, "base degree") for d in self.tilting_degrees)
+                or tuple(range(self.dim + 1)))
         object.__setattr__(self, "tilting_degrees", degs)
         if len(set(degs)) != len(degs):
             raise ValueError("base summand degrees must be distinct")
@@ -183,9 +184,8 @@ def verify_plan(plan: FibrationPlan) -> FibrationPlan:
     degree, dimension).
     """
     table = candidate_ext_table(plan)
-    witness = next(iter(table.higher_entries()), None)
-    obstruction = None if witness is None else (*witness[0], witness[1])
-    return FibrationPlan(plan.base, plan.fiber, plan.twist, witness is None, table, obstruction)
+    witness = table.higher_witness()
+    return FibrationPlan(plan.base, plan.fiber, plan.twist, witness is None, table, witness)
 
 
 def twist_search(base, fiber: Fiber, cap: int = 8) -> FibrationPlan:

@@ -228,8 +228,6 @@ def split_bundle_expand(w, degrees) -> dict[int, int]:
     w = as_weight(w, len(degrees))
     m = normalizing_shift(w)
     lam = normalize(tuple(x + m for x in w))
-    if len(lam) > len(degrees):
-        return {}
     offset = -m * sum(degrees)
     if len(set(degrees)) == 1:
         # all summands share one degree; multiplicity is the plain dimension

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.resources as resources
 import json
 import os
@@ -10,6 +11,8 @@ import pytest
 
 import tiltcheck
 from tiltcheck import cli
+from tiltcheck.collections import VerificationReport
+from tiltcheck.descent import DescentSummary
 
 
 def run_cli(argv, capsys):
@@ -286,6 +289,36 @@ def test_descent_missing_option_is_named(capsys, argv, missing):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"tiltcheck: invalid input: descent {argv[1]} needs {missing}\n"
+
+
+REPORT_FIELDS = {f.name for f in dataclasses.fields(VerificationReport)}
+SUMMARY_FIELDS = {f.name for f in dataclasses.fields(DescentSummary)} | {"summand_count"}
+# the result keys as recorded in the report digests; a renamed field shows up here by name
+RECORDED_KEYS = {
+    "verify": {"is_strong_exceptional", "is_exceptional_each", "triangularity_witness",
+               "higher_ext_witness", "k0_rank", "end_algebra_dim", "hom_matrix", "order_note",
+               "generation_note"},
+    "descent": {"summand_labels", "multiplicities", "ranks", "summand_count", "total_rank",
+                "end_dim", "notes"},
+}
+TOWER_PLAN = {"stages": [{"algebra": {"degree": 4, "period": 2, "indices": [1, 2]}, "kind": "bs"},
+                         {"algebra": {"degree": 4, "period": 2}, "kind": "gbs",
+                          "params": {"d": 2}}]}
+
+
+@pytest.mark.parametrize("argv, fields", [
+    (["verify", "kapranov", "--d", "2", "--n", "4"], REPORT_FIELDS),
+    (["verify", "beilinson", "--n", "2", "--degrees", "0,1,2,3"], REPORT_FIELDS),
+    (["descent", "bs", "--degree", "4", "--period", "2", "--indices", "1,2"], SUMMARY_FIELDS),
+    (["descent", "gbs", "--degree", "4", "--period", "2", "--d", "2"], SUMMARY_FIELDS),
+    (["descent", "tower", "--plan", "tower.json"], SUMMARY_FIELDS),
+], ids=["verify-pass", "verify-fail", "descent-bs", "descent-gbs", "descent-tower"])
+def test_result_keys_are_the_result_type_fields(capsys, tmp_path, monkeypatch, argv, fields):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "tower.json").write_text(json.dumps(TOWER_PLAN))
+    _code, report = run_cli(argv, capsys)
+    assert set(report["result"]) == fields
+    assert fields == RECORDED_KEYS[argv[0]]
 
 
 def test_descent_tower_plan_file(capsys, tmp_path):

@@ -710,3 +710,68 @@ def test_collection_spec_validation():
         coll.CollectionSpec(space, (((0, 0),),), multiplicities=(0,))
     with pytest.raises(ValueError):
         coll.CollectionSpec(space, (((0, 0), (0,)),))
+
+
+def probing_verify_tilting(spec, table):
+    """The tilting predicate by probing every (i, j, s) of the table, pair by pair."""
+    n_obj = table.size
+    higher = next(((i, j, s, v) for (i, j, s), v in sorted(table.dims.items()) if s > 0 and v), None)
+    exceptional_each = all(table.get(i, i, 0) == 1 for i in range(n_obj)) and not any(
+        table.get(i, i, s) for i in range(n_obj) for s in range(1, table.max_degree + 1))
+    tri = next(((i, j) for i in range(n_obj) for j in range(i) if table.get(i, j, 0)), None)
+    mults = spec.multiplicities
+    end_dim = sum(mults[i] * mults[j] * table.get(i, j, 0)
+                  for i in range(n_obj) for j in range(n_obj))
+    return coll.VerificationReport(
+        is_strong_exceptional=higher is None and exceptional_each and tri is None,
+        is_exceptional_each=exceptional_each,
+        triangularity_witness=tri,
+        higher_ext_witness=higher,
+        k0_rank=n_obj,
+        end_algebra_dim=end_dim,
+        hom_matrix=tuple(tuple(table.get(i, j, 0) for j in range(n_obj)) for i in range(n_obj)),
+        order_note=spec.order_note,
+        generation_note=coll.GENERATION_NOTE,
+    )
+
+
+DIAGONAL = {(0, 0, 0): 1, (1, 1, 0): 1, (2, 2, 0): 1}
+
+
+@pytest.mark.parametrize("spec, dims", [
+    pytest.param(coll.kapranov_collection(2, 4), None, id="kapranov-2-4"),
+    pytest.param(coll.kapranov_collection(3, 6), None, id="kapranov-3-6"),
+    pytest.param(coll.flag_collection(bwb.FlagSpace(4, (1, 3))), None, id="flag-1-3-4"),
+    pytest.param(coll.beilinson_collection(3), None, id="beilinson-3"),
+    pytest.param(coll.CollectionSpec(bwb.grassmannian(2, 4),
+                                     coll.kapranov_collection(2, 4).labels[::-1]),
+                 None, id="kapranov-reversed"),
+    pytest.param(coll.beilinson_collection(2, range(4)), None, id="beilinson-control-2"),
+    pytest.param(coll.beilinson_collection(3, range(5)), None, id="beilinson-control-3"),
+    pytest.param(coll.CollectionSpec(bwb.grassmannian(2, 4),
+                                     tuple((w,) for w in reversed_box(2, 3))),
+                 None, id="grown-box"),
+    pytest.param(coll.CollectionSpec(bwb.FlagSpace(3, (1, 2)),
+                                     coll.flag_collection(bwb.FlagSpace(3, (1, 2))).labels
+                                     + (((-1,), (-1, -1)),)),
+                 None, id="flag-out-of-box"),
+    pytest.param(coll.kapranov_collection(2, 4).with_multiplicities((1, 2, 3, 4, 5, 6)),
+                 None, id="kapranov-multiplicities"),
+    pytest.param(coll.beilinson_collection(2, range(4)).with_multiplicities((3, 1, 4, 1)),
+                 None, id="beilinson-control-multiplicities"),
+    # hand-built tables with explicit zero entries, on three objects in P^2
+    pytest.param(coll.beilinson_collection(2),
+                 {**DIAGONAL, (0, 1, 0): 3, (1, 0, 0): 0, (2, 0, 0): 0, (1, 1, 1): 0, (0, 2, 2): 0},
+                 id="zeros-passing"),
+    pytest.param(coll.beilinson_collection(2).with_multiplicities((2, 1, 3)),
+                 {**DIAGONAL, (1, 1, 0): 0, (2, 0, 0): 0, (2, 1, 0): 5, (0, 1, 2): 0,
+                  (2, 2, 1): 4, (0, 2, 1): 0},
+                 id="zeros-failing"),
+    pytest.param(coll.beilinson_collection(2), {**DIAGONAL, (0, 0, 0): 2}, id="diagonal-hom-two"),
+    pytest.param(coll.beilinson_collection(2), {**DIAGONAL, (1, 1, 3): 1, (1, 1, -1): 1},
+                 id="diagonal-outside-degrees"),
+])
+def test_verify_tilting_matches_probing_predicate(spec, dims):
+    table = coll.ext_table(spec) if dims is None else coll.ExtTable(len(spec), 2, dims)
+    report = coll.verify_tilting(spec, table)
+    assert vars(report) == vars(probing_verify_tilting(spec, table))

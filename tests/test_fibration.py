@@ -4,6 +4,7 @@ import pytest
 
 from tiltcheck import bwb
 from tiltcheck import collections as coll
+from tiltcheck import descent as dsc
 from tiltcheck import fibration as fib
 
 DATA = resources.files("tiltcheck") / "data"
@@ -207,6 +208,13 @@ TWO_OBJECTS = {(0, 0, 0, 0): 1, (1, 1, 0, 0): 1}
                  id="base-degree"),
     pytest.param(lambda: fib.TableFiber(("a", "b"), {**TWO_OBJECTS, (1, 0.0, 0, 1): 2}),
                  id="index"),
+    pytest.param(lambda: coll.CollectionSpec(bwb.grassmannian(2, 4), (((1.7, 0),), ((0, 0),))),
+                 id="collection-weight"),
+    pytest.param(lambda: coll.beilinson_collection(1).with_multiplicities((1.5, 1)),
+                 id="collection-multiplicity"),
+    pytest.param(lambda: coll.beilinson_collection(2, (0, 1.9, 2)), id="beilinson-degree"),
+    pytest.param(lambda: dsc.CSAClass(4, 2, (1, 2.5)), id="algebra-index"),
+    pytest.param(lambda: fib.BaseModel(1, (0, 1.5)), id="base-model-degree"),
 ])
 def test_constructors_refuse_non_integers(build):
     with pytest.raises(ValueError, match="must be an integer"):
