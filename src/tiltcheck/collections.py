@@ -1,44 +1,38 @@
 """Homogeneous-bundle collections, their Ext tables, and tilting verification.
 
-Objects are labelled by one extended weight per flag stage; the object is the
-tensor product over stages of S^(weight) applied to the stage's tautological
-subbundle.  Collections built here list larger diagrams first, which is the
-direction making the Hom matrix upper unitriangular (all nonzero Hom groups
-point forward); the convention is recorded in each report rather than assumed.
+Objects are labelled by one extended weight per flag stage: the tensor
+product over stages of S^(weight) of the stage's tautological subbundle.
+Collections built here list larger diagrams first, the direction making the
+Hom matrix upper unitriangular; each report records the convention.
 
-Two Ext engines back the tables; each pair gets exactly one, chosen by its
-weights.
+Each pair of a table gets one of two Ext engines, chosen by its weights.
 
 - Closed form (single Grassmannians, in-bound pairs).  For extended weights
   v, w of length d on Grass(d, n), every summand S^kappa(R^dual) of
   Hom(S^v R, S^w R) has kappa_d >= v_d - w_1.  When v_d - w_1 >= -(n - d),
-  the dotted walk of (kappa, 0^(n-d)) is dominant (kappa_d >= 0) or repeats
-  (kappa_d + n - d lands on one of the trailing rho entries n-d-1, ..., 0),
-  so Ext^(>0) vanishes.  Shifting v, w by a common c to partitions, Hom is
-  the skew Schur dimension s_{v/w}(1^n), zero unless w is contained in v and
-  otherwise one Jacobi-Trudi determinant (`schur._skew_dimension`).  Every
-  pair of a Kapranov box is in bound.
-- Stage chain (every other pair; a Grassmannian is the single split stage
-  (d, 0^n) over a point).  The Hom content of each stage is expanded into
-  weights delta on the dual of its subbundle, and relative Bott (Bott 1957;
-  Demazure 1976) pushes each down Grass(l, E), E the rank-r stage bundle:
-  the dotted walk of (delta, 0^(r-l)) in GL(r) kills delta on a repeat, and
-  otherwise leaves S^dom(E^dual) in Ext degree `inversions`, expanded into
-  root line-bundle degrees (split stage) or handed to the stage below
-  (tautological stage).  So the chain reports every Ext degree.
+  the dotted walk of (kappa, 0^(n-d)) is dominant or repeats (kappa_d + n - d
+  lands on a trailing rho entry n-d-1, ..., 0), so Ext^(>0) vanishes, and
+  Hom is the skew Schur dimension s_{v/w}(1^n) of v, w shifted to
+  partitions (`schur._skew_dimension`), zero unless w is contained in v.
+  Every pair of a Kapranov box is in bound.
+- Stage chain (every other pair; `GrassFiber` is the one stage model, and a
+  Grassmannian the split stage (d, 0^n) over a point).  Each stage's Hom
+  content is expanded into weights delta on the dual of its subbundle, and
+  relative Bott (Bott 1957; Demazure 1976) pushes each down Grass(l, E), E
+  the rank-r stage bundle: the dotted walk of (delta, 0^(r-l)) in GL(r) kills
+  delta on a repeat, and otherwise leaves S^dom(E^dual) in Ext degree
+  `inversions`, expanded into root line-bundle degrees (split stage) or
+  handed to the stage below (tautological stage).
 
-Flag tables and fibration plans share one stage model, `GrassFiber`, and one
-function, `rank_stages`, that gives every stage its ambient rank: a flag
-space is a split stage and its tautological stages over a point, and a plan
-stacks such stages and fiber tables over its root (see `fibration`).
-
-Every table, a collection's (`ext_table`) or a candidate bundle's
-(`fibration.candidate_ext_table`), is one pair loop, `_chain_table`, over
-root-first labels; a fiber table is one more chain stage.  Each table build
-owns one memo dict, passed down the chain of every pair: one stage transfer
-per distinct (stage, incoming weight, source and target stage weights), and
-one walk and line-bundle expansion per distinct weight a split stage pushes
-down.  The per-pair entry points start from an empty memo.
+A table's chains (`ext_table`, `fibration.candidate_ext_table`) come from one
+sweep over root-first labels.  The items left after the top stages depend
+only on the labels' weights there, so `_sweep` folds from the top stage down
+over (source suffix, target suffix) pairs, each stage once per distinct live
+pair, and drops a pair with no items, as every extension of it is zero.
+Each distinct label pair meets the root at every index pair carrying it (a
+candidate table repeats a label once per root degree).  A build owns one
+memo: one transfer per distinct input, one walk per distinct pushed weight;
+the per-pair entry points sweep one pair from an empty memo.
 """
 
 from __future__ import annotations
@@ -113,41 +107,48 @@ def tower_hom_degrees(stages: tuple[GrassFiber, ...], src: Label, tgt: Label) ->
     """Pushforward of Hom(src, tgt) to the root, as {(Ext degree, root degree): mult}.
 
     `src`/`tgt` carry one weight per stage, root-first, each inside the
-    stage's box.  Stages are pushed down from the top by the relative Bott
-    walk (see the module docstring); an item (s, e) is a summand O(e) of the
-    root in Ext degree s.
+    stage's box; an item (s, e) is a summand O(e) of the root in Ext degree s.
     """
     ranked = rank_stages(stages)
     if len(src) != len(stages) or len(tgt) != len(stages):
         raise ValueError("one weight per stage required")
     src = tuple(as_weight(w, st.l) for w, st in zip(src, stages))
     tgt = tuple(as_weight(w, st.l) for w, st in zip(tgt, stages))
-    return _chain(ranked, src, tgt, {})
+    return dict(sorted(kv for *_, chain in _sweep(ranked, (src,), (tgt,), {}) for kv in chain.items()))
 
 
-def _chain(ranked, src, tgt, memo: dict) -> dict:
-    """`tower_hom_degrees` on (stage, rank) pairs and padded weights.
+def _sweep(ranked, sources, targets, memo: dict):
+    """(source, target, chain) for each pair of root-first labels with a nonempty chain.
 
-    Folds the per-stage transfers from the top stage down, merging equal
-    (gamma, Ext degree, root degree) items between stages.  `memo` holds the
-    transfers of one table build (see `_transfer`).
+    A chain, {(Ext degree, root degree): mult}, is Hom(source, target) pushed
+    to the root; the levels of suffix pairs stream through nested generators.
     """
     # items: (gamma destined for the current stage or None, s, root degree) -> multiplicity
-    items: dict[tuple[Optional[tuple[int, ...]], int, int], int] = {(None, 0, 0): 1}
+    level = [((), (), {(None, 0, 0): 1})]
     for k in range(len(ranked) - 1, -1, -1):
-        st, rank = ranked[k]
-        next_items: dict[tuple[Optional[tuple[int, ...]], int, int], int] = {}
-        for (gamma, s, deg), mult in items.items():
-            for gamma_out, ds, shift, c in _transfer(st, rank, gamma, src[k], tgt[k], memo):
-                key = (gamma_out, s + ds, deg + shift)
-                next_items[key] = next_items.get(key, 0) + mult * c
-        items = next_items
-    out: dict[tuple[int, int], int] = {}
-    for (gamma, s, deg), mult in items.items():
-        if gamma is not None:
-            raise ArithmeticError(f"weight {gamma} was never pushed down to the root")
-        out[(s, deg)] = out.get((s, deg), 0) + mult
-    return dict(sorted(out.items()))
+        grown: tuple[dict, dict] = ({}, {})  # suffix from stage k + 1 -> its extensions from k
+        for grow, labels in zip(grown, (sources, targets)):
+            for lab in labels:
+                grow.setdefault(lab[k + 1:], {})[lab[k:]] = None
+        level = _fold(*ranked[k], level, *grown, memo)
+    for v, w, items in level:
+        for gamma, _s, _deg in items:
+            if gamma is not None:
+                raise ArithmeticError(f"weight {gamma} was never pushed down to the root")
+        yield v, w, {(s, deg): mult for (_gamma, s, deg), mult in items.items()}
+
+
+def _fold(st, rank, level, grow_src, grow_tgt, memo: dict):
+    """Stage `st` folded into every pair extending a (source, target, items) of `level`."""
+    for a, b, items in level:
+        for v, w in iter_product(grow_src[a], grow_tgt[b]):
+            out: dict[tuple[Optional[tuple[int, ...]], int, int], int] = {}
+            for (gamma, s, deg), mult in items.items():
+                for gamma_out, ds, shift, c in _transfer(st, rank, gamma, v[0], w[0], memo):
+                    key = (gamma_out, s + ds, deg + shift)
+                    out[key] = out.get(key, 0) + mult * c
+            if out:
+                yield v, w, out
 
 
 def _push(delta, rank: int, duals) -> tuple:
@@ -169,10 +170,9 @@ def _transfer(st, rank, gamma, lam, mu, memo: dict):
 
     gamma' is the full-length weight handed to the stage below (taut stage)
     or None with a root line-bundle degree shift (split stage, fiber table).
-    `memo` keeps each distinct input ("transfer", ...) and split-stage delta
-    ("split", delta, duals) pushed down once.  A fiber table (rank None) holds
-    a dict, which cannot key the memo, so its records, all in Ext degree 0,
-    are read afresh.
+    `memo` keeps each distinct input ("transfer", ...) and delta ("push",
+    delta, rank, duals) pushed down once.  A fiber table (rank None) holds a
+    dict, which cannot key the memo, so its records are read afresh.
     """
     if rank is None:
         return tuple((None, 0, deg, m) for deg, m in st.pushforward(mu, lam).items())
@@ -184,18 +184,13 @@ def _transfer(st, rank, gamma, lam, mu, memo: dict):
     duals = None if st.taut else tuple(-d for d in st.split_degrees)
     out: dict[tuple[Optional[tuple[int, ...]], int, int], int] = {}
     for delta, c in product_expand(factors, st.l).items():
-        if duals is None:
-            pushed = _push(delta, rank, None)
-        else:
-            split_key = ("split", delta, duals)
-            if split_key not in memo:
-                memo[split_key] = _push(delta, rank, duals)
-            pushed = memo[split_key]
-        for gamma_out, s, shift, cc in pushed:
+        push_key = ("push", delta, rank, duals)
+        if push_key not in memo:
+            memo[push_key] = _push(delta, rank, duals)
+        for gamma_out, s, shift, cc in memo[push_key]:
             out[(gamma_out, s, shift)] = out.get((gamma_out, s, shift), 0) + c * cc
-    terms = tuple((g, s, shift, c) for (g, s, shift), c in out.items())
-    memo[key] = terms
-    return terms
+    memo[key] = tuple((g, s, shift, c) for (g, s, shift), c in out.items())
+    return memo[key]
 
 
 @dataclass(frozen=True)
@@ -322,35 +317,40 @@ def _flag_stages(space: bwb.FlagSpace) -> tuple:
 def schur_pair_ext(d: int, n: int, v, w) -> dict[int, int]:
     """Ext^*(S^v(R), S^w(R)) on Grass(d, n) for extended weights v, w, as {s: dim}.
 
-    The stage chain of Grass(d, n), the single split stage (d, 0^n) over a
-    point, where every root degree is 0: one relative walk per LR term of the
-    Hom bundle, computed afresh on every call.
+    The one-pair sweep of Grass(d, n), the split stage (d, 0^n) over a point:
+    one relative walk per LR term of the Hom bundle, afresh on every call.
     """
-    chain = _chain(_flag_stages(bwb.grassmannian(d, n)), (as_weight(v, d),), (as_weight(w, d),), {})
-    return {s: mult for (s, _deg), mult in chain.items()}
+    found = _sweep(_flag_stages(bwb.grassmannian(d, n)), ((as_weight(v, d),),), ((as_weight(w, d),),), {})
+    return {s: mult for *_, chain in found for (s, _deg), mult in sorted(chain.items())}
 
 
 def _chain_table(ranked, labels, root_dim: int, shifts) -> dict:
     """{(i, j, s): dim Ext^s} for every ordered pair of root-first labels on `ranked`.
 
-    A pair's chain meets the root: its root degree e adds the cohomology of
-    O(shifts[j] - shifts[i] + e) on P^root_dim to the chain's Ext degree.
+    A chain's root degree e adds H^*(P^root_dim, O(shifts[j] - shifts[i] + e)).
     """
-    # one split stage over a point is Grass(l, n); in bound: v_l - w_1 >= l - n
-    closed = root_dim == 0 and len(ranked) == 1 and ranked[0][1] is not None
-    if closed:
-        [(st, n)] = ranked
-        bound = st.l - n
-    root: dict[int, Optional[bwb.CohomologyResult]] = {}
+    index: dict[Label, list[int]] = {}
+    for i, lab in enumerate(labels):
+        index.setdefault(lab, []).append(i)
     memo: dict = {}
     dims: dict[tuple[int, int, int], int] = {}
-    for i, v in enumerate(labels):
-        for j, w in enumerate(labels):
-            if closed and v[0][-1] - w[0][0] >= bound:
-                if all(a >= b for a, b in zip(v[0], w[0])):
+    if root_dim == 0 and len(ranked) == 1 and ranked[0][1] is not None:
+        # one split stage over a point is Grass(l, n); in bound: v_l - w_1 >= l - n
+        [(st, n)] = ranked
+        bound, walked = st.l - n, {}
+        for i, v in enumerate(labels):
+            for j, w in enumerate(labels):
+                if v[0][-1] - w[0][0] < bound:
+                    walked[(v, w)] = None
+                elif all(a >= b for a, b in zip(v[0], w[0])):
                     dims[(i, j, 0)] = _skew_dimension(v[0], w[0], n)
-                continue
-            for (s, e), mult in _chain(ranked, v, w, memo).items():
+        chains = (found for v, w in walked for found in _sweep(ranked, (v,), (w,), memo))
+    else:
+        chains = _sweep(ranked, tuple(index), tuple(index), memo)
+    root: dict[int, Optional[bwb.CohomologyResult]] = {}
+    for v, w, chain in chains:
+        for i, j in iter_product(index[v], index[w]):
+            for (s, e), mult in chain.items():
                 e += shifts[j] - shifts[i]
                 if e not in root:
                     root[e] = bwb.pn_line_cohomology(e, root_dim)

@@ -40,9 +40,9 @@ class CSAClass:
     index_table: Optional[tuple[int, ...]] = None
 
     def __post_init__(self):
-        if self.degree < 1:
+        if json_int(self.degree, "degree") < 1:
             raise ValueError("degree must be positive")
-        if self.period < 1 or self.degree % self.period != 0:
+        if json_int(self.period, "period") < 1 or self.degree % self.period != 0:
             raise ValueError("period must divide the degree")
         if self.index_table is not None:
             table = tuple(json_int(x, "index") for x in self.index_table)
@@ -96,7 +96,7 @@ def bs_tilting_summary(a: CSAClass, range_length: Optional[int] = None) -> Desce
     ranks are index values and End is counted over the splitting field.
     """
     n = a.degree
-    length = n if range_length is None else int(range_length)
+    length = n if range_length is None else json_int(range_length, "range length")
     if length < 1:
         raise ValueError("range length must be positive")
     ranks = tuple(index_of_power(a, i) for i in range(length))

@@ -1,6 +1,7 @@
 import importlib.resources as resources
 import json
 import random
+from collections import Counter
 from itertools import product as iter_product
 from math import comb
 
@@ -237,19 +238,19 @@ def grassmannian_pairs(draw):
 def test_closed_form_matches_walk_on_extended_pairs(case):
     d, n, v, w = case
     labels = ((v,), (w,)) if v != w else ((v,),)
-    chain = coll._chain
-    chained = []
+    sweep = coll._sweep
+    swept = []
 
-    def counted(ranked, src, tgt, memo):
-        chained.append(src + tgt)
-        return chain(ranked, src, tgt, memo)
+    def counted(ranked, sources, targets, memo):
+        swept.extend(src + tgt for src, tgt in iter_product(sources, targets))
+        return sweep(ranked, sources, targets, memo)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(coll, "_chain", counted)
+        patch.setattr(coll, "_sweep", counted)
         table = coll.ext_table(coll.CollectionSpec(bwb.grassmannian(d, n), labels))
-    # one engine per pair: exactly the out-of-bound pairs take the chain
+    # one engine per pair: exactly the out-of-bound pairs reach the sweep
     pairs = [(a, b) for (a,) in labels for (b,) in labels]
-    assert chained == [(a, b) for a, b in pairs if out_of_bound(d, n, a, b)]
+    assert swept == [(a, b) for a, b in pairs if out_of_bound(d, n, a, b)]
     for (i, (a,)), (j, (b,)) in iter_product(enumerate(labels), repeat=2):
         expected = absolute_pair_ext(d, n, a, b)
         assert {s: x for (p, q, s), x in table.dims.items() if (p, q) == (i, j)} == expected
@@ -275,7 +276,7 @@ def test_beilinson_range_keeps_higher_ext_witness():
 
 def test_one_weyl_walk_per_distinct_weight(monkeypatch):
     # in-box pairs take the closed form, so the walks come from out-of-bound
-    # pairs: one relative walk per distinct split key ("split", delta, duals)
+    # pairs: one relative walk per distinct key ("push", delta, rank, duals)
     spec = walk_routed_collection()
     deltas = {
         delta
@@ -330,8 +331,22 @@ def test_no_memo_survives_ext_table(monkeypatch):
 def reference_chain(ranked, src, tgt):
     """The stage chain of one pair, unmemoized: every item of every stage re-expanded.
 
-    Returns {(Ext degree, root degree): multiplicity}.  Each weight delta on a
-    stage is pushed down by the relative walk of (delta, 0^(rank - l)).
+    Returns {(Ext degree, root degree): multiplicity}.
+    """
+    out = {}
+    for gamma, s, deg, mult in reference_items(ranked, src, tgt):
+        if gamma is not None:
+            raise ArithmeticError(f"weight {gamma} was never pushed down to the root")
+        out[(s, deg)] = out.get((s, deg), 0) + mult
+    return dict(sorted(out.items()))
+
+
+def reference_items(ranked, src, tgt):
+    """The (gamma, Ext degree, root degree, multiplicity) items left after every stage.
+
+    Each weight delta on a stage is pushed down by the relative walk of
+    (delta, 0^(rank - l)).  On the top stages of a tower, `ranked[k:]` with
+    label suffixes, they are the items those stages hand to stage k - 1.
     """
     items = [(None, 0, 0, 1)]
     for k in range(len(ranked) - 1, -1, -1):
@@ -355,12 +370,7 @@ def reference_chain(ranked, src, tgt):
                 else:
                     next_items.append((dom, s + inversions, deg, mult * c))
         items = next_items
-    out = {}
-    for gamma, s, deg, mult in items:
-        if gamma is not None:
-            raise ArithmeticError(f"weight {gamma} was never pushed down to the root")
-        out[(s, deg)] = out.get((s, deg), 0) + mult
-    return dict(sorted(out.items()))
+    return items
 
 
 def reference_flag_stages(n, steps):
@@ -429,6 +439,11 @@ def reference_candidate_ext_table(plan):
     return coll.ExtTable(len(summands), dim, dims)
 
 
+def swept_chain(ranked, src, tgt, memo):
+    """The chain of one pair through the sweep, {} when it is zero."""
+    return {(v, w): chain for v, w, chain in coll._sweep(ranked, (src,), (tgt,), memo)}.get((src, tgt), {})
+
+
 def transfer_keys(memo):
     return [key for key in memo if key[0] == "transfer"]
 
@@ -451,9 +466,11 @@ def test_memoized_chain_matches_reference_per_pair(monkeypatch, n, steps):
                 for i, li in enumerate(labels) for j, lj in enumerate(labels)}
     expansions = count_calls(monkeypatch, "product_expand")
     memo = {}
+    swept = {(v, w): chain for v, w, chain in coll._sweep(ranked, labels, labels, memo)}
     for i, li in enumerate(labels):
         for j, lj in enumerate(labels):
-            assert coll._chain(ranked, li, lj, memo) == expected[i, j], (li, lj)
+            assert swept.pop((li, lj), {}) == expected[i, j], (li, lj)
+    assert swept == {}  # one chain per pair, and only the nonzero ones
     # one expansion per distinct stage input, shared by every pair
     assert len(expansions) == len(transfer_keys(memo)) < len(labels) ** 2
     dims = {}
@@ -535,6 +552,56 @@ def test_flag_table_splits_each_delta_once(monkeypatch):
     assert len(splits) == len(set(splits)) == 84
 
 
+def test_sweep_folds_each_suffix_pair_once(monkeypatch):
+    # stage k folds each live (source suffix, target suffix) pair above it
+    # once: one transfer per item of that pair, for each pair of stage-k
+    # weights extending it.  The top stage folds once per distinct top-weight
+    # pair, 9 transfers where a chain per object pair made 32,400.
+    n, steps = 6, (1, 3, 5)
+    spec = coll.flag_collection(bwb.FlagSpace(n, steps))
+    ranked = reference_flag_stages(n, steps)
+    labels = [tuple(reversed(lab)) for lab in spec.labels]
+    transfers = count_calls(monkeypatch, "_transfer")
+    fold = coll._fold
+    folded = Counter()  # (stage, source suffix, target suffix) -> times handed on
+
+    def counted(st, rank, *args):
+        for v, w, items in fold(st, rank, *args):
+            folded[st, v, w] += 1
+            yield v, w, items
+
+    monkeypatch.setattr(coll, "_fold", counted)
+    assert coll.verify_tilting(spec, coll.ext_table(spec)).passed
+    assert set(folded.values()) == {1}
+    per_stage = Counter(args[0] for args in transfers)
+    assert per_stage[ranked[-1][0]] == 9
+    for k in range(len(ranked) - 1):
+        width = Counter(suffix[1:] for suffix in {lab[k:] for lab in labels})
+        expected, live = 0, set()
+        for a, b in iter_product(width, repeat=2):
+            items = {item[:3] for item in reference_items(ranked[k + 1:], a, b)}
+            expected += width[a] * width[b] * len(items)
+            if items:
+                live.add((a, b))
+        assert per_stage[ranked[k][0]] == expected, k
+        # only the pairs with items are handed on: an empty one is pruned
+        assert {(v, w) for st, v, w in folded if st == ranked[k + 1][0]} == live, k
+    assert sum(per_stage.values()) == len(transfers) == 20_913
+
+
+def test_candidate_table_sweeps_each_label_pair_once(monkeypatch):
+    # a summand repeats its fiber label once per root degree of P^2: the one
+    # stage folds each distinct label pair once, 9 times rather than 81
+    plan = fib.FibrationPlan(fib.BaseModel(2), fib.GrassFiber(2, (0, 1, 3)), 1)
+    fiber_labels = [A[:-1] for A in plan.summands()]
+    assert len(fiber_labels) == 3 * len(set(fiber_labels)) == 9
+    reference = reference_candidate_ext_table(plan)
+    assert reference.higher_entries() and reference.hom_matrix()[0][0] == 1
+    transfers = count_calls(monkeypatch, "_transfer")
+    assert fib.candidate_ext_table(plan) == reference
+    assert len(transfers) == len(set(fiber_labels)) ** 2 == 9
+
+
 def test_chain_reports_higher_direct_images():
     # Grass(2, 4) over a point: weights below -(rank - l) push down in the
     # degree and to the dominant weight of their walk, as the absolute walk has it
@@ -558,10 +625,10 @@ def test_failing_transfer_is_not_cached(monkeypatch):
     monkeypatch.setattr(coll, "product_expand", failing)
     for _ in range(2):
         with pytest.raises(ArithmeticError):
-            coll._chain(ranked, ((0,),), ((5,),), memo)
+            swept_chain(ranked, ((0,),), ((5,),), memo)
     assert transfer_keys(memo) == []
     monkeypatch.setattr(coll, "product_expand", expand)
-    assert coll._chain(ranked, ((0,),), ((5,),), memo) == {(1, 0): 4}
+    assert swept_chain(ranked, ((0,),), ((5,),), memo) == {(1, 0): 4}
     # a transfer that raises halfway through its split-stage expansions
     ranked = reference_flag_stages(4, (1, 2))
     src, tgt = ((2, 2), (1,)), ((2, 1), (0,))  # its stage-0 transfer expands twice
@@ -578,9 +645,9 @@ def test_failing_transfer_is_not_cached(monkeypatch):
     memo = {}
     monkeypatch.setattr(coll, "split_bundle_expand", failing_once)
     with pytest.raises(ArithmeticError):
-        coll._chain(ranked, src, tgt, memo)
+        swept_chain(ranked, src, tgt, memo)
     assert all(key[1] != ranked[0][0] for key in transfer_keys(memo))
-    assert coll._chain(ranked, src, tgt, memo) == expected
+    assert swept_chain(ranked, src, tgt, memo) == expected
 
 
 def test_no_memo_survives_chain_tables(monkeypatch):

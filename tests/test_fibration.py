@@ -214,6 +214,9 @@ TWO_OBJECTS = {(0, 0, 0, 0): 1, (1, 1, 0, 0): 1}
                  id="collection-multiplicity"),
     pytest.param(lambda: coll.beilinson_collection(2, (0, 1.9, 2)), id="beilinson-degree"),
     pytest.param(lambda: dsc.CSAClass(4, 2, (1, 2.5)), id="algebra-index"),
+    pytest.param(lambda: dsc.CSAClass(4.0, 2), id="algebra-degree"),
+    pytest.param(lambda: dsc.CSAClass(4, 2.0), id="algebra-period"),
+    pytest.param(lambda: dsc.bs_tilting_summary(dsc.CSAClass(2, 2), 2.5), id="bs-range-length"),
     pytest.param(lambda: fib.BaseModel(1, (0, 1.5)), id="base-model-degree"),
 ])
 def test_constructors_refuse_non_integers(build):
