@@ -13,7 +13,7 @@ from math import comb
 from . import bwb, descent, fibration
 from . import collections as coll
 from .partitions import enumerate_box_partitions
-from .schur import lr_expand, schur_dimension
+from .schur import _skew_dimension, as_weight, lr_expand, schur_dimension
 
 KAPRANOV_MAX_N = 7
 ORACLE_SPACES = ((2, 4), (2, 5), (3, 6))
@@ -149,7 +149,7 @@ def fibration_twist_search():
 
 
 def invariance_suite():
-    """Criterion 8: multiplicity scaling, global twist, LR symmetry and sums."""
+    """Criterion 8: multiplicity scaling, global twist, LR dimension sums and skew expansions."""
     corpus = [
         coll.kapranov_collection(1, 3),
         coll.kapranov_collection(2, 4),
@@ -176,14 +176,21 @@ def invariance_suite():
                     return False, f"det twist by {power} changed the Ext table"
     box = enumerate_box_partitions(3, 3).members
     for n in range(1, 6):
+        dims = {lam: schur_dimension(lam, n) for lam in box}
         for a in box:
+            skew: dict = {}  # nu -> sum over b of c^nu_{a,b} dim S^b(C^n)
             for b in box:
-                left = lr_expand(a, b, n)
-                if left != lr_expand(b, a, n):
-                    return False, f"LR symmetry fails at {a}, {b}, rank {n}"
-                total = sum(c * schur_dimension(nu, n) for nu, c in left.items())
-                if total != schur_dimension(a, n) * schur_dimension(b, n):
+                total = 0
+                for nu, c in lr_expand(a, b, n).items():
+                    total += c * schur_dimension(nu, n)
+                    skew[nu] = skew.get(nu, 0) + c * dims[b]
+                if total != dims[a] * dims[b]:
                     return False, f"dimension bookkeeping fails at {a}, {b}, n={n}"
+            # the skew identity s_{nu/a}(1^n) = sum over b of c^nu_{a,b} s_b(1^n)
+            for nu in box:
+                if len(a) <= len(nu) <= n and all(x <= y for x, y in zip(a, nu)):
+                    if skew.get(nu, 0) != _skew_dimension(as_weight(nu, 3), as_weight(a, 3), n):
+                        return False, f"skew LR expansion fails at {nu}/{a}, n={n}"
     return True, "scaling/twist invariance and LR bookkeeping hold on the corpus"
 
 

@@ -26,7 +26,7 @@ def _canonical(obj):
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, (list, tuple)):
-        return [_canonical(x) for x in obj]
+        return [str(x) if type(x) is int else _canonical(x) for x in obj]
     if isinstance(obj, dict):
         return {str(k): _canonical(v) for k, v in obj.items()}
     return obj

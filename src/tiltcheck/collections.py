@@ -12,9 +12,12 @@ Each pair of a table gets one of two Ext engines, chosen by its weights.
   Hom(S^v R, S^w R) has kappa_d >= v_d - w_1.  When v_d - w_1 >= -(n - d),
   the dotted walk of (kappa, 0^(n-d)) is dominant or repeats (kappa_d + n - d
   lands on a trailing rho entry n-d-1, ..., 0), so Ext^(>0) vanishes, and
-  Hom is the skew Schur dimension s_{v/w}(1^n) of v, w shifted to
-  partitions (`schur._skew_dimension`), zero unless w is contained in v.
-  Every pair of a Kapranov box is in bound.
+  Hom is the skew Schur dimension s_{v/w}(1^n), zero unless w is contained
+  in v.  `_skew_homs` enumerates the contained labels w under each source v
+  along the labels' prefixes, and takes s_{v/w}(1^n) as the product over the
+  edge-connected row components of v/w, each translated to a canonical form
+  and evaluated once per build by the skew Jacobi-Trudi determinant
+  (`schur._skew_dimension`).  Every pair of a Kapranov box is in bound.
 - Stage chain (every other pair; `GrassFiber` is the one stage model, and a
   Grassmannian the split stage (d, 0^n) over a point).  Each stage's Hom
   content is expanded into weights delta on the dual of its subbundle, and
@@ -37,6 +40,7 @@ the per-pair entry points sweep one pair from an empty memo.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import product as iter_product
 from typing import Optional
@@ -272,8 +276,8 @@ def twist_collection(spec: CollectionSpec, power: int) -> CollectionSpec:
 class ExtTable:
     """dims maps (i, j, s) to dim Ext^s(E_i, E_j); absent keys are zero.
 
-    `higher_entries`, `higher_witness` and `end_dim` each go once over the
-    nonzero entries rather than probing every (i, j, s).
+    `hom_matrix`, `higher_entries`, `higher_witness` and `end_dim` each go
+    once over the nonzero entries rather than probing every (i, j, s).
     """
 
     size: int
@@ -284,7 +288,11 @@ class ExtTable:
         return self.dims.get((i, j, s), 0)
 
     def hom_matrix(self) -> list[list[int]]:
-        return [[self.get(i, j, 0) for j in range(self.size)] for i in range(self.size)]
+        matrix = [[0] * self.size for _ in range(self.size)]
+        for (i, j, s), v in self.dims.items():
+            if s == 0 and v:
+                matrix[i][j] = v
+        return matrix
 
     def higher_entries(self) -> list:
         """The nonzero positive-degree entries as ((i, j, s), dim), sorted."""
@@ -324,6 +332,46 @@ def schur_pair_ext(d: int, n: int, v, w) -> dict[int, int]:
     return {s: mult for *_, chain in found for (s, _deg), mult in sorted(chain.items())}
 
 
+def _skew_homs(weights, n: int, width: int):
+    """(v, [(w, s_{v/w}(1^n)), ...]) for each v of `weights`, over its w with w_1 <= v_l + width.
+
+    The w contained in v are enumerated row by row along the prefixes of
+    `weights`.  v/w splits into edge-connected row components, one closing at
+    row r when w_r >= v_(r+1), and s_{v/w} is the product of its components'
+    skew Schur functions, each invariant under translation (Macdonald, ch. I,
+    section 5).  So a component, shifted to end in w_r = 0, is evaluated by
+    `_skew_dimension` once per call; an empty row is a component of value 1.
+    """
+    children: dict[tuple[int, ...], dict[int, None]] = {}
+    for w in weights:
+        for r in range(len(w)):
+            children.setdefault(w[:r], {})[w[r]] = None
+    parts: dict[tuple, int] = {}
+    for v in weights:
+        # (w prefix, first row of its open component, product of the closed ones)
+        level = [((), 0, 1)]
+        for r, top in enumerate(v):
+            cap = min(top, v[-1] + width) if r == 0 else top
+            below = v[r + 1] if r + 1 < len(v) else None
+            grown = []
+            for w, a, value in level:
+                for x in children[w]:
+                    if x > cap:
+                        continue
+                    if x == top:
+                        grown.append((w + (x,), r + 1, value))
+                    elif below is None or x >= below:
+                        key = (tuple([y - x for y in v[a:r + 1]]), tuple([y - x for y in w[a:]]) + (0,))
+                        part = parts.get(key)
+                        if part is None:
+                            part = parts[key] = _skew_dimension(*key, n)
+                        grown.append((w + (x,), r + 1, value * part))
+                    else:
+                        grown.append((w + (x,), a, value))
+            level = grown
+        yield v, [(w, value) for w, _a, value in level]
+
+
 def _chain_table(ranked, labels, root_dim: int, shifts) -> dict:
     """{(i, j, s): dim Ext^s} for every ordered pair of root-first labels on `ranked`.
 
@@ -337,13 +385,16 @@ def _chain_table(ranked, labels, root_dim: int, shifts) -> dict:
     if root_dim == 0 and len(ranked) == 1 and ranked[0][1] is not None:
         # one split stage over a point is Grass(l, n); in bound: v_l - w_1 >= l - n
         [(st, n)] = ranked
-        bound, walked = st.l - n, {}
-        for i, v in enumerate(labels):
-            for j, w in enumerate(labels):
-                if v[0][-1] - w[0][0] < bound:
-                    walked[(v, w)] = None
-                elif all(a >= b for a, b in zip(v[0], w[0])):
-                    dims[(i, j, 0)] = _skew_dimension(v[0], w[0], n)
+        width = n - st.l
+        for v, homs in _skew_homs([lab[0] for lab in index], n, width):
+            for w, hom in homs:
+                for i, j in iter_product(index[(v,)], index[(w,)]):
+                    dims[(i, j, 0)] = hom
+        # out-of-bound pairs, w_1 > v_l + width, walk in (i, j) order
+        by_first = sorted(range(len(labels)), key=lambda j: labels[j][0][0])
+        firsts = [labels[j][0][0] for j in by_first]
+        walked = {(v, labels[j]): None for v in labels
+                  for j in sorted(by_first[bisect_right(firsts, v[0][-1] + width):])}
         chains = (found for v, w in walked for found in _sweep(ranked, (v,), (w,), memo))
     else:
         chains = _sweep(ranked, tuple(index), tuple(index), memo)

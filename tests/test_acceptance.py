@@ -5,6 +5,7 @@ Each test prints a single pass/fail line (visible with `pytest -s` or via the
 """
 
 from tiltcheck import acceptance
+from tiltcheck.schur import schur_dimension
 
 
 def _check(name, fn):
@@ -53,3 +54,23 @@ def test_criterion_1_runtime_budget():
     elapsed = time.monotonic() - start
     print(f"kapranov sweep wall time: {elapsed:.2f}s")
     assert passed and elapsed < 60.0
+
+
+def test_criterion_8_catches_a_dimension_preserving_lr_error(monkeypatch):
+    # (4) and (3,1) have one dimension at n = 3, so moving one unit of the
+    # (1) x (3) multiplicity between them keeps every dimension sum; the skew
+    # expansion s_{nu/a}(1^n) must still see it
+    assert schur_dimension((4,), 3) == schur_dimension((3, 1), 3) == 15
+    expand = acceptance.lr_expand
+
+    def shifted(a, b, n):
+        out = dict(expand(a, b, n))
+        if n == 3 and sorted((a, b)) == [(1,), (3,)]:
+            assert out.pop((4,)) == 1
+            out[(3, 1)] += 1
+        return out
+
+    monkeypatch.setattr(acceptance, "lr_expand", shifted)
+    passed, detail = acceptance.invariance_suite()
+    assert not passed
+    assert detail.startswith("skew LR expansion fails at") and detail.endswith("n=3")

@@ -213,6 +213,9 @@ def test_determinism_byte_identical(capsys):
 def test_numbers_are_strings(capsys):
     _code, report = run_cli(["schur-dim", "--weight", "2,1", "--n", "3"], capsys)
     assert isinstance(report["result"]["dimension"], str)
+    # ints become strings at every depth; bools, an int subclass, stay bools
+    assert cli._canonical({"m": [[1, 0], (True, False)], 2: (-3, [4, None])}) == {
+        "m": [["1", "0"], [True, False]], "2": ["-3", ["4", None]]}
 
 
 def test_invalid_inputs_exit_2(capsys):
@@ -251,12 +254,13 @@ def test_engine_errors_exit_2(capsys, monkeypatch, error):
     "argv, code",
     [
         (["verify", "kapranov", "--d", "2", "--n", "4"], 0),
+        (["verify", "kapranov", "--d", "4", "--n", "9"], 0),
         (["verify", "beilinson", "--n", "2", "--degrees", "0,1,2,3"], 1),
         (["verify", "flag", "--steps", "1,2", "--n", "3"], 0),
         (["fibration", "search", "--plan",
           str(resources.files("tiltcheck") / "data" / "hirzebruch_plan.json")], 0),
     ],
-    ids=["kapranov", "beilinson", "flag", "fibration"],
+    ids=["kapranov", "kapranov-4-9", "beilinson", "flag", "fibration"],
 )
 def test_optimized_interpreter_same_reports(argv, code):
     # python -O strips assert statements; the integrity checks must not be asserts

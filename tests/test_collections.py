@@ -6,14 +6,14 @@ from itertools import product as iter_product
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tiltcheck import bwb
 from tiltcheck import collections as coll
 from tiltcheck import fibration as fib
 from tiltcheck.partitions import enumerate_box_partitions, normalize
-from tiltcheck.schur import as_weight, dual_weight, lr_expand, product_expand, split_bundle_expand
+from tiltcheck.schur import _skew_dimension, as_weight, dual_weight, lr_expand, product_expand, split_bundle_expand
 
 DATA = resources.files("tiltcheck") / "data"
 
@@ -265,6 +265,73 @@ def test_in_box_table_expands_no_lr_product():
     coll.ext_table(spec)
     after = lr_expand.cache_info()
     assert after.hits + after.misses == before.hits + before.misses
+
+
+def per_pair_closed_form_table(spec):
+    """Grassmannian table pair by pair: one skew determinant per contained in-bound pair.
+
+    Out-of-bound pairs take the one-pair walk `schur_pair_ext`.
+    """
+    d, n = spec.space.steps[0], spec.space.n
+    weights = [as_weight(v, d) for (v,) in spec.labels]
+    dims = {}
+    for i, v in enumerate(weights):
+        for j, w in enumerate(weights):
+            if out_of_bound(d, n, v, w):
+                dims.update(((i, j, s), x) for s, x in coll.schur_pair_ext(d, n, v, w).items())
+            elif all(a >= b for a, b in zip(v, w)):
+                dims[(i, j, 0)] = _skew_dimension(v, w, n)
+    return coll.ExtTable(len(weights), spec.space.dimension(), dims)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        coll.kapranov_collection(4, 9),
+        coll.kapranov_collection(5, 10),
+        coll.twist_collection(coll.kapranov_collection(4, 8), 1),
+        coll.twist_collection(coll.kapranov_collection(4, 8), -1),
+        coll.CollectionSpec(bwb.grassmannian(4, 8), tuple(reversed(coll.kapranov_collection(4, 8).labels))),
+        walk_routed_collection(),
+    ],
+    ids=["kapranov-4-9", "kapranov-5-10", "kapranov-4-8-det+1", "kapranov-4-8-det-1",
+         "kapranov-4-8-reversed", "walk-routed"],
+)
+def test_closed_form_table_matches_per_pair_determinants(spec):
+    table = coll.ext_table(spec)
+    assert table == per_pair_closed_form_table(spec)
+    assert table.hom_matrix() == [[table.get(i, j, 0) for j in range(table.size)] for i in range(table.size)]
+
+
+@st.composite
+def contained_pairs(draw):
+    """(n, v, w): w contained in v, length <= 5, entries in [-4, 4], n <= 8; rows of w often equal v's."""
+    length = draw(st.integers(1, 5))
+    weight = st.lists(st.integers(-4, 4), min_size=length, max_size=length).map(
+        lambda xs: tuple(sorted(xs, reverse=True)))
+    v, u = draw(weight), draw(weight)
+    # the row-wise minimum of two weights is a weight contained in both
+    return draw(st.integers(1, 8)), v, tuple(min(a, b) for a, b in zip(v, u))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(contained_pairs())
+@example((3, (2, 2, 0), (2, 2, 0)))  # every row empty
+@example((4, (3, 1, 1, 0), (3, 0, 0, -1)))  # an empty row between two components
+@example((2, (2, 2, 2), (1, 0, 0)))  # one component with a column taller than n
+def test_component_product_is_the_skew_dimension(case):
+    n, v, w = case
+    # width 8 admits every pair: v_l - w_1 >= -8 for entries in [-4, 4]
+    homs = {x: dict(found) for x, found in coll._skew_homs(list(dict.fromkeys((v, w))), n, 8)}
+    assert homs[v] == {v: 1, w: _skew_dimension(v, w, n)}
+
+
+def test_closed_form_computes_each_translated_component_once(monkeypatch):
+    # Grass(4, 9): 5,292 contained pairs, 948 distinct nonempty components up to translation
+    calls = count_calls(monkeypatch, "_skew_dimension")
+    coll.ext_table(coll.kapranov_collection(4, 9))
+    assert len(calls) == len(set(calls)) == 948
+    assert all(mu[-1] == 0 < lam[-1] for lam, mu, _n in calls)  # nonempty, shifted to end in w_r = 0
 
 
 def test_beilinson_range_keeps_higher_ext_witness():
