@@ -15,35 +15,32 @@ is testable rather than folklore.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import accumulate, combinations, permutations
 from math import comb
 from operator import add, mul, sub
 from typing import Optional
 
-from .partitions import normalize
+from .partitions import FrozenValue, normalize
 from .schur import as_weight, dual_weight, schur_dimension
 
 
-@dataclass(frozen=True)
-class FlagSpace:
+class FlagSpace(FrozenValue):
     """Flag(steps; n); a single step encodes the Grassmannian of that rank."""
 
-    n: int
-    steps: tuple[int, ...]
+    __slots__ = _fields = ("n", "steps")
 
-    def __post_init__(self):
-        steps = tuple(self.steps)
-        object.__setattr__(self, "steps", steps)
-        if self.n < 1:
+    def __init__(self, n: int, steps: tuple[int, ...]):
+        steps = tuple(steps)
+        if n < 1:
             raise ValueError("n must be positive")
         if not steps:
             raise ValueError("need at least one step")
         if any(b <= a for a, b in zip(steps, steps[1:])):
             raise ValueError("steps must be strictly increasing")
-        if steps[0] < 1 or steps[-1] >= self.n:
-            raise ValueError(f"steps {steps} out of range for n={self.n}")
+        if steps[0] < 1 or steps[-1] >= n:
+            raise ValueError(f"steps {steps} out of range for n={n}")
+        self._set(n, steps)
 
     @property
     def block_lengths(self) -> tuple[int, ...]:
@@ -67,12 +64,15 @@ def projective_space(m: int) -> FlagSpace:
     return FlagSpace(m + 1, (1,))
 
 
-@dataclass(frozen=True)
-class HomogeneousBundle:
-    space: FlagSpace
-    blocks: tuple[tuple[int, ...], ...]
+class HomogeneousBundle(FrozenValue):
+    __slots__ = _fields = ("space", "blocks")
+
+    def __init__(self, space: FlagSpace, blocks: tuple[tuple[int, ...], ...]):
+        self._set(space, blocks)
+        self.__post_init__()
 
     def __post_init__(self):
+        # a method of its own: perfbench counts its calls as constructions
         blocks = tuple(tuple(int(x) for x in b) for b in self.blocks)
         object.__setattr__(self, "blocks", blocks)
         lengths = tuple(len(b) for b in blocks)
@@ -116,13 +116,13 @@ def of_quot(space: FlagSpace, lam) -> HomogeneousBundle:
     return HomogeneousBundle(space, ((0,) * d, dual_weight(w)))
 
 
-@dataclass(frozen=True)
-class CohomologyResult:
+class CohomologyResult(FrozenValue):
     """The single nonvanishing cohomology group; absent groups are None."""
 
-    degree: int
-    dominant_weight: Optional[tuple[int, ...]]
-    dimension: int
+    __slots__ = _fields = ("degree", "dominant_weight", "dimension")
+
+    def __init__(self, degree: int, dominant_weight: Optional[tuple[int, ...]], dimension: int):
+        self._set(degree, dominant_weight, dimension)
 
 
 def dotted_weyl(weight, rho) -> Optional[tuple[int, tuple[int, ...]]]:

@@ -16,7 +16,8 @@ import json
 import os
 import sys
 
-# Each command imports the engine modules it runs, so a process pays only for those.
+# Each command imports the engine modules it runs, so a process pays only for those;
+# no engine module loads dataclasses or inspect (their values are partitions.FrozenValue).
 from . import __version__, partitions
 
 
@@ -162,7 +163,7 @@ def _cmd_verify(args, pretty):
     table = coll.ext_table(spec)
     report = coll.verify_tilting(spec, table)
     verdict = "pass" if report.passed else "fail"
-    return emit("verify", inputs, vars(report), verdict, pretty)
+    return emit("verify", inputs, report._asdict(), verdict, pretty)
 
 
 def _parse_algebra(args) -> descent.CSAClass:
@@ -203,7 +204,7 @@ def _cmd_descent(args, pretty):
                 raise ValueError(f"unknown tower stage kind {st['kind']!r}")
         summary = descent.twisted_tower_summary(stages)
         inputs = {"variety": "tower", "plan": args.plan, "stage_count": len(stages)}
-    result = {**vars(summary), "summand_count": summary.summand_count}
+    result = {**summary._asdict(), "summand_count": summary.summand_count}
     return emit("descent", inputs, result, "n/a", pretty)
 
 

@@ -41,19 +41,17 @@ the per-pair entry points sweep one pair from an empty memo.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from itertools import product as iter_product
 from typing import Optional
 
-from .partitions import enumerate_box_partitions, json_int
+from .partitions import FrozenValue, enumerate_box_partitions, json_int
 from . import bwb
 from .schur import _skew_dimension, as_weight, dual_weight, product_expand, split_bundle_expand
 
 Label = tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class GrassFiber:
+class GrassFiber(FrozenValue):
     """One Grassmann-bundle stage: l-planes in a stage bundle.
 
     The stage bundle is split, (+) O(d) over the root for d in
@@ -65,18 +63,16 @@ class GrassFiber:
     Kapranov one.
     """
 
-    l: int
-    split_degrees: Optional[tuple[int, ...]] = None
-    taut: bool = False
+    __slots__ = _fields = ("l", "split_degrees", "taut")
 
-    def __post_init__(self):
-        if self.split_degrees is not None:
-            object.__setattr__(self, "split_degrees",
-                               tuple(json_int(d, "split degree") for d in self.split_degrees))
-        if (self.split_degrees is None) == (not self.taut):
+    def __init__(self, l: int, split_degrees: Optional[tuple[int, ...]] = None, taut: bool = False):
+        if split_degrees is not None:
+            split_degrees = tuple(json_int(d, "split degree") for d in split_degrees)
+        if (split_degrees is None) == (not taut):
             raise ValueError("exactly one of split_degrees / taut must be given")
-        if json_int(self.l, "l") < 1:
+        if json_int(l, "l") < 1:
             raise ValueError("l must be positive")
+        self._set(l, split_degrees, taut)
 
     def objects(self, rank: int) -> tuple[tuple[int, ...], ...]:
         """S^lam over the l x (rank - l) box, larger diagrams first."""
@@ -134,7 +130,7 @@ def _sweep(ranked, sources, targets, memo: dict):
         for grow, labels in zip(grown, (sources, targets)):
             for lab in labels:
                 grow.setdefault(lab[k + 1:], {})[lab[k:]] = None
-        level = _fold(*ranked[k], level, *grown, memo)
+        level = _fold(k, *ranked[k], level, *grown, memo)
     for v, w, items in level:
         for gamma, _s, _deg in items:
             if gamma is not None:
@@ -142,13 +138,13 @@ def _sweep(ranked, sources, targets, memo: dict):
         yield v, w, {(s, deg): mult for (_gamma, s, deg), mult in items.items()}
 
 
-def _fold(st, rank, level, grow_src, grow_tgt, memo: dict):
-    """Stage `st` folded into every pair extending a (source, target, items) of `level`."""
+def _fold(k, st, rank, level, grow_src, grow_tgt, memo: dict):
+    """Stage k, `st`, folded into every pair extending a (source, target, items) of `level`."""
     for a, b, items in level:
         for v, w in iter_product(grow_src[a], grow_tgt[b]):
             out: dict[tuple[Optional[tuple[int, ...]], int, int], int] = {}
             for (gamma, s, deg), mult in items.items():
-                for gamma_out, ds, shift, c in _transfer(st, rank, gamma, v[0], w[0], memo):
+                for gamma_out, ds, shift, c in _transfer(k, st, rank, gamma, v[0], w[0], memo):
                     key = (gamma_out, s + ds, deg + shift)
                     out[key] = out.get(key, 0) + mult * c
             if out:
@@ -169,18 +165,19 @@ def _push(delta, rank: int, duals) -> tuple:
     return tuple((None, s, deg, c) for deg, c in split_bundle_expand(dom, duals).items())
 
 
-def _transfer(st, rank, gamma, lam, mu, memo: dict):
-    """One stage of the chain: (gamma', Ext degree, root degree shift, multiplicity) terms.
+def _transfer(k, st, rank, gamma, lam, mu, memo: dict):
+    """Stage k of the chain: (gamma', Ext degree, root degree shift, multiplicity) terms.
 
     gamma' is the full-length weight handed to the stage below (taut stage)
     or None with a root line-bundle degree shift (split stage, fiber table).
-    `memo` keeps each distinct input ("transfer", ...) and delta ("push",
-    delta, rank, duals) pushed down once.  A fiber table (rank None) holds a
-    dict, which cannot key the memo, so its records are read afresh.
+    `memo` keeps each distinct input ("transfer", k, gamma, lam, mu) and delta
+    ("push", delta, rank, duals) pushed down once.  A memo serves one stage
+    list, so the position k stands for the stage and its rank, and no stage
+    is hashed.  A fiber table (rank None) is read afresh.
     """
     if rank is None:
         return tuple((None, 0, deg, m) for deg, m in st.pushforward(mu, lam).items())
-    key = ("transfer", st, rank, gamma, lam, mu)
+    key = ("transfer", k, gamma, lam, mu)
     terms = memo.get(key)
     if terms is not None:
         return terms
@@ -197,31 +194,27 @@ def _transfer(st, rank, gamma, lam, mu, memo: dict):
     return memo[key]
 
 
-@dataclass(frozen=True)
-class CollectionSpec:
-    space: bwb.FlagSpace
-    labels: tuple[Label, ...]
-    multiplicities: tuple[int, ...] = ()
-    order_note: str = ""
+class CollectionSpec(FrozenValue):
+    __slots__ = _fields = ("space", "labels", "multiplicities", "order_note")
 
-    def __post_init__(self):
+    def __init__(self, space: bwb.FlagSpace, labels: tuple[Label, ...],
+                 multiplicities: tuple[int, ...] = (), order_note: str = ""):
         labels = tuple(tuple(tuple(json_int(x, "weight entry") for x in w) for w in lab)
-                       for lab in self.labels)
-        object.__setattr__(self, "labels", labels)
-        mults = tuple(json_int(m, "multiplicity") for m in self.multiplicities) or (1,) * len(labels)
-        object.__setattr__(self, "multiplicities", mults)
+                       for lab in labels)
+        mults = tuple(json_int(m, "multiplicity") for m in multiplicities) or (1,) * len(labels)
         if len(mults) != len(labels):
             raise ValueError("one multiplicity per object required")
         if any(m < 1 for m in mults):
             raise ValueError("multiplicities must be positive")
         if len(set(labels)) != len(labels):
             raise ValueError("objects must be pairwise distinct")
-        steps = self.space.steps
+        steps = space.steps
         for lab in labels:
             if len(lab) != len(steps):
                 raise ValueError(f"label {lab} has {len(lab)} stages, expected {len(steps)}")
             for w, l in zip(lab, steps):
                 as_weight(w, l)
+        self._set(space, labels, mults, order_note)
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -272,17 +265,17 @@ def twist_collection(spec: CollectionSpec, power: int) -> CollectionSpec:
     return CollectionSpec(spec.space, labels, spec.multiplicities, spec.order_note)
 
 
-@dataclass(frozen=True)
-class ExtTable:
+class ExtTable(FrozenValue):
     """dims maps (i, j, s) to dim Ext^s(E_i, E_j); absent keys are zero.
 
     `hom_matrix`, `higher_entries`, `higher_witness` and `end_dim` each go
     once over the nonzero entries rather than probing every (i, j, s).
     """
 
-    size: int
-    max_degree: int
-    dims: dict = field(default_factory=dict)
+    __slots__ = _fields = ("size", "max_degree", "dims")
+
+    def __init__(self, size: int, max_degree: int, dims: Optional[dict] = None):
+        self._set(size, max_degree, {} if dims is None else dims)
 
     def get(self, i: int, j: int, s: int) -> int:
         return self.dims.get((i, j, s), 0)
@@ -425,17 +418,19 @@ def ext_table(spec: CollectionSpec) -> ExtTable:
                     _chain_table(ranked, labels, 0, [0] * len(labels)))
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    is_strong_exceptional: bool
-    is_exceptional_each: bool
-    triangularity_witness: Optional[tuple[int, int]]
-    higher_ext_witness: Optional[tuple[int, int, int, int]]
-    k0_rank: int
-    end_algebra_dim: int
-    hom_matrix: tuple[tuple[int, ...], ...]
-    order_note: str
-    generation_note: str
+class VerificationReport(FrozenValue):
+    __slots__ = _fields = ("is_strong_exceptional", "is_exceptional_each", "triangularity_witness",
+                           "higher_ext_witness", "k0_rank", "end_algebra_dim", "hom_matrix",
+                           "order_note", "generation_note")
+
+    def __init__(self, is_strong_exceptional: bool, is_exceptional_each: bool,
+                 triangularity_witness: Optional[tuple[int, int]],
+                 higher_ext_witness: Optional[tuple[int, int, int, int]], k0_rank: int,
+                 end_algebra_dim: int, hom_matrix: tuple[tuple[int, ...], ...], order_note: str,
+                 generation_note: str):
+        self._set(is_strong_exceptional, is_exceptional_each, triangularity_witness,
+                  higher_ext_witness, k0_rank, end_algebra_dim, hom_matrix, order_note,
+                  generation_note)
 
     @property
     def passed(self) -> bool:

@@ -16,18 +16,16 @@ bilinear form M^T H M, with M the Schur multiplicities of the wedge sheaves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product as iter_product
 from math import comb, gcd, prod
 from typing import Optional
 
-from .partitions import conjugate, json_int, normalize
+from .partitions import FrozenValue, conjugate, json_int, normalize
 from .collections import ExtTable, ext_table, kapranov_collection, schur_pair_ext
 from .schur import lr_expand
 
 
-@dataclass(frozen=True)
-class CSAClass:
+class CSAClass(FrozenValue):
     """Degree/period model of a central simple algebra.
 
     The default index model ind(A^i) = p / gcd(p, i) holds for cyclic classes
@@ -35,25 +33,23 @@ class CSAClass:
     i mod period to an explicit index to model anything else.
     """
 
-    degree: int
-    period: int
-    index_table: Optional[tuple[int, ...]] = None
+    __slots__ = _fields = ("degree", "period", "index_table")
 
-    def __post_init__(self):
-        if json_int(self.degree, "degree") < 1:
+    def __init__(self, degree: int, period: int, index_table: Optional[tuple[int, ...]] = None):
+        if json_int(degree, "degree") < 1:
             raise ValueError("degree must be positive")
-        if json_int(self.period, "period") < 1 or self.degree % self.period != 0:
+        if json_int(period, "period") < 1 or degree % period != 0:
             raise ValueError("period must divide the degree")
-        if self.index_table is not None:
-            table = tuple(json_int(x, "index") for x in self.index_table)
-            object.__setattr__(self, "index_table", table)
-            if len(table) != self.period:
+        if index_table is not None:
+            index_table = tuple(json_int(x, "index") for x in index_table)
+            if len(index_table) != period:
                 raise ValueError("index table must have one entry per residue mod period")
-            if table[0] != 1:
+            if index_table[0] != 1:
                 raise ValueError("ind(A^0) must be 1")
-            for x in table:
-                if x < 1 or self.degree % x != 0:
+            for x in index_table:
+                if x < 1 or degree % x != 0:
                     raise ValueError(f"index {x} must divide the degree")
+        self._set(degree, period, index_table)
 
 
 def split_class(degree: int) -> CSAClass:
@@ -68,14 +64,13 @@ def index_of_power(a: CSAClass, i: int) -> int:
     return a.period // gcd(a.period, r)
 
 
-@dataclass(frozen=True)
-class DescentSummary:
-    summand_labels: tuple
-    multiplicities: tuple[int, ...]
-    ranks: tuple[int, ...]
-    total_rank: int
-    end_dim: int
-    notes: tuple[str, ...] = ()
+class DescentSummary(FrozenValue):
+    __slots__ = _fields = ("summand_labels", "multiplicities", "ranks", "total_rank", "end_dim",
+                           "notes")
+
+    def __init__(self, summand_labels: tuple, multiplicities: tuple[int, ...],
+                 ranks: tuple[int, ...], total_rank: int, end_dim: int, notes: tuple[str, ...] = ()):
+        self._set(summand_labels, multiplicities, ranks, total_rank, end_dim, notes)
 
     @property
     def summand_count(self) -> int:
@@ -182,12 +177,12 @@ def _wedge_ext_table(d: int, n: int) -> tuple[list[tuple[int, ...]], ExtTable]:
     return box, ExtTable(len(box), kapranov_table.max_degree, dims)
 
 
-@dataclass(frozen=True)
-class WedgeReport:
-    is_tilting: bool
-    k0_rank: int
-    end_dim: int
-    higher_ext_witness: Optional[tuple]
+class WedgeReport(FrozenValue):
+    __slots__ = _fields = ("is_tilting", "k0_rank", "end_dim", "higher_ext_witness")
+
+    def __init__(self, is_tilting: bool, k0_rank: int, end_dim: int,
+                 higher_ext_witness: Optional[tuple]):
+        self._set(is_tilting, k0_rank, end_dim, higher_ext_witness)
 
 
 def verify_wedge_collection(d: int, n: int) -> WedgeReport:

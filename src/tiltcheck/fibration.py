@@ -20,50 +20,46 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
 from itertools import product as iter_product
 from typing import Optional, Union
 
 from .bwb import pn_line_cohomology
 from .collections import ExtTable, GrassFiber, _chain_table, rank_stages
-from .partitions import json_int
+from .partitions import FrozenValue, json_int
 
 
-@dataclass(frozen=True)
-class BaseModel:
+class BaseModel(FrozenValue):
     """P^dim with a line-bundle tilting collection (Beilinson range by default).
 
     The ample generator is the hyperplane class; construction checks that the
     declared summands already satisfy the Ext-vanishing predicate.
     """
 
-    dim: int
-    tilting_degrees: tuple[int, ...] = ()
+    __slots__ = _fields = ("dim", "tilting_degrees")
 
-    def __post_init__(self):
-        if self.dim < 0:
+    def __init__(self, dim: int, tilting_degrees: tuple[int, ...] = ()):
+        if dim < 0:
             raise ValueError("dimension must be non-negative")
-        degs = (tuple(json_int(d, "base degree") for d in self.tilting_degrees)
-                or tuple(range(self.dim + 1)))
-        object.__setattr__(self, "tilting_degrees", degs)
+        degs = (tuple(json_int(d, "base degree") for d in tilting_degrees)
+                or tuple(range(dim + 1)))
         if len(set(degs)) != len(degs):
             raise ValueError("base summand degrees must be distinct")
         for a in degs:
             for b in degs:
-                res = pn_line_cohomology(b - a, self.dim)
+                res = pn_line_cohomology(b - a, dim)
                 if res is not None and res.degree > 0:
                     raise ValueError(
-                        f"degrees {degs} are not tilting on P^{self.dim}: "
+                        f"degrees {degs} are not tilting on P^{dim}: "
                         f"H^{res.degree}(O({b - a})) = {res.dimension}"
                     )
+        self._set(dim, degs)
 
 
 def point_base() -> BaseModel:
     return BaseModel(0)
 
 
-@dataclass(frozen=True)
-class TableFiber:
+class TableFiber(FrozenValue):
     """Fiber collection given by its pushforward table.
 
     `records` maps (j, i, s, base_degree) to a multiplicity and must have the
@@ -72,17 +68,18 @@ class TableFiber:
     and multiplicity is an integer.
     """
 
-    labels: tuple[str, ...]
-    records: dict = field(default_factory=dict)
-    # (j, i) -> {base degree: multiplicity}, degrees ascending
-    _pushforwards: dict = field(init=False, repr=False, compare=False)
+    # _pushforwards, (j, i) -> {base degree: multiplicity} with degrees
+    # ascending, is derived from records: no field, so eq, hash and repr skip it
+    __slots__ = ("labels", "records", "_pushforwards")
+    _fields = ("labels", "records")
 
-    def __post_init__(self):
-        if len(set(self.labels)) != len(self.labels):
+    def __init__(self, labels: tuple[str, ...], records: Optional[dict] = None):
+        records = {} if records is None else records
+        if len(set(labels)) != len(labels):
             raise ValueError("fiber labels must be distinct")
-        n = len(self.labels)
+        n = len(labels)
         diag_seen = set()
-        for key, mult in self.records.items():
+        for key, mult in records.items():
             j, i, s, deg = (json_int(x, "record index") for x in key)
             if not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"record index ({j}, {i}) out of range")
@@ -102,8 +99,9 @@ class TableFiber:
             raise ValueError(f"diagonal records missing for objects {missing}")
         # every record has s = 0, so (j, i, deg) is unique
         pushforwards: dict = {}
-        for (j, i, _s, deg), mult in sorted(self.records.items()):
+        for (j, i, _s, deg), mult in sorted(records.items()):
             pushforwards.setdefault((j, i), {})[deg] = mult
+        self._set(labels, records)
         object.__setattr__(self, "_pushforwards", pushforwards)
 
     def objects(self, rank=None) -> tuple[int, ...]:
@@ -118,16 +116,15 @@ class TableFiber:
 Fiber = Union[GrassFiber, TableFiber]
 
 
-@dataclass(frozen=True)
-class FibrationPlan:
+class FibrationPlan(FrozenValue):
     """One fibration layer, possibly stacked on a previous verified plan."""
 
-    base: Union[BaseModel, "FibrationPlan"]
-    fiber: Optional[Fiber]
-    twist: int = 0
-    verified: bool = False
-    table: Optional[ExtTable] = None
-    obstruction: Optional[tuple] = None
+    __slots__ = _fields = ("base", "fiber", "twist", "verified", "table", "obstruction")
+
+    def __init__(self, base: Union[BaseModel, "FibrationPlan"], fiber: Optional[Fiber],
+                 twist: int = 0, verified: bool = False, table: Optional[ExtTable] = None,
+                 obstruction: Optional[tuple] = None):
+        self._set(base, fiber, twist, verified, table, obstruction)
 
     @property
     def root(self) -> BaseModel:

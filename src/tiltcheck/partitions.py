@@ -52,23 +52,22 @@ def grevlex_key(p, length: int):
     return (sum(p), tuple(-x for x in reversed(padded)))
 
 
-class OrderedPartitionSet:
-    """All partitions inside a rows x cols box, listed in a fixed total order.
+class FrozenValue:
+    """Base of the immutable value types: fields named by the class's `_fields`.
 
-    An immutable value: equality and hash go by (box_rows, box_cols, members).
+    A subclass declares `__slots__` and `_fields` and writes its own
+    `__init__`, which validates its arguments and sets each field once with
+    `_set`.  Equality, hash and repr go by the field values in `_fields`
+    order, as a frozen dataclass's do; assigning or deleting an attribute
+    raises AttributeError.
     """
 
-    __slots__ = ("box_rows", "box_cols", "members")
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
 
-    def __init__(self, box_rows: int, box_cols: int, members: tuple[tuple[int, ...], ...]):
-        if len(members) != comb(box_rows + box_cols, box_rows):
-            raise ValueError("member count does not match the box")
-        for m in members:
-            if not fits_box(m, box_rows, box_cols):
-                raise ValueError(f"{m} does not fit a {box_rows}x{box_cols} box")
-        object.__setattr__(self, "box_rows", box_rows)
-        object.__setattr__(self, "box_cols", box_cols)
-        object.__setattr__(self, "members", members)
+    def _set(self, *values) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -76,20 +75,42 @@ class OrderedPartitionSet:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
-    def _key(self):
-        return self.box_rows, self.box_cols, self.members
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def _asdict(self) -> dict:
+        """The fields as {name: value}, in `_fields` order."""
+        return dict(zip(self._fields, self._values()))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._key() == other._key()
+        return self._values() == other._values()
 
     def __hash__(self):
-        return hash(self._key())
+        return hash(self._values())
 
     def __repr__(self):
-        return (f"OrderedPartitionSet(box_rows={self.box_rows!r}, "
-                f"box_cols={self.box_cols!r}, members={self.members!r})")
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, since __setattr__ refuses
+        return self.__class__, self._values()
+
+
+class OrderedPartitionSet(FrozenValue):
+    """All partitions inside a rows x cols box, listed in a fixed total order."""
+
+    __slots__ = _fields = ("box_rows", "box_cols", "members")
+
+    def __init__(self, box_rows: int, box_cols: int, members: tuple[tuple[int, ...], ...]):
+        if len(members) != comb(box_rows + box_cols, box_rows):
+            raise ValueError("member count does not match the box")
+        for m in members:
+            if not fits_box(m, box_rows, box_cols):
+                raise ValueError(f"{m} does not fit a {box_rows}x{box_cols} box")
+        self._set(box_rows, box_cols, members)
 
     def __len__(self) -> int:
         return len(self.members)

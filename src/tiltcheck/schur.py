@@ -169,8 +169,13 @@ def _skew_dimension(lam, mu, n: int) -> int:
     fraction-free (Bareiss) elimination.
     """
     size = len(lam)
-    m = [[comb(n + k - 1, k) if k >= 0 else 0
-          for k in (lam[i] - mu[j] - i + j for j in range(size))] for i in range(size)]
+    if not size:
+        return 1
+    # entry (i, j) is h_(rows[i] - cols[j]), from one h_k(1^n) list
+    rows = [x - i for i, x in enumerate(lam)]
+    cols = [y - j for j, y in enumerate(mu)]
+    h = [comb(n + k - 1, k) for k in range(max(rows) - min(cols) + 1)]
+    m = [[h[r - c] if r >= c else 0 for c in cols] for r in rows]
     sign, prev = 1, 1
     for k in range(size - 1):
         if not m[k][k]:
@@ -183,7 +188,7 @@ def _skew_dimension(lam, mu, n: int) -> int:
             for j in range(k + 1, size):
                 m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
         prev = m[k][k]
-    return sign * m[-1][-1] if size else 1
+    return sign * m[-1][-1]
 
 
 def _ssyt_degree_counts(shape, degrees) -> dict[int, int]:

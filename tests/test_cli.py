@@ -1,4 +1,3 @@
-import dataclasses
 import importlib.resources as resources
 import json
 import os
@@ -251,18 +250,22 @@ def test_engine_errors_exit_2(capsys, monkeypatch, error):
 
 
 @pytest.mark.parametrize(
-    "argv, code",
+    "argv, verdict",
     [
-        (["verify", "kapranov", "--d", "2", "--n", "4"], 0),
-        (["verify", "kapranov", "--d", "4", "--n", "9"], 0),
-        (["verify", "beilinson", "--n", "2", "--degrees", "0,1,2,3"], 1),
-        (["verify", "flag", "--steps", "1,2", "--n", "3"], 0),
+        (["verify", "kapranov", "--d", "2", "--n", "4"], "pass"),
+        (["verify", "kapranov", "--d", "4", "--n", "9"], "pass"),
+        (["verify", "beilinson", "--n", "2", "--degrees", "0,1,2,3"], "fail"),
+        (["verify", "flag", "--steps", "1,2", "--n", "3"], "pass"),
         (["fibration", "search", "--plan",
-          str(resources.files("tiltcheck") / "data" / "hirzebruch_plan.json")], 0),
+          str(resources.files("tiltcheck") / "data" / "hirzebruch_plan.json")], "pass"),
+        (["descent", "gbs", "--degree", "4", "--period", "2", "--d", "2"], "n/a"),
+        (["descent", "bs", "--degree", "4", "--period", "2", "--indices", "1,3"], None),
+        (["euler", "--a", "2,1", "--b", "1", "--d", "2", "--n", "4"], "n/a"),
     ],
-    ids=["kapranov", "kapranov-4-9", "beilinson", "flag", "fibration"],
+    ids=["kapranov", "kapranov-4-9", "beilinson", "flag", "fibration", "descent-gbs",
+         "descent-bad-index", "euler"],
 )
-def test_optimized_interpreter_same_reports(argv, code):
+def test_optimized_interpreter_same_reports(argv, verdict):
     # python -O strips assert statements; the integrity checks must not be asserts
     src = str(Path(tiltcheck.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
@@ -272,9 +275,14 @@ def test_optimized_interpreter_same_reports(argv, code):
         for flags in ([], ["-O"])
     ]
     plain, optimized = runs
-    assert plain.returncode == optimized.returncode == code
-    assert plain.stdout == optimized.stdout
-    assert json.loads(optimized.stdout)["verdict"] == ("pass" if code == 0 else "fail")
+    assert (plain.returncode, plain.stdout, plain.stderr) == \
+        (optimized.returncode, optimized.stdout, optimized.stderr)
+    if verdict is None:  # refused by a constructor's validation
+        assert optimized.returncode == 2 and optimized.stdout == ""
+        assert optimized.stderr.startswith("tiltcheck: invalid input: ")
+    else:
+        assert optimized.returncode == {"pass": 0, "n/a": 0, "fail": 1}[verdict]
+        assert json.loads(optimized.stdout)["verdict"] == verdict
 
 
 @pytest.mark.parametrize(
@@ -295,8 +303,8 @@ def test_descent_missing_option_is_named(capsys, argv, missing):
     assert captured.err == f"tiltcheck: invalid input: descent {argv[1]} needs {missing}\n"
 
 
-REPORT_FIELDS = {f.name for f in dataclasses.fields(VerificationReport)}
-SUMMARY_FIELDS = {f.name for f in dataclasses.fields(DescentSummary)} | {"summand_count"}
+REPORT_FIELDS = set(VerificationReport._fields)
+SUMMARY_FIELDS = set(DescentSummary._fields) | {"summand_count"}
 # the result keys as recorded in the report digests; a renamed field shows up here by name
 RECORDED_KEYS = {
     "verify": {"is_strong_exceptional", "is_exceptional_each", "triangularity_witness",
@@ -405,8 +413,9 @@ PLAN = str(resources.files("tiltcheck") / "data" / "hirzebruch_plan.json")
         (["fibration", "search", "--plan", PLAN], ["fibration"], ["descent", "acceptance"]),
         (["descent", "gbs", "--degree", "4", "--period", "2", "--d", "2"], ["descent"],
          ["fibration", "acceptance"]),
+        (["selftest", "--criteria", "3"], ["acceptance"], []),
     ],
-    ids=["partitions", "euler", "verify", "fibration", "descent"],
+    ids=["partitions", "euler", "verify", "fibration", "descent", "selftest"],
 )
 def test_command_imports_only_its_modules(argv, needed, unused):
     loaded = modules_loaded_by(argv)
@@ -414,9 +423,9 @@ def test_command_imports_only_its_modules(argv, needed, unused):
     assert loaded.isdisjoint(f"tiltcheck.{m}" for m in unused)
     pool = [m for m in loaded if m.startswith(POOL_MODULES)]
     assert pool == []
-    if argv[0] == "partitions":
-        # dataclasses pulls in inspect; only the engine modules use it
-        assert "dataclasses" not in loaded
+    # the value types are partitions.FrozenValue: no command pays for dataclasses
+    # or for the inspect, ast, dis and tokenize it pulls in
+    assert loaded.isdisjoint({"dataclasses", "inspect"})
 
 
 def test_jobs_option_is_gone(capsys):

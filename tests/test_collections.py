@@ -585,7 +585,7 @@ def test_candidate_table_expands_each_transfer_once(monkeypatch):
     expansions = count_calls(monkeypatch, "product_expand")
     assert fib.candidate_ext_table(plan) == reference
     # a transfer's arguments, its memo aside, are its memo key
-    distinct = {args[:-1] for args in transfers if args[1] is not None}
+    distinct = {args[:-1] for args in transfers if args[2] is not None}
     assert len(expansions) == len(distinct) < len(plan.summands()) ** 2
 
 
@@ -632,15 +632,17 @@ def test_sweep_folds_each_suffix_pair_once(monkeypatch):
     fold = coll._fold
     folded = Counter()  # (stage, source suffix, target suffix) -> times handed on
 
-    def counted(st, rank, *args):
-        for v, w, items in fold(st, rank, *args):
+    def counted(k, st, rank, *args):
+        for v, w, items in fold(k, st, rank, *args):
             folded[st, v, w] += 1
             yield v, w, items
 
     monkeypatch.setattr(coll, "_fold", counted)
     assert coll.verify_tilting(spec, coll.ext_table(spec)).passed
     assert set(folded.values()) == {1}
-    per_stage = Counter(args[0] for args in transfers)
+    # a transfer names its stage by position k in the stage list
+    assert all(args[1] == ranked[args[0]][0] for args in transfers)
+    per_stage = Counter(ranked[args[0]][0] for args in transfers)
     assert per_stage[ranked[-1][0]] == 9
     for k in range(len(ranked) - 1):
         width = Counter(suffix[1:] for suffix in {lab[k:] for lab in labels})
@@ -713,7 +715,7 @@ def test_failing_transfer_is_not_cached(monkeypatch):
     monkeypatch.setattr(coll, "split_bundle_expand", failing_once)
     with pytest.raises(ArithmeticError):
         swept_chain(ranked, src, tgt, memo)
-    assert all(key[1] != ranked[0][0] for key in transfer_keys(memo))
+    assert all(key[1] != 0 for key in transfer_keys(memo))
     assert swept_chain(ranked, src, tgt, memo) == expected
 
 
@@ -908,4 +910,4 @@ DIAGONAL = {(0, 0, 0): 1, (1, 1, 0): 1, (2, 2, 0): 1}
 def test_verify_tilting_matches_probing_predicate(spec, dims):
     table = coll.ext_table(spec) if dims is None else coll.ExtTable(len(spec), 2, dims)
     report = coll.verify_tilting(spec, table)
-    assert vars(report) == vars(probing_verify_tilting(spec, table))
+    assert report._asdict() == probing_verify_tilting(spec, table)._asdict()

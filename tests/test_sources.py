@@ -62,3 +62,20 @@ def test_cli_imports_command_modules_per_command():
         parts = set(mod.split(".")) | set(names)
         eager += sorted(parts & per_command)
     assert eager == []
+
+
+def test_no_dataclasses_import():
+    # dataclasses pulls in inspect, ast, dis and tokenize, and each decoration
+    # execs generated methods: start-up every command would pay
+    found = []
+    for path in sorted(Path(tiltcheck.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                mods = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                mods = [node.module or ""]
+            else:
+                continue
+            found += [(path.name, node.lineno) for mod in mods if mod.split(".")[0] == "dataclasses"]
+    assert found == []

@@ -1,0 +1,104 @@
+import copy
+import inspect
+import pickle
+
+import pytest
+
+from tiltcheck.bwb import CohomologyResult, FlagSpace, HomogeneousBundle
+from tiltcheck.collections import CollectionSpec, ExtTable, GrassFiber, VerificationReport
+from tiltcheck.descent import CSAClass, DescentSummary, WedgeReport
+from tiltcheck.fibration import BaseModel, FibrationPlan, TableFiber
+from tiltcheck.partitions import FrozenValue, OrderedPartitionSet
+
+TABLE_RECORDS = {(0, 0, 0, 0): 1, (1, 1, 0, 0): 1, (1, 0, 0, 2): 3}
+
+# (class, positional arguments, parameter defaults, hashable, repr); each repr
+# is the one the frozen dataclasses these types replace printed
+VALUES = [
+    (OrderedPartitionSet, (1, 1, ((), (1,))), {}, True,
+     "OrderedPartitionSet(box_rows=1, box_cols=1, members=((), (1,)))"),
+    (FlagSpace, (4, [1, 3]), {}, True, "FlagSpace(n=4, steps=(1, 3))"),
+    (HomogeneousBundle, (FlagSpace(3, (1,)), [[2], [0, -1]]), {}, True,
+     "HomogeneousBundle(space=FlagSpace(n=3, steps=(1,)), blocks=((2,), (0, -1)))"),
+    (CohomologyResult, (1, (0, -1), 3), {}, True,
+     "CohomologyResult(degree=1, dominant_weight=(0, -1), dimension=3)"),
+    (GrassFiber, (2, [0, 1, 2]), {"split_degrees": None, "taut": False}, True,
+     "GrassFiber(l=2, split_degrees=(0, 1, 2), taut=False)"),
+    (CollectionSpec, (FlagSpace(2, (1,)), [[[1]], [[0]]]), {"multiplicities": (), "order_note": ""},
+     True, "CollectionSpec(space=FlagSpace(n=2, steps=(1,)), labels=(((1,),), ((0,),)), "
+           "multiplicities=(1, 1), order_note='')"),
+    (ExtTable, (2, 1, {(0, 0, 0): 1, (0, 1, 1): 2}), {"dims": None}, False,
+     "ExtTable(size=2, max_degree=1, dims={(0, 0, 0): 1, (0, 1, 1): 2})"),
+    (VerificationReport, (False, True, (1, 0), None, 2, 3, ((1, 0), (1, 1)), "note", "gen"), {},
+     True, "VerificationReport(is_strong_exceptional=False, is_exceptional_each=True, "
+           "triangularity_witness=(1, 0), higher_ext_witness=None, k0_rank=2, end_algebra_dim=3, "
+           "hom_matrix=((1, 0), (1, 1)), order_note='note', generation_note='gen')"),
+    (CSAClass, (4, 2, [1, 2]), {"index_table": None}, True,
+     "CSAClass(degree=4, period=2, index_table=(1, 2))"),
+    (DescentSummary, ((0, 1), (1, 1), (1, 2), 3, 5), {"notes": ()}, True,
+     "DescentSummary(summand_labels=(0, 1), multiplicities=(1, 1), ranks=(1, 2), total_rank=3, "
+     "end_dim=5, notes=())"),
+    (WedgeReport, (True, 3, 6, None), {}, True,
+     "WedgeReport(is_tilting=True, k0_rank=3, end_dim=6, higher_ext_witness=None)"),
+    (BaseModel, (1,), {"tilting_degrees": ()}, True, "BaseModel(dim=1, tilting_degrees=(0, 1))"),
+    (TableFiber, (("a", "b"), TABLE_RECORDS), {"records": None}, False,
+     "TableFiber(labels=('a', 'b'), records={(0, 0, 0, 0): 1, (1, 1, 0, 0): 1, (1, 0, 0, 2): 3})"),
+    (FibrationPlan, (BaseModel(1), GrassFiber(1, (0, 1)), 2),
+     {"twist": 0, "verified": False, "table": None, "obstruction": None}, True,
+     "FibrationPlan(base=BaseModel(dim=1, tilting_degrees=(0, 1)), "
+     "fiber=GrassFiber(l=1, split_degrees=(0, 1), taut=False), twist=2, verified=False, "
+     "table=None, obstruction=None)"),
+]
+
+
+@pytest.mark.parametrize("cls, args, defaults, hashable, text", VALUES,
+                         ids=[row[0].__name__ for row in VALUES])
+def test_value_semantics(cls, args, defaults, hashable, text):
+    assert issubclass(cls, FrozenValue)
+    params = inspect.signature(cls).parameters
+    # the constructor takes the fields, in order, as positional or keyword arguments
+    assert tuple(params) == cls._fields
+    assert {name: p.default for name, p in params.items() if p.default is not p.empty} == defaults
+    value = cls(*args)
+    same = cls(**dict(zip(cls._fields, args)))
+    assert value == same and not value != same
+    assert value != object() and value != FrozenValue()
+    assert repr(value) == repr(same) == text
+    assert value._asdict() == {name: getattr(value, name) for name in cls._fields}
+    if hashable:
+        assert hash(value) == hash(same)
+    else:
+        with pytest.raises(TypeError):
+            hash(value)
+    for name in cls._fields + ("extra",):
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert not hasattr(value, "__dict__")
+    assert copy.copy(value) == pickle.loads(pickle.dumps(value)) == value
+    assert repr(copy.deepcopy(value)) == text
+
+
+def test_default_dicts_are_fresh():
+    assert ExtTable(1, 0).dims == {}
+    assert ExtTable(1, 0).dims is not ExtTable(1, 0).dims
+    assert TableFiber(()).records == {}
+    assert TableFiber(()).records is not TableFiber(()).records
+
+
+def test_ext_table_equality_ignores_zero_entries():
+    table = ExtTable(2, 1, {(0, 0, 0): 1, (1, 1, 0): 1})
+    assert table == ExtTable(2, 1, {(0, 0, 0): 1, (1, 1, 0): 1, (0, 1, 1): 0})
+    assert table != ExtTable(2, 1, {(0, 0, 0): 1, (1, 1, 0): 1, (0, 1, 1): 2})
+    assert table != ExtTable(3, 1, {(0, 0, 0): 1, (1, 1, 0): 1})
+
+
+def test_table_fiber_pushforwards_are_not_a_field():
+    fiber = TableFiber(("a", "b"), TABLE_RECORDS)
+    other = TableFiber(("a", "b"), dict(TABLE_RECORDS))
+    object.__setattr__(other, "_pushforwards", {})
+    assert fiber == other
+    assert repr(fiber) == repr(other)
+    assert "_pushforwards" not in repr(fiber) and "_pushforwards" not in fiber._asdict()
+    assert fiber.pushforward(1, 0) == {2: 3} and other.pushforward(1, 0) == {}
