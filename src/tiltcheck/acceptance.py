@@ -21,10 +21,10 @@ ORACLE_PAIRS = 100
 ORACLE_SEED = 20150318
 
 
-def kapranov_sweep(max_n: int = KAPRANOV_MAX_N):
+def kapranov_sweep():
     """Criterion 1: every Grassmannian collection up to n = 7 verifies."""
     checked = 0
-    for n in range(2, max_n + 1):
+    for n in range(2, KAPRANOV_MAX_N + 1):
         for d in range(1, n):
             spec = coll.kapranov_collection(d, n)
             table = coll.ext_table(spec)

@@ -192,7 +192,9 @@ def verify_wedge_collection(d: int, n: int) -> WedgeReport:
     exceptionality of the individual summands is not claimed.
     """
     box, table = _wedge_ext_table(d, n)
-    witness = next(((box[i], box[j], s, v) for (i, j, s), v in table.higher_entries()), None)
+    witness = table.higher_witness()
+    if witness is not None:
+        witness = (box[witness[0]], box[witness[1]], *witness[2:])
     return WedgeReport(witness is None, len(box), table.end_dim((1,) * len(box)), witness)
 
 

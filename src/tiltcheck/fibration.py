@@ -222,15 +222,6 @@ def tower_compose(stages, root: BaseModel, cap: int = 8) -> FibrationPlan:
 # ---------------------------------------------------------------------------
 # fiber-table and plan files
 
-def serialize_fiber_table(fiber: TableFiber) -> str:
-    records = [
-        {"base_degree": deg, "i": i, "j": j, "multiplicity": mult, "s": s}
-        for (j, i, s, deg), mult in sorted(fiber.records.items())
-    ]
-    payload = {"objects": list(fiber.labels), "pushforwards": records}
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
 def parse_fiber_table(text: str) -> TableFiber:
     payload = json.loads(text)
     labels = tuple(str(x) for x in payload["objects"])

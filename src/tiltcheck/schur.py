@@ -9,6 +9,7 @@ floating point anywhere.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import product
 from math import comb
 
 from .partitions import normalize
@@ -192,40 +193,40 @@ def _skew_dimension(lam, mu, n: int) -> int:
 
 
 def _ssyt_degree_counts(shape, degrees) -> dict[int, int]:
-    """Total twisting degrees of semistandard fillings of `shape`."""
-    k = len(degrees)
-    counts: dict[int, int] = {}
-    rows = len(shape)
+    """Total twisting degrees of semistandard fillings of the partition `shape`.
 
-    def fill(row, col, filled, prev_in_row, deg):
-        if row == rows:
-            counts[deg] = counts.get(deg, 0) + 1
-            return
-        if col == shape[row]:
-            fill(row + 1, 0, filled, 0, deg)
-            return
-        lo = prev_in_row
-        if row > 0:
-            lo = max(lo, filled[row - 1][col] + 1)
-        for v in range(lo, k):
-            if row + 1 < rows and col < shape[row + 1]:
-                row_vals = filled[row][:col] + (v,) + filled[row][col + 1:]
-                new_filled = filled[:row] + (row_vals,) + filled[row + 1:]
-            else:
-                new_filled = filled
-            fill(row, col + 1, new_filled, v, deg + degrees[v])
-
-    start = tuple(tuple(0 for _ in range(r)) for r in shape)
-    fill(0, 0, start, 0, 0)
-    return counts
+    Branching rule (Macdonald, Symmetric Functions, ch. I (5.11)): letter k
+    fills a horizontal strip nu/mu worth |nu/mu| * degrees[k], and each mu
+    inside `shape` carries {degree: count} over the letters so far.  Row i
+    of nu has max(mu_i, shape_(i+left)) <= nu_i <= min(shape_i, mu_(i-1));
+    the floor drops every nu with a column of shape/nu longer than the
+    `left` letters still to come.
+    """
+    padded = shape + (0,) * len(degrees)
+    states = {(0,) * len(shape): {0: 1}}
+    for k, d in enumerate(degrees):
+        left = len(degrees) - 1 - k
+        grown: dict = {}
+        for mu, counts in states.items():
+            ranges = [range(max(low, floor), min(top, cap) + 1)
+                      for low, floor, top, cap in zip(mu, padded[left:], shape, shape[:1] + mu)]
+            for nu in product(*ranges):
+                shift = (sum(nu) - sum(mu)) * d
+                target = grown.setdefault(nu, {})
+                for deg, c in counts.items():
+                    target[deg + shift] = target.get(deg + shift, 0) + c
+        states = grown
+    return states.get(shape, {})
 
 
 def split_bundle_expand(w, degrees) -> dict[int, int]:
     """Degrees of the line-bundle summands of S^w applied to (+) O(d_k).
 
     One summand per semistandard tableau of shape w in the alphabet indexing
-    `degrees`; negative weights are first normalized by a determinant twist,
-    which shifts every degree by -m * sum(degrees).
+    `degrees`, counted by the branching rule, in increasing degree; if all
+    degrees are equal, the one count is `schur_dimension`.  Negative weights
+    are first normalized by a determinant twist, which shifts every degree by
+    -m * sum(degrees).
     """
     degrees = tuple(int(d) for d in degrees)
     if not degrees:

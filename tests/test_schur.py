@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from tiltcheck.partitions import enumerate_box_partitions, normalize
 from tiltcheck.schur import (
     _skew_dimension,
+    _ssyt_degree_counts,
     as_weight,
     dual_weight,
     lr_expand,
@@ -75,31 +76,39 @@ def lr_expand_bruteforce(a, b, rank):
     return out
 
 
+def tableau_degree_counts(shape, degrees):
+    """{total degree: count} over the semistandard fillings of the partition
+    `shape` by letters 0..k-1, letter v of degree degrees[v], visiting every
+    tableau one cell at a time."""
+    k = len(degrees)
+    counts = {}
+    rows = len(shape)
+
+    def fill(row, col, filled, prev_in_row, deg):
+        if row == rows:
+            counts[deg] = counts.get(deg, 0) + 1
+            return
+        if col == shape[row]:
+            fill(row + 1, 0, filled, 0, deg)
+            return
+        lo = prev_in_row
+        if row > 0:
+            lo = max(lo, filled[row - 1][col] + 1)
+        for v in range(lo, k):
+            if row + 1 < rows and col < shape[row + 1]:
+                row_vals = filled[row][:col] + (v,) + filled[row][col + 1:]
+                new_filled = filled[:row] + (row_vals,) + filled[row + 1:]
+            else:
+                new_filled = filled
+            fill(row, col + 1, new_filled, v, deg + degrees[v])
+
+    fill(0, 0, tuple((0,) * r for r in shape), 0, 0)
+    return counts
+
+
 def count_ssyt(shape, n):
     """Semistandard tableaux of `shape` with entries in 1..n, by filling."""
-    shape = normalize(shape)
-    if len(shape) > n:
-        return 0
-    cells = [(r, c) for r in range(len(shape)) for c in range(shape[r])]
-
-    def rec(idx, assignment):
-        if idx == len(cells):
-            return 1
-        r, c = cells[idx]
-        total = 0
-        for v in range(1, n + 1):
-            left = assignment.get((r, c - 1))
-            if left is not None and v < left:
-                continue
-            up = assignment.get((r - 1, c))
-            if up is not None and v <= up:
-                continue
-            assignment[(r, c)] = v
-            total += rec(idx + 1, assignment)
-            del assignment[(r, c)]
-        return total
-
-    return rec(0, {})
+    return sum(tableau_degree_counts(normalize(shape), (0,) * n).values())
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +246,8 @@ def test_hom_character_identity():
     """Character check, independent of the LR path.
 
     Evaluate both sides of Hom(S^a, S^b) = sum of S^gamma at x_i = t^(c_i)
-    via semistandard enumeration; exponents spaced out enough to make the
+    by the split expansion (the branching rule, checked against tableau
+    enumeration below); exponents spaced out enough to make the
     specialization faithful on all weights that can occur.
     """
     exps = (0, 1, 37)
@@ -304,6 +314,10 @@ def test_split_spec_examples():
     assert split_bundle_expand((1,), (0, 1)) == {0: 1, 1: 1}
     assert split_bundle_expand((2,), (0, 1)) == {0: 1, 1: 1, 2: 1}
     assert split_bundle_expand((1, 1), (0, 1)) == {1: 1}
+    assert split_bundle_expand((), (0, 2, 5)) == {0: 1}
+    assert split_bundle_expand((3,), (4,)) == {12: 1}
+    # S^(2,1,1) of a rank-3 bundle F is det F (x) F
+    assert split_bundle_expand((2, 1, 1), (0, 1, 3)) == {4: 1, 5: 1, 7: 1}
 
 
 def test_split_total_multiplicity_and_permutation_invariance():
@@ -326,6 +340,56 @@ def test_twist_weight():
     for w, t, shift in [((2, 1), 1, 3), ((3, 1, 1), 0, 0), ((1, 1), -2, -4), ((1, 0, -1), 1, 0)]:
         twisted = split_bundle_expand(w, tuple(d + t for d in degrees))
         assert twisted == {k + shift: c for k, c in split_bundle_expand(w, degrees).items()}
+
+
+@st.composite
+def split_cases(draw):
+    """(weight, degrees, shape, shift): a shape of at most 5 rows and 5
+    columns, padded to one entry per letter and lowered by the shift, so
+    that the weight has negative entries whenever the shift is positive."""
+    degrees = tuple(draw(st.lists(st.integers(-3, 3), min_size=1, max_size=6)))
+    rows = draw(st.lists(st.integers(1, 5), max_size=min(5, len(degrees))))
+    shape = tuple(sorted(rows, reverse=True))
+    shift = draw(st.integers(0, 3))
+    weight = tuple(x - shift for x in shape + (0,) * (len(degrees) - len(shape)))
+    return weight, degrees, shape, shift
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(split_cases())
+def test_split_property_against_tableau_enumeration(case):
+    # S^(shape - shift) is S^shape (x) det^(-shift), and det has degree sum(degrees)
+    weight, degrees, shape, shift = case
+    expected = {deg - shift * sum(degrees): c
+                for deg, c in tableau_degree_counts(shape, degrees).items()}
+    counts = split_bundle_expand(weight, degrees)
+    assert counts == expected
+    assert list(counts) == sorted(counts)
+
+
+@pytest.mark.parametrize("shape, degrees", [
+    ((), (0, 2, 5)),  # empty shape
+    ((), (4,)),
+    ((3,), (4,)),  # one letter
+    ((1, 1), (4,)),  # more rows than letters: no filling
+    ((2, 1, 1), (0, 1, 3)),  # as many rows as letters
+    ((3, 2, 2), (-1, 2, 2)),
+    ((5, 4, 3, 2, 1), (3, -1, 0, 2, 2)),
+])
+def test_kernel_edge_cases_against_tableau_enumeration(shape, degrees):
+    assert _ssyt_degree_counts(shape, degrees) == tableau_degree_counts(shape, degrees)
+    if len(shape) <= len(degrees):
+        assert split_bundle_expand(shape, degrees) == tableau_degree_counts(shape, degrees)
+
+
+def test_kernel_on_equal_degrees_is_the_dimension():
+    # split_bundle_expand answers equal degrees by schur_dimension, without
+    # the kernel; the kernel must agree there too
+    for lam in enumerate_box_partitions(3, 3).members:
+        for n in (1, 2, 3, 4):
+            dim = schur_dimension(lam, n)
+            for d in (-2, 0, 3):
+                assert _ssyt_degree_counts(lam, (d,) * n) == ({d * sum(lam): dim} if dim else {})
 
 
 def test_dual_weight():

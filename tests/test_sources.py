@@ -79,3 +79,42 @@ def test_no_dataclasses_import():
                 continue
             found += [(path.name, node.lineno) for mod in mods if mod.split(".")[0] == "dataclasses"]
     assert found == []
+
+
+
+def names_used(tree):
+    """Names a tree refers to: AST names, attributes, imported names and the
+    dotted parts of string constants (such as `_EXPORTS` and span names)."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.name.split(".")[-1])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            used.update(node.value.split("."))
+    return used
+
+
+def test_no_public_helper_only_tests_use():
+    # every public module-level function or class is used in src/ outside its
+    # own definition, or by the benchmark, which traces it from outside
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    outside = set()
+    for name in ("spans.py", "run.py"):
+        outside |= names_used(ast.parse((perfbench / name).read_text(encoding="utf-8")))
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"), str(path)) for path in SOURCES}
+    # names used per top-level statement, so a definition's own body is left out
+    used = {path: [names_used(node) for node in tree.body] for path, tree in trees.items()}
+    unused = []
+    for path, tree in trees.items():
+        elsewhere = outside.union(*(names for other, sets in used.items() if other != path
+                                    for names in sets))
+        for k, node in enumerate(tree.body):
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            if not any(node.name in names for names in (elsewhere, *used[path][:k], *used[path][k + 1:])):
+                unused.append(f"{path.name}:{node.name}")
+    assert unused == []
