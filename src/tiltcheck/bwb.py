@@ -125,12 +125,13 @@ class CohomologyResult(FrozenValue):
         self._set(degree, dominant_weight, dimension)
 
 
-def dotted_weyl(weight, rho) -> Optional[tuple[int, tuple[int, ...]]]:
+def dotted_weyl(weight) -> Optional[tuple[int, tuple[int, ...]]]:
     """Dotted Weyl walk: None on a repeat, else (inversions, dominant weight).
 
-    Any constant shift of rho gives the same answer; the default is
-    (n-1, ..., 0).
+    rho is (n-1, ..., 0) for a weight of length n; any constant shift of rho
+    gives the same answer.
     """
+    rho = range(len(weight) - 1, -1, -1)
     v = tuple(w + r for w, r in zip(weight, rho))
     if len(set(v)) < len(v):
         return None
@@ -142,8 +143,7 @@ def dotted_weyl(weight, rho) -> Optional[tuple[int, tuple[int, ...]]]:
 def flag_cohomology(bundle: HomogeneousBundle) -> Optional[CohomologyResult]:
     """H^*(flag space, bundle); at most one degree survives."""
     n = bundle.space.n
-    rho = tuple(range(n - 1, -1, -1))
-    walked = dotted_weyl(bundle.weight, rho)
+    walked = dotted_weyl(bundle.weight)
     if walked is None:
         return None
     degree, dominant = walked

@@ -156,7 +156,7 @@ def _push(delta, rank: int, duals) -> tuple:
 
     `_transfer` terms; a split stage expands S^dom(E^dual) over root degrees `duals`.
     """
-    walked = bwb.dotted_weyl(delta + (0,) * (rank - len(delta)), range(rank - 1, -1, -1))
+    walked = bwb.dotted_weyl(delta + (0,) * (rank - len(delta)))
     if walked is None:
         return ()
     s, dom = walked

@@ -10,8 +10,11 @@ End dimensions of the wedge-power sheaves on Grass(d, n) come from one
 Kapranov Ext table H.  Every Schur summand of a tensor product of wedge
 powers of the rank-d tautological bundle, indexed by lam in the d x (n-d)
 box, lies in that box: it has at most d rows, by the rank, and at most
-lam_1 <= n - d columns, one per wedge factor.  So each wedge Ext is the
-bilinear form M^T H M, with M the Schur multiplicities of the wedge sheaves.
+lam_1 <= n - d columns, one per wedge factor.  So with M the Schur
+multiplicities of the wedge sheaves, the End of their sum weighted by mults
+is u^T H_0 u with u = M mults, one pass over H's degree-0 entries; no wedge
+Ext table is built.  A positive-degree wedge Ext needs a positive-degree
+entry of H, and a Kapranov table has none.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import Optional
 
 from .partitions import FrozenValue, conjugate, json_int, normalize
 from .collections import ExtTable, ext_table, kapranov_collection, schur_pair_ext
-from .schur import lr_expand
+from .schur import product_expand
 
 
 class CSAClass(FrozenValue):
@@ -121,26 +124,17 @@ def descent_multiplicity(lam, n: int) -> int:
 def wedge_schur_multiplicities(conj_parts, d: int) -> dict[tuple[int, ...], int]:
     r"""Decompose the tensor product of wedge powers /\^(a_1) (x) ... of a
     rank-d bundle into Schur summands {partition: multiplicity}."""
-    out: dict[tuple[int, ...], int] = {(): 1}
-    for part in conj_parts:
-        if part == 0:
-            continue
-        if part > d:
-            return {}
-        nxt: dict[tuple[int, ...], int] = {}
-        column = tuple(1 for _ in range(part))
-        for nu, m in out.items():
-            for xi, c in lr_expand(nu, column, d).items():
-                nxt[xi] = nxt.get(xi, 0) + m * c
-        out = nxt
-    return out
+    if any(part > d for part in conj_parts):
+        return {}
+    columns = [(1,) * part for part in conj_parts]
+    return {normalize(nu): m for nu, m in product_expand(columns, d).items()}
 
 
 def wedge_pair_ext(d: int, n: int, lam, mu) -> dict[int, int]:
     r"""Ext^*(/\^(lam')(S), /\^(mu')(S)) on Grass(d, n) via Schur decomposition.
 
     Expands both sides and sums `schur_pair_ext` over every summand pair; the
-    per-pair reference for `_wedge_ext_table`.
+    per-pair reference for the End and the witness read off the Kapranov table.
     """
     left = wedge_schur_multiplicities(conjugate(lam), d)
     right = wedge_schur_multiplicities(conjugate(mu), d)
@@ -152,14 +146,12 @@ def wedge_pair_ext(d: int, n: int, lam, mu) -> dict[int, int]:
     return {s: v for s, v in out.items() if v}
 
 
-def _wedge_ext_table(d: int, n: int) -> tuple[list[tuple[int, ...]], ExtTable]:
-    r"""The d x (n-d) box and the Ext table of its wedge-power sheaves.
+def _wedge_columns(d: int, n: int) -> tuple[list[tuple[int, ...]], ExtTable, list[dict[int, int]]]:
+    r"""The d x (n-d) box, its Kapranov Ext table H, and M by columns.
 
-    Entry (i, j, s) is dim Ext^s(/\^(box[i]')(S), /\^(box[j]')(S)), computed
-    as M^T H M from the Kapranov Ext table H, summed over H's nonzero entries
-    and M's columns; row i of M holds the Schur multiplicities of the i-th
-    wedge sheaf, indexed like the Kapranov labels.  The box lists larger
-    diagrams first, as the Kapranov collection does.
+    columns[k] maps i to the multiplicity of the k-th Kapranov label in the
+    i-th wedge sheaf /\^(box[i]')(S).  The box lists larger diagrams first,
+    as the Kapranov collection does.
     """
     kapranov = kapranov_collection(d, n)
     box = [normalize(label[0]) for label in kapranov.labels]
@@ -168,13 +160,7 @@ def _wedge_ext_table(d: int, n: int) -> tuple[list[tuple[int, ...]], ExtTable]:
     for i, lam in enumerate(box):
         for nu, m in wedge_schur_multiplicities(conjugate(lam), d).items():
             columns[index[nu]][i] = m
-    kapranov_table = ext_table(kapranov)
-    dims: dict[tuple[int, int, int], int] = {}
-    for (k, l, s), v in kapranov_table.dims.items():
-        for i, a in columns[k].items():
-            for j, b in columns[l].items():
-                dims[(i, j, s)] = dims.get((i, j, s), 0) + a * v * b
-    return box, ExtTable(len(box), kapranov_table.max_degree, dims)
+    return box, ext_table(kapranov), columns
 
 
 class WedgeReport(FrozenValue):
@@ -191,11 +177,19 @@ def verify_wedge_collection(d: int, n: int) -> WedgeReport:
     The wedge summands decompose, so this is a tilting-bundle check only;
     exceptionality of the individual summands is not claimed.
     """
-    box, table = _wedge_ext_table(d, n)
-    witness = table.higher_witness()
+    box, table, columns = _wedge_columns(d, n)
+    # M^T H M on H's positive-degree entries only: a Kapranov table has none,
+    # so this is empty, but a higher entry of H would still be caught here
+    higher: dict[tuple[int, int, int], int] = {}
+    for (k, l, s), v in table.higher_entries():
+        for i, a in columns[k].items():
+            for j, b in columns[l].items():
+                higher[(i, j, s)] = higher.get((i, j, s), 0) + a * v * b
+    witness = ExtTable(len(box), table.max_degree, higher).higher_witness()
     if witness is not None:
         witness = (box[witness[0]], box[witness[1]], *witness[2:])
-    return WedgeReport(witness is None, len(box), table.end_dim((1,) * len(box)), witness)
+    end_dim = table.end_dim([sum(col.values()) for col in columns])
+    return WedgeReport(witness is None, len(box), end_dim, witness)
 
 
 def generalized_bs_summary(a: CSAClass, d: int) -> DescentSummary:
@@ -203,13 +197,12 @@ def generalized_bs_summary(a: CSAClass, d: int) -> DescentSummary:
 
     One summand per partition in the d x (n-d) box; each wedge-power sheaf
     descends after taking n*conjugate-part many copies, and End is computed
-    over the splitting field from the wedge Ext table weighted by those
-    multiplicities.
+    over the splitting field as u^T H_0 u, with u = M mults.
     """
     n = a.degree
     if not 1 <= d < n:
         raise ValueError("need 1 <= d < degree")
-    box, table = _wedge_ext_table(d, n)
+    box, table, columns = _wedge_columns(d, n)
     mults = []
     split_ranks = []
     for lam in box:
@@ -222,7 +215,7 @@ def generalized_bs_summary(a: CSAClass, d: int) -> DescentSummary:
         multiplicities=tuple(mults),
         ranks=ranks,
         total_rank=sum(ranks),
-        end_dim=table.end_dim(mults),
+        end_dim=table.end_dim([sum(mults[i] * m for i, m in col.items()) for col in columns]),
         notes=("multiplicities are sufficient for descent, not claimed minimal",),
     )
 

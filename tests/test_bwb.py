@@ -102,13 +102,25 @@ def test_pushforward_rule_conformance():
                     assert res is None, (d, n, gamma)
 
 
+def shifted_walk(weight, rho):
+    """The dotted Weyl walk at an explicit rho: sort weight + rho, count the swaps."""
+    v = [w + r for w, r in zip(weight, rho)]
+    if len(set(v)) < len(v):
+        return None
+    inversions = sum(1 for i in range(len(v)) for j in range(i + 1, len(v)) if v[i] < v[j])
+    return inversions, tuple(x - r for x, r in zip(sorted(v, reverse=True), rho))
+
+
 def test_rho_shift_invariance():
+    # the walk fixes rho = (3, 2, 1, 0); rho + 5 must give the same answer,
+    # on weights that are not dominant as well as on those that are
     rng = random.Random(7)
-    for _ in range(50):
-        w = tuple(sorted((rng.randint(-4, 4) for _ in range(4)), reverse=True))
-        rho = (3, 2, 1, 0)
-        shifted = tuple(r + 5 for r in rho)
-        assert bwb.dotted_weyl(w, rho) == bwb.dotted_weyl(w, shifted)
+    shifted = (8, 7, 6, 5)
+    for sort in (True, False):
+        for _ in range(50):
+            w = [rng.randint(-4, 4) for _ in range(4)]
+            w = tuple(sorted(w, reverse=True) if sort else w)
+            assert bwb.dotted_weyl(w) == shifted_walk(w, shifted), w
 
 
 def test_serre_duality_dimensions():

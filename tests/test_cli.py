@@ -259,11 +259,12 @@ def test_engine_errors_exit_2(capsys, monkeypatch, error):
         (["fibration", "search", "--plan",
           str(resources.files("tiltcheck") / "data" / "hirzebruch_plan.json")], "pass"),
         (["descent", "gbs", "--degree", "4", "--period", "2", "--d", "2"], "n/a"),
+        (["descent", "gbs", "--degree", "8", "--period", "2", "--d", "4"], "n/a"),
         (["descent", "bs", "--degree", "4", "--period", "2", "--indices", "1,3"], None),
         (["euler", "--a", "2,1", "--b", "1", "--d", "2", "--n", "4"], "n/a"),
     ],
     ids=["kapranov", "kapranov-4-9", "beilinson", "flag", "fibration", "descent-gbs",
-         "descent-bad-index", "euler"],
+         "descent-gbs-8-2-4", "descent-bad-index", "euler"],
 )
 def test_optimized_interpreter_same_reports(argv, verdict):
     # python -O strips assert statements; the integrity checks must not be asserts

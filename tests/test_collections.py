@@ -356,9 +356,9 @@ def test_one_weyl_walk_per_distinct_weight(monkeypatch):
     walked = []
     walk = bwb.dotted_weyl
 
-    def counted(weight, rho):
+    def counted(weight):
         walked.append(tuple(weight))
-        return walk(weight, rho)
+        return walk(weight)
 
     monkeypatch.setattr(bwb, "dotted_weyl", counted)
     assert coll.ext_table(spec) == reference
@@ -375,17 +375,17 @@ def test_no_memo_survives_ext_table(monkeypatch):
     walk = bwb.dotted_weyl
     calls = []
 
-    def failing(weight, rho):
+    def failing(weight):
         calls.append(weight)
         if len(calls) > 3:
             raise ArithmeticError("walk failed")
-        return walk(weight, rho)
+        return walk(weight)
 
     monkeypatch.setattr(bwb, "dotted_weyl", failing)
     with pytest.raises(ArithmeticError):
         coll.ext_table(spec)
     # every table build, and every call outside one, walks afresh
-    monkeypatch.setattr(bwb, "dotted_weyl", lambda weight, rho: calls.append(weight) or walk(weight, rho))
+    monkeypatch.setattr(bwb, "dotted_weyl", lambda weight: calls.append(weight) or walk(weight))
     for build, expected in ((lambda: coll.ext_table(spec), reference),
                             (lambda: coll.schur_pair_ext(2, 4, (1,), (1,)), {0: 1})):
         calls.clear()
@@ -419,14 +419,13 @@ def reference_items(ranked, src, tgt):
     for k in range(len(ranked) - 1, -1, -1):
         st, rank = ranked[k]
         lam, mu = as_weight(src[k], st.l), as_weight(tgt[k], st.l)
-        rho = tuple(range(rank - 1, -1, -1))
         next_items = []
         for gamma, s, deg, mult in items:
             factors = [lam, dual_weight(mu)]
             if gamma is not None:
                 factors.insert(0, as_weight(gamma, st.l))
             for delta, c in product_expand(factors, st.l).items():
-                walked = bwb.dotted_weyl(delta + (0,) * (rank - st.l), rho)
+                walked = bwb.dotted_weyl(delta + (0,) * (rank - st.l))
                 if walked is None:
                     continue
                 inversions, dom = walked

@@ -5,7 +5,38 @@ import pytest
 from tiltcheck import collections as coll
 from tiltcheck import descent as dsc
 from tiltcheck.partitions import conjugate, enumerate_box_partitions
-from tiltcheck.schur import schur_dimension
+from tiltcheck.schur import lr_expand, schur_dimension
+
+
+def wedge_ext_reference(d, n):
+    r"""The box and the whole wedge Ext table M^T H M of Grass(d, n).
+
+    Entry (i, j, s) is dim Ext^s(/\^(box[i]')(S), /\^(box[j]')(S)), summed
+    over every nonzero entry of the Kapranov table H and M's columns.
+    """
+    box, kapranov_table, columns = dsc._wedge_columns(d, n)
+    dims = {}
+    for (k, l, s), v in kapranov_table.dims.items():
+        for i, a in columns[k].items():
+            for j, b in columns[l].items():
+                dims[(i, j, s)] = dims.get((i, j, s), 0) + a * v * b
+    return box, coll.ExtTable(len(box), kapranov_table.max_degree, dims)
+
+
+def wedge_schur_reference(conj_parts, d):
+    """Wedge decomposition by one `lr_expand` per column factor."""
+    out = {(): 1}
+    for part in conj_parts:
+        if part == 0:
+            continue
+        if part > d:
+            return {}
+        nxt = {}
+        for nu, m in out.items():
+            for xi, c in lr_expand(nu, (1,) * part, d).items():
+                nxt[xi] = nxt.get(xi, 0) + m * c
+        out = nxt
+    return out
 
 
 def test_index_of_power_examples():
@@ -90,7 +121,7 @@ def test_gbs_split_case_end_dim_is_wedge_end():
 
 @pytest.mark.parametrize("d, n", [(2, 4), (2, 5), (3, 5), (3, 6)])
 def test_wedge_ext_table_matches_per_pair_reference(d, n):
-    box, table = dsc._wedge_ext_table(d, n)
+    box, table = wedge_ext_reference(d, n)
     assert box == list(reversed(enumerate_box_partitions(d, n - d).members))
     assert table.max_degree == d * (n - d)
     for i, lam in enumerate(box):
@@ -98,6 +129,12 @@ def test_wedge_ext_table_matches_per_pair_reference(d, n):
             ref = dsc.wedge_pair_ext(d, n, lam, mu)
             for s in range(table.max_degree + 1):
                 assert table.get(i, j, s) == ref.get(s, 0), (lam, mu, s)
+    # the production End and witness, read off H without this table
+    report = dsc.verify_wedge_collection(d, n)
+    assert report == dsc.WedgeReport(True, len(box), table.end_dim((1,) * len(box)), None)
+    assert table.higher_witness() is None
+    summary = dsc.generalized_bs_summary(dsc.split_class(n), d)
+    assert summary.end_dim == table.end_dim(summary.multiplicities)
 
 
 @pytest.mark.parametrize("algebra, d", [(dsc.CSAClass(4, 2), 2), (dsc.CSAClass(6, 3), 3)])
@@ -152,12 +189,40 @@ def test_wedge_collection_verifies():
 
 
 def test_wedge_witness_is_the_least_higher_entry(monkeypatch):
-    # every wedge collection checked verifies, so feed a table that does not
-    box = [(1,), (), (2,)]
-    dims = {(0, 0, 0): 1, (2, 1, 1): 4, (1, 2, 2): 3, (1, 2, 1): 5, (0, 1, 1): 0}
-    monkeypatch.setattr(dsc, "_wedge_ext_table", lambda d, n: (box, coll.ExtTable(3, 2, dims)))
+    # a Kapranov table has no positive-degree entry, so feed one that does:
+    # Kapranov-sized for Grass(2, 4), with its Hom entries kept.  Label 3,
+    # (1, 1), is a summand of wedge sheaves 2 and 3, so the least wedge entry
+    # (2, 2, 1) sums two H entries and is not H's least entry (2, 3, 1)
+    kapranov_table = coll.ext_table(coll.kapranov_collection(2, 4))
+    dims = {**kapranov_table.dims, (3, 3, 1): 2, (2, 3, 1): 1, (4, 1, 1): 3, (5, 0, 2): 2}
+    monkeypatch.setattr(dsc, "ext_table", lambda spec: coll.ExtTable(6, 4, dims))
+    box, table = wedge_ext_reference(2, 4)
+    least = table.higher_witness()
+    assert least is not None
     report = dsc.verify_wedge_collection(2, 4)
-    assert report == dsc.WedgeReport(False, 3, 1, ((), (2,), 1, 5))
+    assert report == dsc.WedgeReport(False, 6, table.end_dim((1,) * 6),
+                                     (box[least[0]], box[least[1]], *least[2:]))
+    assert report.higher_ext_witness == ((2,), (2,), 1, 3)
+    monkeypatch.undo()  # the added entries are all of positive degree
+    assert report.end_dim == dsc.verify_wedge_collection(2, 4).end_dim
+
+
+def test_wedge_schur_multiplicities_match_lr_reference():
+    labels = 0
+    for d in range(1, 6):
+        for width in range(1, 6):
+            for lam in enumerate_box_partitions(d, width).members:
+                conj = conjugate(lam)
+                assert dsc.wedge_schur_multiplicities(conj, d) == wedge_schur_reference(conj, d), (lam, d)
+                labels += 1
+    assert labels == 912
+    assert dsc.wedge_schur_multiplicities((), 3) == wedge_schur_reference((), 3) == {(): 1}
+    assert dsc.wedge_schur_multiplicities((2, 4, 1), 3) == wedge_schur_reference((2, 4, 1), 3) == {}
+
+
+def test_gbs_10_2_5_end_dim():
+    end_dim = dsc.generalized_bs_summary(dsc.CSAClass(10, 2), 5).end_dim
+    assert end_dim == 1364727282447169088392318101
 
 
 def test_wedge_schur_decomposition_example():

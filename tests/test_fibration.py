@@ -2,6 +2,8 @@ import importlib.resources as resources
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tiltcheck import bwb
 from tiltcheck import collections as coll
@@ -216,6 +218,24 @@ def test_table_fiber_validation():
         fib.TableFiber(("a", "b"), {**good, (1, 1, 0, 1): 1})  # diag degree
     with pytest.raises(ValueError):
         fib.TableFiber(("a", "a"), good)
+
+
+@st.composite
+def table_fibers(draw):
+    """A valid TableFiber: unit diagonal, forward s = 0 records, any base degrees."""
+    labels = tuple(draw(st.lists(st.text(max_size=4), unique=True, max_size=5)))
+    records = {(i, i, 0, 0): 1 for i in range(len(labels))}
+    for j in range(len(labels)):
+        for i in range(j):
+            for deg in draw(st.sets(st.integers(-6, 6), max_size=3)):
+                records[(j, i, 0, deg)] = draw(st.integers(1, 10**20))
+    return fib.TableFiber(labels, records)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(table_fibers())
+def test_fiber_table_round_trip(fiber):
+    assert fib.parse_fiber_table(serialize_fiber_table(fiber)) == fiber
 
 
 TWO_OBJECTS = {(0, 0, 0, 0): 1, (1, 1, 0, 0): 1}
