@@ -8,6 +8,7 @@ suite cannot drift apart.
 from __future__ import annotations
 
 import random
+import time
 from math import comb
 
 from . import bwb, descent, fibration
@@ -209,7 +210,8 @@ CRITERIA = (
 def run_all(criteria=None):
     """Run the battery; `criteria` may be a comma list of criterion numbers.
 
-    A number that names no criterion is rejected before anything runs.
+    Returns one (name, passed, detail, elapsed seconds) per criterion run.  A
+    number that names no criterion is rejected before anything runs.
     """
     wanted = None
     if criteria:
@@ -222,6 +224,7 @@ def run_all(criteria=None):
         number = int(name.split()[0])
         if wanted is not None and number not in wanted:
             continue
+        start = time.perf_counter()
         passed, detail = fn()
-        results.append((name, passed, detail))
+        results.append((name, passed, detail, time.perf_counter() - start))
     return results

@@ -209,15 +209,17 @@ def _permutation_signs(d: int) -> tuple[int, ...]:
                  for p in permutations(range(d)))
 
 
-def _schur_at_powers(w, exponents):
+@lru_cache(maxsize=None)
+def _schur_at_powers(w: tuple, exponents: tuple):
     """s_w(t^e_1, ..., t^e_d) for distinct exponents, as a dense Laurent polynomial.
 
     Bialternant form (Macdonald, Symmetric Functions, ch. I (3.1)): the
     alternant a_{w+delta}, d! signed monomials, divided exactly by the
     Vandermonde a_delta one factor (1 - t^k) at a time.  With the exponents
     ascending, a_delta = t^(sum_i e_i (d-1-i)) prod_{i<j} (1 - t^(e_j - e_i)).
-    Returns (low exponent, coefficients).  The weight is padded with
-    `as_weight`, so it is refused exactly as `split_bundle_expand` refuses it.
+    Returns (low exponent, coefficient tuple): the value is memoized, so it
+    is immutable.  The weight is padded with `as_weight`, so it is refused
+    exactly as `split_bundle_expand` refuses it.
     """
     e = sorted(int(x) for x in exponents)
     d = len(e)
@@ -233,7 +235,7 @@ def _schur_at_powers(w, exponents):
     p = (lo - sum(x * (d - 1 - i) for i, x in enumerate(e)), alternant)
     for i, j in combinations(range(d), 2):
         p = _div_one_minus(p, e[j] - e[i])
-    return p
+    return p[0], tuple(p[1])
 
 
 def localization_euler(a, b, d: int, n: int) -> int:
@@ -242,19 +244,21 @@ def localization_euler(a, b, d: int, n: int) -> int:
     The torus is specialized to one parameter, x_i = t^(c_i) with distinct
     exponents; each fixed d-subset contributes its character, the bialternant
     Schur polynomials s_a(x^-1) s_b(x) over its d variables, over the tangent
-    factors (1 - t^(c_i - c_j)).  The numerators of fixed points with one
-    multiset of tangent factors are summed first; each group is then brought
-    to the common denominator once, and the total divided by it exactly.  What
-    is left is a Laurent polynomial (the virtual character), whose value at
-    t = 1 is the Euler characteristic.  All arithmetic is exact integer
-    Laurent-polynomial work.  The exponents are 0, ..., n-1: being distinct,
-    they make every tangent factor nonzero, and since scaling all of them by k
-    only substitutes t -> t^k, no other choice could change whether the exact
-    division succeeds.  A failure raises ArithmeticError.
+    factors (1 - t^(c_i - c_j)); both are read off one memoized bialternant
+    per weight and gap pattern I - min(I).  The numerators of fixed points
+    with one multiset of tangent factors are summed first; each group is then
+    brought to the common denominator once, and the total divided by it
+    exactly.  What is left is a Laurent polynomial (the virtual character),
+    whose value at t = 1 is the Euler characteristic.  All arithmetic is
+    exact integer Laurent-polynomial work.  The exponents are 0, ..., n-1:
+    being distinct, they make every tangent factor nonzero, and since scaling
+    all of them by k only substitutes t -> t^k, no other choice could change
+    whether the exact division succeeds.  A failure raises ArithmeticError.
     """
     if not 1 <= d < n:
         raise ValueError("need 1 <= d < n")
     a, b = normalize(a), normalize(b)
+    size_a, size_b = sum(a), sum(b)
     # term_I = N_I(t) / prod (1 - t^(c_i - c_j)); negative-exponent factors are
     # rewritten as (1 - t^(-k)) = -t^(-k) (1 - t^k) and folded into N_I.
     groups: dict[tuple[tuple[int, int], ...], tuple[int, list[int]]] = {}
@@ -272,8 +276,15 @@ def localization_euler(a, b, d: int, n: int) -> int:
                     shift -= e
                     e = -e
                 factors[e] = factors.get(e, 0) + 1
-        lo_a, ca = _schur_at_powers(a, [-c for c in inside])
-        lo_b, cb = _schur_at_powers(b, inside)
+        # s_w is homogeneous of degree |w|, so s_w(t^(base+g)) = t^(base |w|)
+        # s_w(t^g), and s_w(t^-g) is s_w(t^g) with its coefficients reversed:
+        # both characters come from the memoized values at the gaps g
+        base = inside[0]
+        gaps = tuple(c - base for c in inside)
+        lo_a, ca = _schur_at_powers(a, gaps)
+        lo_b, cb = _schur_at_powers(b, gaps)
+        lo_a, ca = -(lo_a + len(ca) - 1) - base * size_a, ca[::-1]
+        lo_b += base * size_b
         num = [0] * (len(ca) + len(cb) - 1)
         for i, x in enumerate(ca):
             if x:

@@ -232,10 +232,10 @@ def _cmd_fibration(args, pretty):
 def _cmd_selftest(args, pretty):
     from . import acceptance
     results = acceptance.run_all(criteria=args.criteria)
-    ok = all(passed for _name, passed, _detail in results)
-    for name, passed, detail in results:
-        sys.stderr.write(f"{'PASS' if passed else 'FAIL'} {name}: {detail}\n")
-    payload = {"criteria": [{"name": n, "passed": p, "detail": d} for n, p, d in results]}
+    ok = all(passed for _name, passed, _detail, _seconds in results)
+    for name, passed, detail, seconds in results:
+        sys.stderr.write(f"{'PASS' if passed else 'FAIL'} {name}: {detail} ({seconds:.3f} s)\n")
+    payload = {"criteria": [{"name": n, "passed": p, "detail": d} for n, p, d, _s in results]}
     return emit("selftest", {"criteria": args.criteria or "all"}, payload,
                 "pass" if ok else "fail", pretty)
 

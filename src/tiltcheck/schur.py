@@ -143,11 +143,15 @@ def schur_dimension(w, n: int) -> int:
     if len(w) > n:
         if min(w) < 0:
             raise ValueError(f"extended weight {w} needs more than {n} slots")
-        return 0 if len(normalize(w)) > n else schur_dimension(normalize(w), n)
+        lam = normalize(w)
+        return 0 if len(lam) > n else schur_dimension(lam, n)
     w = as_weight(w, n)
     m = normalizing_shift(w)
-    lam = normalize(tuple(x + m for x in w))
-    conj = [sum(1 for row in lam if row > j) for j in range(lam[0])] if lam else []
+    # as_weight checked the order, so these are the rows of the partition w + m
+    lam = [x + m for x in w if x + m]
+    conj = [0] * (lam[0] if lam else 0)
+    for i, row in enumerate(lam):
+        conj[:row] = [i + 1] * row
     num = 1
     den = 1
     for i, row in enumerate(lam):

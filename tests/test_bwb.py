@@ -10,9 +10,9 @@ import pytest
 import tiltcheck
 from tiltcheck import bwb
 from tiltcheck import collections as coll
-from tiltcheck.partitions import enumerate_box_partitions
-from tiltcheck.schur import (as_weight, dual_weight, product_expand, schur_dimension,
-                             split_bundle_expand)
+from tiltcheck.partitions import enumerate_box_partitions, normalize
+from tiltcheck.schur import (as_weight, dual_weight, normalizing_shift, product_expand,
+                             schur_dimension, split_bundle_expand)
 from test_schur import tableau_degree_counts
 
 
@@ -236,6 +236,46 @@ def test_bialternant_kernel_matches_tableau_enumeration():
         else:
             assert tableaux == tableau_degree_counts(w, exponents), (w, exponents)
     assert longer >= 10
+
+
+def test_gap_pattern_identities():
+    # s_w(t^(c+g)) = t^(c |w|) s_w(t^g), and s_w(t^-g) is s_w(t^g) reversed
+    rng = random.Random(20151019)
+    full_length = 0
+    for _ in range(200):
+        d = rng.randint(1, 4)
+        if rng.random() < 0.4:
+            w = tuple(sorted((rng.randint(-3, 3) for _ in range(d)), reverse=True))
+        else:
+            w = tuple(sorted((rng.randint(1, 3) for _ in range(rng.randint(0, d))), reverse=True))
+        full_length += min(w, default=0) < 0
+        gaps = (0,) + tuple(sorted(rng.sample(range(1, 9), d - 1)))
+        c = rng.randint(-6, 6)
+        m = normalizing_shift(w)
+        for exponents in (gaps, tuple(c + x for x in gaps), tuple(-x for x in gaps)):
+            tableaux = tableau_degree_counts(normalize(tuple(x + m for x in w)), exponents)
+            assert _laurent_terms(bwb._schur_at_powers(w, exponents)) == \
+                {deg - m * sum(exponents): k for deg, k in tableaux.items()}, (w, exponents)
+        lo, coeffs = bwb._schur_at_powers(w, gaps)
+        assert bwb._schur_at_powers(w, tuple(c + x for x in gaps)) == (lo + c * sum(w), coeffs)
+        assert bwb._schur_at_powers(w, tuple(-x for x in gaps)) == \
+            (-(lo + len(coeffs) - 1), coeffs[::-1])
+    assert full_length >= 30
+
+
+def test_localization_memo_holds_one_value_per_gap_pattern():
+    from tiltcheck.collections import schur_pair_ext
+
+    box = enumerate_box_partitions(3, 3).members
+    bwb._schur_at_powers.cache_clear()
+    for a in box:
+        for b in box:
+            chi = sum((-1) ** s * v for s, v in schur_pair_ext(3, 6, a, b).items())
+            assert chi == bwb.localization_euler(a, b, 3, 6), (a, b)
+    # 20 weights, C(5, 2) gap patterns each, against 2 * C(6, 3) alternants per pair
+    assert bwb._schur_at_powers.cache_info().misses <= 20 * 10
+    lo, coeffs = bwb._schur_at_powers((2, 1), (0, 1, 3))
+    assert type(coeffs) is tuple
 
 
 def test_dense_division_refuses_a_remainder():

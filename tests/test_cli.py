@@ -1,6 +1,7 @@
 import importlib.resources as resources
 import json
 import os
+import re
 import subprocess
 import sys
 import zlib
@@ -367,7 +368,11 @@ def test_selftest_subset(capsys):
     assert code == 0
     report = json.loads(captured.out)
     assert report["verdict"] == "pass"
-    assert "PASS 3" in captured.err
+    assert [c["detail"] for c in report["result"]["criteria"]] == \
+        ["126 line-bundle cohomologies agree exactly"]
+    # the elapsed seconds go to stderr only, so the report stays byte-stable
+    assert re.fullmatch(r"PASS 3 classical cohomology: 126 line-bundle cohomologies "
+                        r"agree exactly \(\d+\.\d{3} s\)\n", captured.err)
 
 
 @pytest.mark.parametrize("criteria, unknown", [("9", "9"), ("0,4", "0")], ids=["9", "0,4"])

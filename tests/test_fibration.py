@@ -1,5 +1,7 @@
 import importlib.resources as resources
 import json
+import os
+import tempfile
 
 import pytest
 from hypothesis import given, settings
@@ -236,6 +238,57 @@ def table_fibers(draw):
 @given(table_fibers())
 def test_fiber_table_round_trip(fiber):
     assert fib.parse_fiber_table(serialize_fiber_table(fiber)) == fiber
+
+
+@st.composite
+def plan_roots(draw):
+    """A point, or P^m with its default or a drawn tilting range of degrees."""
+    if draw(st.booleans()):
+        return fib.point_base()
+    dim = draw(st.integers(1, 4))
+    start = draw(st.integers(-5, 5))
+    # degrees within one window of length dim + 1 are tilting on P^dim
+    degrees = draw(st.sets(st.integers(start, start + dim), max_size=dim + 1))
+    return fib.BaseModel(dim, tuple(sorted(degrees, reverse=draw(st.booleans()))))
+
+
+plan_stages = st.one_of(
+    st.builds(fib.GrassFiber, st.integers(1, 4),
+              st.lists(st.integers(-4, 4), max_size=5).map(tuple)),
+    st.builds(lambda l: fib.GrassFiber(l, taut=True), st.integers(1, 4)),
+    table_fibers(),
+)
+
+
+def plan_payload(root, stages, cap, plan_dir):
+    """The plan file format for parsed objects; table stages are written to `plan_dir`."""
+    if root == fib.point_base():
+        root_spec = {"kind": "point"}
+    else:
+        root_spec = {"kind": "pn", "dim": root.dim, "degrees": list(root.tilting_degrees)}
+    specs = []
+    for k, stage in enumerate(stages):
+        if isinstance(stage, fib.TableFiber):
+            name = f"fiber_{k}.json"
+            with open(os.path.join(plan_dir, name), "w", encoding="utf-8") as fh:
+                fh.write(serialize_fiber_table(stage))
+            specs.append({"kind": "table", "path": name})
+        elif stage.taut:
+            specs.append({"kind": "grass-taut", "l": stage.l})
+        else:
+            specs.append({"kind": "grass", "l": stage.l, "degrees": list(stage.split_degrees)})
+    return {"root": root_spec, "stages": specs, "cap": cap}
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(plan_roots(), st.lists(plan_stages, max_size=4), st.integers(0, 12))
+def test_plan_round_trip(root, stages, cap):
+    with tempfile.TemporaryDirectory() as plan_dir:
+        text = json.dumps(plan_payload(root, stages, cap, plan_dir))
+        parsed = fib.parse_plan(json.loads(text), plan_dir)
+        assert parsed == (root, stages, cap)
+        with tempfile.TemporaryDirectory() as again_dir:
+            assert json.dumps(plan_payload(*parsed, again_dir)) == text
 
 
 TWO_OBJECTS = {(0, 0, 0, 0): 1, (1, 1, 0, 0): 1}

@@ -11,6 +11,7 @@ from tiltcheck.schur import (
     as_weight,
     dual_weight,
     lr_expand,
+    normalizing_shift,
     product_expand,
     schur_dimension,
     split_bundle_expand,
@@ -109,6 +110,31 @@ def tableau_degree_counts(shape, degrees):
 def count_ssyt(shape, n):
     """Semistandard tableaux of `shape` with entries in 1..n, by filling."""
     return sum(tableau_degree_counts(normalize(shape), (0,) * n).values())
+
+
+def hook_content_reference(w, n):
+    """The hook-content product that normalizes w + m a second time and counts
+    each column length by its own scan of the rows."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    w = tuple(int(x) for x in w)
+    if len(w) > n:
+        if min(w) < 0:
+            raise ValueError(f"extended weight {w} needs more than {n} slots")
+        return 0 if len(normalize(w)) > n else hook_content_reference(normalize(w), n)
+    w = as_weight(w, n)
+    m = normalizing_shift(w)
+    lam = normalize(tuple(x + m for x in w))
+    conj = [sum(1 for row in lam if row > j) for j in range(lam[0])] if lam else []
+    num = 1
+    den = 1
+    for i, row in enumerate(lam):
+        for j in range(row):
+            num *= n + j - i
+            den *= row - j + conj[j] - i - 1
+    if num % den:
+        raise ArithmeticError(f"hook-content quotient {num}/{den} for {w} is not an integer")
+    return num // den
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +331,31 @@ def test_dimension_rejections():
     assert schur_dimension((1, 1), 1) == 0
     with pytest.raises(ValueError):
         schur_dimension((1, -1), 1)
+
+
+def _value_or_error(fn, *args):
+    try:
+        return fn(*args)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.lists(st.integers(-3, 4), max_size=6), st.booleans(), st.integers(1, 5))
+def test_dimension_kernel_against_reference_and_tableaux(parts, ordered, n):
+    # unordered draws check that both kernels refuse with the same message
+    w = tuple(sorted(parts, reverse=True)) if ordered else tuple(parts)
+    lean = _value_or_error(schur_dimension, w, n)
+    assert lean == _value_or_error(hook_content_reference, w, n), (w, n)
+    if isinstance(lean, int):
+        m = normalizing_shift(w) if len(w) <= n else 0
+        assert lean == count_ssyt(tuple(x + m for x in w), n), (w, n)
+
+
+def test_dimension_is_not_quadratic_in_n():
+    # quadratic work in n (Weyl's product over all pairs of rows, or stripping
+    # the zero rows one at a time) takes seconds to minutes here
+    assert schur_dimension((1,), 10**5) == 10**5
 
 
 # ---------------------------------------------------------------------------
