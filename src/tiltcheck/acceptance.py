@@ -177,13 +177,15 @@ def invariance_suite():
                     return False, f"det twist by {power} changed the Ext table"
     box = enumerate_box_partitions(3, 3).members
     for n in range(1, 6):
-        dims = {lam: schur_dimension(lam, n) for lam in box}
+        dims = {lam: schur_dimension(lam, n) for lam in box}  # LR terms join as met
         for a in box:
             skew: dict = {}  # nu -> sum over b of c^nu_{a,b} dim S^b(C^n)
             for b in box:
                 total = 0
                 for nu, c in lr_expand(a, b, n).items():
-                    total += c * schur_dimension(nu, n)
+                    if nu not in dims:
+                        dims[nu] = schur_dimension(nu, n)
+                    total += c * dims[nu]
                     skew[nu] = skew.get(nu, 0) + c * dims[b]
                 if total != dims[a] * dims[b]:
                     return False, f"dimension bookkeeping fails at {a}, {b}, n={n}"

@@ -16,13 +16,13 @@ is testable rather than folklore.
 from __future__ import annotations
 
 from functools import lru_cache, reduce
-from itertools import accumulate, combinations, permutations
+from itertools import accumulate, combinations
 from math import comb
-from operator import add, mul, sub
+from operator import add, sub
 from typing import Optional
 
 from .partitions import FrozenValue, normalize
-from .schur import as_weight, dual_weight, schur_dimension
+from .schur import as_weight, dual_weight, schur_dimension, split_bundle_expand
 
 
 class FlagSpace(FrozenValue):
@@ -203,65 +203,31 @@ def _plus(p, q):
 
 
 @lru_cache(maxsize=None)
-def _permutation_signs(d: int) -> tuple[int, ...]:
-    """Signs of `permutations(range(d))`, in that order."""
-    return tuple(-1 if sum(1 for i, j in combinations(range(d), 2) if p[i] > p[j]) % 2 else 1
-                 for p in permutations(range(d)))
+def _schur_at_powers(w: tuple, exponents: tuple):
+    """s_w(t^e_1, ..., t^e_d) as a dense Laurent polynomial.
+
+    Read off `split_bundle_expand`: s_w is the sum over the semistandard
+    tableaux of shape w of t^(sum of the exponents of their entries), which
+    the branching rule (Macdonald, Symmetric Functions, ch. I (5.11)) counts
+    by degree.  Returns (low exponent, coefficient tuple): the value is
+    memoized, so it is immutable.  A weight longer than the exponents is
+    refused there, by `as_weight`.
+    """
+    terms = split_bundle_expand(w, exponents)
+    lo = min(terms)
+    return lo, tuple(terms.get(deg, 0) for deg in range(lo, max(terms) + 1))
 
 
 @lru_cache(maxsize=None)
-def _schur_at_powers(w: tuple, exponents: tuple):
-    """s_w(t^e_1, ..., t^e_d) for distinct exponents, as a dense Laurent polynomial.
+def _fixed_points(d: int, n: int) -> tuple:
+    """(I, sign, shift, tangent multiset) for each fixed d-subset I of 0..n-1.
 
-    Bialternant form (Macdonald, Symmetric Functions, ch. I (3.1)): the
-    alternant a_{w+delta}, d! signed monomials, divided exactly by the
-    Vandermonde a_delta one factor (1 - t^k) at a time.  With the exponents
-    ascending, a_delta = t^(sum_i e_i (d-1-i)) prod_{i<j} (1 - t^(e_j - e_i)).
-    Returns (low exponent, coefficient tuple): the value is memoized, so it
-    is immutable.  The weight is padded with `as_weight`, so it is refused
-    exactly as `split_bundle_expand` refuses it.
+    The tangent factors at I are (1 - t^(c_i - c_j)), i in I and j not in I;
+    a factor with negative exponent is rewritten as (1 - t^(-k)) =
+    -t^(-k) (1 - t^k), its sign and shift folded into the numerator.  The
+    multiset is the sorted (k, count) tuple of the factors (1 - t^k).
     """
-    e = sorted(int(x) for x in exponents)
-    d = len(e)
-    if len(set(e)) < d:
-        raise ValueError(f"exponents {tuple(e)} are not distinct")
-    w = as_weight(w, d)
-    powers = [x + d - 1 - j for j, x in enumerate(w)]
-    degrees = [sum(map(mul, pe, powers)) for pe in permutations(e)]
-    lo = min(degrees)
-    alternant = [0] * (max(degrees) - lo + 1)
-    for sign, deg in zip(_permutation_signs(d), degrees):
-        alternant[deg - lo] += sign
-    p = (lo - sum(x * (d - 1 - i) for i, x in enumerate(e)), alternant)
-    for i, j in combinations(range(d), 2):
-        p = _div_one_minus(p, e[j] - e[i])
-    return p[0], tuple(p[1])
-
-
-def localization_euler(a, b, d: int, n: int) -> int:
-    """chi(S^a(R)^dual (x) S^b(R)) on Grass(d, n) by fixed-point summation.
-
-    The torus is specialized to one parameter, x_i = t^(c_i) with distinct
-    exponents; each fixed d-subset contributes its character, the bialternant
-    Schur polynomials s_a(x^-1) s_b(x) over its d variables, over the tangent
-    factors (1 - t^(c_i - c_j)); both are read off one memoized bialternant
-    per weight and gap pattern I - min(I).  The numerators of fixed points
-    with one multiset of tangent factors are summed first; each group is then
-    brought to the common denominator once, and the total divided by it
-    exactly.  What is left is a Laurent polynomial (the virtual character),
-    whose value at t = 1 is the Euler characteristic.  All arithmetic is
-    exact integer Laurent-polynomial work.  The exponents are 0, ..., n-1:
-    being distinct, they make every tangent factor nonzero, and since scaling
-    all of them by k only substitutes t -> t^k, no other choice could change
-    whether the exact division succeeds.  A failure raises ArithmeticError.
-    """
-    if not 1 <= d < n:
-        raise ValueError("need 1 <= d < n")
-    a, b = normalize(a), normalize(b)
-    size_a, size_b = sum(a), sum(b)
-    # term_I = N_I(t) / prod (1 - t^(c_i - c_j)); negative-exponent factors are
-    # rewritten as (1 - t^(-k)) = -t^(-k) (1 - t^k) and folded into N_I.
-    groups: dict[tuple[tuple[int, int], ...], tuple[int, list[int]]] = {}
+    points = []
     for inside in combinations(range(n), d):
         factors: dict[int, int] = {}
         shift = 0
@@ -276,6 +242,34 @@ def localization_euler(a, b, d: int, n: int) -> int:
                     shift -= e
                     e = -e
                 factors[e] = factors.get(e, 0) + 1
+        points.append((inside, sign, shift, tuple(sorted(factors.items()))))
+    return tuple(points)
+
+
+def localization_euler(a, b, d: int, n: int) -> int:
+    """chi(S^a(R)^dual (x) S^b(R)) on Grass(d, n) by fixed-point summation.
+
+    The torus is specialized to one parameter, x_i = t^(c_i) with distinct
+    exponents; each fixed d-subset contributes its character, the Schur
+    polynomials s_a(x^-1) s_b(x) over its d variables, over the tangent
+    factors (1 - t^(c_i - c_j)); both are read off one memoized tableau count
+    per weight and gap pattern I - min(I).  The numerators of fixed points
+    with one multiset of tangent factors are summed first; each group is then
+    brought to the common denominator once, and the total divided by it
+    exactly.  What is left is a Laurent polynomial (the virtual character),
+    whose value at t = 1 is the Euler characteristic.  All arithmetic is
+    exact integer Laurent-polynomial work.  The exponents are 0, ..., n-1:
+    being distinct, they make every tangent factor nonzero, and since scaling
+    all of them by k only substitutes t -> t^k, no other choice could change
+    whether the exact division succeeds.  A failure raises ArithmeticError.
+    """
+    if not 1 <= d < n:
+        raise ValueError("need 1 <= d < n")
+    a, b = normalize(a), normalize(b)
+    size_a, size_b = sum(a), sum(b)
+    # term_I = N_I(t) / prod over its tangent multiset of (1 - t^k)
+    groups: dict[tuple[tuple[int, int], ...], tuple[int, list[int]]] = {}
+    for inside, sign, shift, key in _fixed_points(d, n):
         # s_w is homogeneous of degree |w|, so s_w(t^(base+g)) = t^(base |w|)
         # s_w(t^g), and s_w(t^-g) is s_w(t^g) with its coefficients reversed:
         # both characters come from the memoized values at the gaps g
@@ -289,7 +283,6 @@ def localization_euler(a, b, d: int, n: int) -> int:
         for i, x in enumerate(ca):
             if x:
                 num[i:i + len(cb)] = map(add, num[i:i + len(cb)], [sign * x * y for y in cb])
-        key = tuple(sorted(factors.items()))
         num = (lo_a + lo_b + shift, num)
         groups[key] = _plus(groups[key], num) if key in groups else num
     denom_count: dict[int, int] = {}

@@ -10,9 +10,10 @@ import pytest
 import tiltcheck
 from tiltcheck import bwb
 from tiltcheck import collections as coll
+from tiltcheck import schur
 from tiltcheck.partitions import enumerate_box_partitions, normalize
 from tiltcheck.schur import (as_weight, dual_weight, normalizing_shift, product_expand,
-                             schur_dimension, split_bundle_expand)
+                             schur_dimension)
 from test_schur import tableau_degree_counts
 
 
@@ -212,29 +213,23 @@ def _laurent_terms(poly):
     return {lo + i: c for i, c in enumerate(coeffs) if c}
 
 
-def _kernel_or_error(kernel, w, exponents):
-    try:
-        return kernel(w, exponents)
-    except ValueError as exc:
-        return str(exc)
-
-
-def test_bialternant_kernel_matches_tableau_enumeration():
+def test_schur_at_powers_matches_tableau_enumeration():
     rng = random.Random(20151018)
-    cases = [((), (0,)), ((), (-3, 5)), ((2, 1, 1), (4, -2)), ((1, 1, 1, 0), (0, 1, 2))]
+    cases = [((), (0,)), ((), (-3, 5)), ((2, 1, 1), (4, -2)), ((1, 1, 1, 0), (0, 1, 2)),
+             ((2, 1), (3, 3)), ((3, 1), (0, 0, 2)), ((1,), (-1, -1, 4, 4))]
     while len(cases) < 240:
         w = tuple(sorted((rng.randint(1, 4) for _ in range(rng.randint(0, 5))), reverse=True))
         cases.append((w, tuple(rng.sample(range(-8, 9), rng.randint(1, 5)))))
     longer = 0
     for w, exponents in cases:
-        tableaux = _kernel_or_error(split_bundle_expand, w, exponents)
-        bialternant = _kernel_or_error(
-            lambda *args: _laurent_terms(bwb._schur_at_powers(*args)), w, exponents)
-        assert bialternant == tableaux, (w, exponents)
-        if isinstance(tableaux, str):
+        if len(w) > len(exponents):
             longer += 1
+            with pytest.raises(ValueError) as refused:
+                bwb._schur_at_powers(w, exponents)
+            assert str(refused.value) == f"weight {w} longer than declared length {len(exponents)}"
         else:
-            assert tableaux == tableau_degree_counts(w, exponents), (w, exponents)
+            assert _laurent_terms(bwb._schur_at_powers(w, exponents)) == \
+                tableau_degree_counts(w, exponents), (w, exponents)
     assert longer >= 10
 
 
@@ -276,6 +271,43 @@ def test_localization_memo_holds_one_value_per_gap_pattern():
     assert bwb._schur_at_powers.cache_info().misses <= 20 * 10
     lo, coeffs = bwb._schur_at_powers((2, 1), (0, 1, 3))
     assert type(coeffs) is tuple
+
+
+def test_grassmannian_ext_never_reaches_the_branching_kernel(monkeypatch):
+    # what the localization oracle shares with the engine it checks: on a
+    # Grassmannian the engine takes the hook-content shortcut, never the
+    # branching kernel that the oracle's characters come from
+    from tiltcheck.acceptance import ORACLE_SPACES
+
+    calls = []
+    kernel = schur._ssyt_degree_counts
+
+    def counted(shape, degrees):
+        calls.append((shape, degrees))
+        return kernel(shape, degrees)
+
+    monkeypatch.setattr(schur, "_ssyt_degree_counts", counted)
+    pairs = 0
+    for d, n in ORACLE_SPACES:
+        box = enumerate_box_partitions(d, n - d).members
+        for a in box:
+            for b in box:
+                coll.schur_pair_ext(d, n, a, b)
+                pairs += 1
+    assert pairs == 536 and calls == []
+    bwb._schur_at_powers.cache_clear()
+    assert bwb.localization_euler((2, 1), (1,), 3, 6) == \
+        sum((-1) ** s * v for s, v in coll.schur_pair_ext(3, 6, (2, 1), (1,)).items())
+    assert calls
+
+
+@pytest.mark.parametrize("a, b, d, n, chi", [
+    ((3, 1), (2, 1), 8, 11, 11),
+    ((2, 2, 1), (1, 1), 7, 10, 450),
+])
+def test_localization_at_large_rank_matches_the_chain(a, b, d, n, chi):
+    assert sum((-1) ** s * v for s, v in coll.schur_pair_ext(d, n, a, b).items()) == chi
+    assert bwb.localization_euler(a, b, d, n) == chi
 
 
 def test_dense_division_refuses_a_remainder():
