@@ -5,20 +5,23 @@ product over stages of S^(weight) of the stage's tautological subbundle.
 Collections built here list larger diagrams first, the direction making the
 Hom matrix upper unitriangular; each report records the convention.
 
-Each pair of a table gets one of two Ext engines, chosen by its weights.
+Each Hom term gets one of two Ext engines.
 
-- Closed form (single Grassmannians, in-bound pairs).  For extended weights
-  v, w of length d on Grass(d, n), every summand S^kappa(R^dual) of
-  Hom(S^v R, S^w R) has kappa_d >= v_d - w_1.  When v_d - w_1 >= -(n - d),
-  the dotted walk of (kappa, 0^(n-d)) is dominant or repeats (kappa_d + n - d
-  lands on a trailing rho entry n-d-1, ..., 0), so Ext^(>0) vanishes, and
-  Hom is the skew Schur dimension s_{v/w}(1^n), zero unless w is contained
-  in v.  `_skew_homs` enumerates the contained labels w under each source v
-  along the labels' prefixes, and takes s_{v/w}(1^n) as the product over the
-  edge-connected row components of v/w, each translated to a canonical form
-  and evaluated once per build by the skew Jacobi-Trudi determinant
-  (`schur._skew_dimension`).  Every pair of a Kapranov box is in bound.
-- Stage chain (every other pair; `GrassFiber` is the one stage model, and a
+- Closed form (in-bound pairs).  For extended weights v, w of length d on
+  Grass(d, n), every summand S^kappa(R^dual) of Hom(S^v R, S^w R) has
+  kappa_d >= v_d - w_1.  When v_d - w_1 >= -(n - d), the dotted walk of
+  (kappa, 0^(n-d)) is dominant or repeats (kappa_d + n - d lands on a
+  trailing rho entry n-d-1, ..., 0), so Ext^(>0) vanishes, and Hom is the
+  skew Schur dimension s_{v/w}(1^n) (`schur._skew_dimension`), zero unless
+  w is contained in v.  A split stage of equal degrees d' is Grass(l, r)
+  over the root with R twisted by O(d'), so `_transfer` takes each in-bound
+  term (alpha, mu) of its Hom this way, at root degree -d'(|alpha| - |mu|).
+  A single Grassmannian's table enumerates the contained in-bound labels
+  w under each source v at once (`_skew_homs`), along the labels'
+  prefixes, with s_{v/w}(1^n) the product over the edge-connected row
+  components of v/w, each translated to a canonical form and evaluated
+  once per build.  Every pair of a Kapranov box is in bound.
+- Stage chain (every other term; `GrassFiber` is the one stage model, and a
   Grassmannian the split stage (d, 0^n) over a point).  Each stage's Hom
   content is expanded into weights delta on the dual of its subbundle, and
   relative Bott (Bott 1957; Demazure 1976) pushes each down Grass(l, E), E
@@ -30,12 +33,12 @@ Each pair of a table gets one of two Ext engines, chosen by its weights.
 A table's chains (`ext_table`, `fibration.candidate_ext_table`) come from one
 sweep over root-first labels.  The items left after the top stages depend
 only on the labels' weights there, so `_sweep` folds from the top stage down
-over (source suffix, target suffix) pairs, each stage once per distinct live
-pair, and drops a pair with no items, as every extension of it is zero.
-Each distinct label pair meets the root at every index pair carrying it (a
-candidate table repeats a label once per root degree).  A build owns one
-memo: one transfer per distinct input, one walk per distinct pushed weight;
-the per-pair entry points sweep one pair from an empty memo.
+over live (source suffix, target suffix) pairs, each stage once per distinct
+items and stage weights, and drops a pair with no items, as every extension
+of it is zero.  Each distinct label pair meets the root at every index pair
+carrying it (a candidate table repeats a label once per root degree).  A
+build owns one memo: one transfer per distinct input, one walk per distinct
+pushed weight; the per-pair entry points sweep one pair from an empty memo.
 """
 
 from __future__ import annotations
@@ -118,37 +121,54 @@ def tower_hom_degrees(stages: tuple[GrassFiber, ...], src: Label, tgt: Label) ->
 
 
 def _sweep(ranked, sources, targets, memo: dict):
-    """(source, target, chain) for each pair of root-first labels with a nonempty chain.
+    """(p, q, chain) for each pair sources[p], targets[q] of root-first labels with a nonempty chain.
 
     A chain, {(Ext degree, root degree): mult}, is Hom(source, target) pushed
-    to the root; the levels of suffix pairs stream through nested generators.
+    to the root.  Each fold groups the whole level of suffix pairs above it
+    before it hands on a pair; the root level streams out.  A suffix is named
+    by the first position carrying it, so a label by its own.
     """
     # items: (gamma destined for the current stage or None, s, root degree) -> multiplicity
-    level = [((), (), {(None, 0, 0): 1})]
+    level = [(0, 0, {(None, 0, 0): 1})]
     for k in range(len(ranked) - 1, -1, -1):
-        grown: tuple[dict, dict] = ({}, {})  # suffix from stage k + 1 -> its extensions from k
-        for grow, labels in zip(grown, (sources, targets)):
-            for lab in labels:
-                grow.setdefault(lab[k + 1:], {})[lab[k:]] = None
+        grown = []  # per side: suffix from stage k + 1 -> (its stage-k weights, their suffixes)
+        for labels in (sources, targets):
+            grow, above, here = {}, {}, {}
+            for p, lab in enumerate(labels):
+                a = above.setdefault(lab[k + 1:], p)
+                grow.setdefault(a, {})[lab[k]] = here.setdefault(lab[k:], p)
+            grown.append({a: (tuple(ext), tuple(ext.values())) for a, ext in grow.items()})
         level = _fold(k, *ranked[k], level, *grown, memo)
-    for v, w, items in level:
-        for gamma, _s, _deg in items:
-            if gamma is not None:
-                raise ArithmeticError(f"weight {gamma} was never pushed down to the root")
-        yield v, w, {(s, deg): mult for (_gamma, s, deg), mult in items.items()}
+    last = chain = None  # pairs sharing a result arrive in a row
+    for p, q, items in level:
+        if items is not last:
+            for gamma, _s, _deg in items:
+                if gamma is not None:
+                    raise ArithmeticError(f"weight {gamma} was never pushed down to the root")
+            last, chain = items, {(s, deg): mult for (_gamma, s, deg), mult in items.items()}
+        yield p, q, chain
 
 
 def _fold(k, st, rank, level, grow_src, grow_tgt, memo: dict):
-    """Stage k, `st`, folded into every pair extending a (source, target, items) of `level`."""
+    """Stage k, `st`, folded into every pair extending a (source, target suffix, items) of `level`.
+
+    Pairs whose items and stage-k weights agree share each result, computed
+    once and handed on for all of them in a row.
+    """
+    groups: dict = {}
     for a, b, items in level:
-        for v, w in iter_product(grow_src[a], grow_tgt[b]):
-            out: dict[tuple[Optional[tuple[int, ...]], int, int], int] = {}
+        (lams, vs), (mus, ws) = grow_src[a], grow_tgt[b]
+        groups.setdefault((frozenset(items.items()), lams, mus), (items, []))[1].append((vs, ws))
+    for (_items, lams, mus), (items, pairs) in groups.items():
+        for (i, lam), (j, mu) in iter_product(enumerate(lams), enumerate(mus)):
+            out = {}  # item -> multiplicity
             for (gamma, s, deg), mult in items.items():
-                for gamma_out, ds, shift, c in _transfer(k, st, rank, gamma, v[0], w[0], memo):
-                    key = (gamma_out, s + ds, deg + shift)
-                    out[key] = out.get(key, 0) + mult * c
+                for gamma_out, ds, shift, c in _transfer(k, st, rank, gamma, lam, mu, memo):
+                    item = (gamma_out, s + ds, deg + shift)
+                    out[item] = out.get(item, 0) + mult * c
             if out:
-                yield v, w, out
+                for vs, ws in pairs:
+                    yield vs[i], ws[j], out
 
 
 def _push(delta, rank: int, duals) -> tuple:
@@ -170,10 +190,13 @@ def _transfer(k, st, rank, gamma, lam, mu, memo: dict):
 
     gamma' is the full-length weight handed to the stage below (taut stage)
     or None with a root line-bundle degree shift (split stage, fiber table).
-    `memo` keeps each distinct input ("transfer", k, gamma, lam, mu) and delta
-    ("push", delta, rank, duals) pushed down once.  A memo serves one stage
-    list, so the position k stands for the stage and its rank, and no stage
-    is hashed.  A fiber table (rank None) is read afresh.
+    On a split stage of equal degrees d, a term S^alpha of gamma (x) lam in
+    the closed form's bound adds s_{alpha/mu}(1^rank) at root degree
+    -d(|alpha| - |mu|); every other term is walked (`_push`).  `memo` keeps
+    ("transfer", k, gamma, lam, mu), ("expand", k, gamma, lam), ("skew",
+    alpha, mu, rank) and ("push", delta, rank, duals) once each.  A memo
+    serves one stage list, so the position k stands for the stage and its
+    rank, and no stage is hashed.  A fiber table (rank None) is read afresh.
     """
     if rank is None:
         return tuple((None, 0, deg, m) for deg, m in st.pushforward(mu, lam).items())
@@ -181,15 +204,31 @@ def _transfer(k, st, rank, gamma, lam, mu, memo: dict):
     terms = memo.get(key)
     if terms is not None:
         return terms
-    factors = [lam, dual_weight(mu)] if gamma is None else [gamma, lam, dual_weight(mu)]
     duals = None if st.taut else tuple(-d for d in st.split_degrees)
-    out: dict[tuple[Optional[tuple[int, ...]], int, int], int] = {}
-    for delta, c in product_expand(factors, st.l).items():
-        push_key = ("push", delta, rank, duals)
-        if push_key not in memo:
-            memo[push_key] = _push(delta, rank, duals)
-        for gamma_out, s, shift, cc in memo[push_key]:
-            out[(gamma_out, s, shift)] = out.get((gamma_out, s, shift), 0) + c * cc
+    out = {}  # item -> multiplicity
+    if duals is not None and duals.count(duals[0]) == rank:
+        alphas = {lam: 1} if gamma is None else memo.get(("expand", k, gamma, lam))
+        if alphas is None:
+            alphas = memo[("expand", k, gamma, lam)] = product_expand([gamma, lam], st.l)
+        walks = []
+        for alpha, c in alphas.items():
+            if alpha[-1] - mu[0] < st.l - rank:
+                walks.append(([alpha, dual_weight(mu)], c))
+            elif all(x >= y for x, y in zip(alpha, mu)):  # else s_{alpha/mu} = 0
+                hom = memo.get(("skew", alpha, mu, rank))
+                if hom is None:
+                    hom = memo[("skew", alpha, mu, rank)] = _skew_dimension(alpha, mu, rank)
+                item = (None, 0, duals[0] * (sum(alpha) - sum(mu)))
+                out[item] = out.get(item, 0) + c * hom
+    else:
+        walks = [([lam, dual_weight(mu)] if gamma is None else [gamma, lam, dual_weight(mu)], 1)]
+    for factors, c in walks:
+        for delta, cd in product_expand(factors, st.l).items():
+            push_key = ("push", delta, rank, duals)
+            if push_key not in memo:
+                memo[push_key] = _push(delta, rank, duals)
+            for gamma_out, s, shift, cc in memo[push_key]:
+                out[(gamma_out, s, shift)] = out.get((gamma_out, s, shift), 0) + c * cd * cc
     memo[key] = tuple((g, s, shift, c) for (g, s, shift), c in out.items())
     return memo[key]
 
@@ -318,8 +357,9 @@ def _flag_stages(space: bwb.FlagSpace) -> tuple:
 def schur_pair_ext(d: int, n: int, v, w) -> dict[int, int]:
     """Ext^*(S^v(R), S^w(R)) on Grass(d, n) for extended weights v, w, as {s: dim}.
 
-    The one-pair sweep of Grass(d, n), the split stage (d, 0^n) over a point:
-    one relative walk per LR term of the Hom bundle, afresh on every call.
+    The one-pair sweep of Grass(d, n), the split stage (d, 0^n) over a point,
+    afresh on every call: an in-bound pair is one skew Schur dimension, any
+    other pair one relative walk per LR term of the Hom bundle.
     """
     found = _sweep(_flag_stages(bwb.grassmannian(d, n)), ((as_weight(v, d),),), ((as_weight(w, d),),), {})
     return {s: mult for *_, chain in found for (s, _deg), mult in sorted(chain.items())}
@@ -388,12 +428,14 @@ def _chain_table(ranked, labels, root_dim: int, shifts) -> dict:
         firsts = [labels[j][0][0] for j in by_first]
         walked = {(v, labels[j]): None for v in labels
                   for j in sorted(by_first[bisect_right(firsts, v[0][-1] + width):])}
-        chains = (found for v, w in walked for found in _sweep(ranked, (v,), (w,), memo))
+        chains = ((index[v], index[w], chain) for v, w in walked
+                  for *_, chain in _sweep(ranked, (v,), (w,), memo))
     else:
-        chains = _sweep(ranked, tuple(index), tuple(index), memo)
+        at = list(index.values())
+        chains = ((at[p], at[q], chain) for p, q, chain in _sweep(ranked, tuple(index), tuple(index), memo))
     root: dict[int, Optional[bwb.CohomologyResult]] = {}
-    for v, w, chain in chains:
-        for i, j in iter_product(index[v], index[w]):
+    for rows, cols, chain in chains:
+        for i, j in iter_product(rows, cols):
             for (s, e), mult in chain.items():
                 e += shifts[j] - shifts[i]
                 if e not in root:

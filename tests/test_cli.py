@@ -257,18 +257,25 @@ def test_engine_errors_exit_2(capsys, monkeypatch, error):
         (["verify", "kapranov", "--d", "4", "--n", "9"], "pass"),
         (["verify", "beilinson", "--n", "2", "--degrees", "0,1,2,3"], "fail"),
         (["verify", "flag", "--steps", "1,2", "--n", "3"], "pass"),
+        (["verify", "flag", "--steps", "1,3,5", "--n", "6"], "pass"),
         (["fibration", "search", "--plan",
           str(resources.files("tiltcheck") / "data" / "hirzebruch_plan.json")], "pass"),
+        (["fibration", "search", "--plan", "EQUAL_DEGREE_PLAN"], "pass"),
         (["descent", "gbs", "--degree", "4", "--period", "2", "--d", "2"], "n/a"),
         (["descent", "gbs", "--degree", "8", "--period", "2", "--d", "4"], "n/a"),
         (["descent", "bs", "--degree", "4", "--period", "2", "--indices", "1,3"], None),
         (["euler", "--a", "2,1", "--b", "1", "--d", "2", "--n", "4"], "n/a"),
     ],
-    ids=["kapranov", "kapranov-4-9", "beilinson", "flag", "fibration", "descent-gbs",
-         "descent-gbs-8-2-4", "descent-bad-index", "euler"],
+    ids=["kapranov", "kapranov-4-9", "beilinson", "flag", "flag-1-3-5-6", "fibration",
+         "fibration-equal-degrees", "descent-gbs", "descent-gbs-8-2-4", "descent-bad-index", "euler"],
 )
-def test_optimized_interpreter_same_reports(argv, verdict):
+def test_optimized_interpreter_same_reports(tmp_path, argv, verdict):
     # python -O strips assert statements; the integrity checks must not be asserts
+    if "EQUAL_DEGREE_PLAN" in argv:  # a split stage of equal degrees 1, a taut stage on top
+        plan = tmp_path / "equal_degree_plan.json"
+        plan.write_text(json.dumps({"root": {"kind": "pn", "dim": 1}, "cap": 4, "stages": [
+            {"kind": "grass", "l": 2, "degrees": [1, 1, 1, 1]}, {"kind": "grass-taut", "l": 1}]}))
+        argv = [str(plan) if arg == "EQUAL_DEGREE_PLAN" else arg for arg in argv]
     src = str(Path(tiltcheck.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
     runs = [

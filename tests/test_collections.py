@@ -386,8 +386,9 @@ def test_no_memo_survives_ext_table(monkeypatch):
         coll.ext_table(spec)
     # every table build, and every call outside one, walks afresh
     monkeypatch.setattr(bwb, "dotted_weyl", lambda weight: calls.append(weight) or walk(weight))
+    # (0, 0), (3, 0) is out of bound on Grass(2, 4), so its one-pair sweep walks
     for build, expected in ((lambda: coll.ext_table(spec), reference),
-                            (lambda: coll.schur_pair_ext(2, 4, (1,), (1,)), {0: 1})):
+                            (lambda: coll.schur_pair_ext(2, 4, (0, 0), (3, 0)), {2: 4})):
         calls.clear()
         assert build() == expected
         walks = len(calls)
@@ -507,7 +508,12 @@ def reference_candidate_ext_table(plan):
 
 def swept_chain(ranked, src, tgt, memo):
     """The chain of one pair through the sweep, {} when it is zero."""
-    return {(v, w): chain for v, w, chain in coll._sweep(ranked, (src,), (tgt,), memo)}.get((src, tgt), {})
+    return {(p, q): chain for p, q, chain in coll._sweep(ranked, (src,), (tgt,), memo)}.get((0, 0), {})
+
+
+def swept_chains(ranked, labels, memo):
+    """{(source, target): chain} over every pair of `labels` with a nonzero chain, in one sweep."""
+    return {(labels[p], labels[q]): chain for p, q, chain in coll._sweep(ranked, labels, labels, memo)}
 
 
 def transfer_keys(memo):
@@ -532,13 +538,19 @@ def test_memoized_chain_matches_reference_per_pair(monkeypatch, n, steps):
                 for i, li in enumerate(labels) for j, lj in enumerate(labels)}
     expansions = count_calls(monkeypatch, "product_expand")
     memo = {}
-    swept = {(v, w): chain for v, w, chain in coll._sweep(ranked, labels, labels, memo)}
+    swept = swept_chains(ranked, labels, memo)
     for i, li in enumerate(labels):
         for j, lj in enumerate(labels):
             assert swept.pop((li, lj), {}) == expected[i, j], (li, lj)
     assert swept == {}  # one chain per pair, and only the nonzero ones
-    # one expansion per distinct stage input, shared by every pair
-    assert len(expansions) == len(transfer_keys(memo)) < len(labels) ** 2
+    # one expansion per distinct stage input, shared by every pair: a taut
+    # stage expands its Hom content per transfer, the split root of equal
+    # degrees gamma (x) lam per (gamma, lam), and every root term is in bound
+    expanded = [key for key in memo
+                if key[0] == "expand" or key[0] == "transfer" and ranked[key[1]][0].taut]
+    assert len(expansions) == len({repr(args) for args in expansions}) == len(expanded) < len(labels) ** 2
+    assert {key[1] for key in memo if key[0] == "expand"} == {0}
+    assert not [key for key in memo if key[0] == "push" and key[3] is not None]  # no root walk
     dims = {}
     for (i, j), degs in expected.items():
         for (s, _deg), mult in degs.items():
@@ -547,7 +559,7 @@ def test_memoized_chain_matches_reference_per_pair(monkeypatch, n, steps):
 
 
 def plan_twists():
-    """The shipped plans and five mixed plans, at every twist up to their cap."""
+    """The shipped plans, five mixed plans and two of equal split degrees, at every twist up to their cap."""
     plans = []
     for name in ("hirzebruch_plan.json", "flag_1_2_3_plan.json", "sp4_borel_split_plan.json"):
         payload = json.loads((DATA / name).read_text(encoding="utf-8"))
@@ -562,6 +574,9 @@ def plan_twists():
     # two split segments: stage 0 of each, with equal ranks and labels
     split_twice = [fib.GrassFiber(1, (0, 1)), fib.GrassFiber(1, (0, 2))]
     plans.append(("grass-grass", fib.BaseModel(1), split_twice, 2))
+    # split stages of equal degrees d != 0: the closed form's root shift -d(|alpha| - |mu|)
+    plans.append(("equal-111-taut", fib.BaseModel(1), [fib.GrassFiber(1, (1, 1, 1)), fib.GrassFiber(1, taut=True)], 2))
+    plans.append(("equal-2222-taut", fib.BaseModel(2), [fib.GrassFiber(2, (2, 2, 2, 2)), fib.GrassFiber(1, taut=True)], 2))
     for name, root, stages, cap in plans:
         for twists in iter_product(range(cap + 1), repeat=len(stages)):
             yield pytest.param(root, stages, twists, id=f"{name}-{twists}")
@@ -575,6 +590,39 @@ def test_candidate_table_matches_reference(root, stages, twists):
     assert fib.candidate_ext_table(plan) == reference_candidate_ext_table(plan)
 
 
+@st.composite
+def equal_degree_chains(draw):
+    """(ranked, src, tgt): one split stage of equal degrees, sometimes with a taut stage on top.
+
+    The split stage has rank r <= 6, l < r and degrees d in [-2, 2]; weights
+    are extended, with entries in [-4, 4].
+    """
+    rank = draw(st.integers(2, 6))
+    l = draw(st.integers(1, rank - 1))
+    stages = [coll.GrassFiber(l, (draw(st.integers(-2, 2)),) * rank)]
+    if l > 1 and draw(st.booleans()):
+        stages.append(coll.GrassFiber(draw(st.integers(1, l - 1)), taut=True))
+    ranked = coll.rank_stages(stages)
+
+    def label():
+        return tuple(tuple(sorted(draw(st.lists(st.integers(-4, 4), min_size=stage.l, max_size=stage.l)),
+                                  reverse=True)) for stage, _rank in ranked)
+
+    return ranked, label(), label()
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(equal_degree_chains())
+@example((coll.rank_stages((coll.GrassFiber(2, (1,) * 4),)), ((1, 0),), ((0, 0),)))  # in bound
+@example((coll.rank_stages((coll.GrassFiber(2, (-1,) * 4),)), ((0, 0),), ((3, 0),)))  # out of bound
+@example((coll.rank_stages((coll.GrassFiber(3, (2,) * 5), coll.GrassFiber(1, taut=True))),
+          ((1, 1, 0), (2,)), ((0, 0, 0), (0,))))
+def test_closed_form_transfer_matches_the_walk(case):
+    # the swept chain takes the closed form on in-bound terms; the reference walks every term
+    ranked, src, tgt = case
+    assert swept_chain(ranked, src, tgt, {}) == reference_chain(ranked, src, tgt)
+
+
 def test_candidate_table_expands_each_transfer_once(monkeypatch):
     root, stages, _cap = fib.parse_plan(
         json.loads((DATA / "flag_1_2_3_plan.json").read_text(encoding="utf-8")))
@@ -583,9 +631,14 @@ def test_candidate_table_expands_each_transfer_once(monkeypatch):
     transfers = count_calls(monkeypatch, "_transfer")
     expansions = count_calls(monkeypatch, "product_expand")
     assert fib.candidate_ext_table(plan) == reference
-    # a transfer's arguments, its memo aside, are its memo key
+    # a transfer's arguments, its memo aside, are its memo key; the taut stage
+    # expands per transfer, the split stage of equal degrees per (gamma, lam)
     distinct = {args[:-1] for args in transfers if args[2] is not None}
-    assert len(expansions) == len(distinct) < len(plan.summands()) ** 2
+    taut = [args for args in distinct if args[1].taut]
+    sources = {(k, gamma, lam) for k, st, _rank, gamma, lam, _mu in distinct if not st.taut}
+    assert all(gamma is not None for _k, gamma, _lam in sources)
+    assert len(expansions) == len({repr(args) for args in expansions}) == len(taut) + len(sources)
+    assert len(expansions) < len(plan.summands()) ** 2
 
 
 @pytest.mark.parametrize("d, n", [(2, 4), (2, 5), (3, 6)])
@@ -610,19 +663,33 @@ def test_twist_search_expands_each_transfer_once(monkeypatch):
 
 
 def test_flag_table_splits_each_delta_once(monkeypatch):
-    # split-stage transfers share their deltas: one expansion per distinct argument
+    # a flag's split root has equal degrees: every root term takes the closed form
     spec = coll.flag_collection(bwb.FlagSpace(6, (1, 3, 5)))
     splits = count_calls(monkeypatch, "split_bundle_expand")
     report = coll.verify_tilting(spec, coll.ext_table(spec))
     assert report.passed
-    assert len(splits) == len(set(splits)) == 84
+    assert splits == []
+    # with distinct root degrees the root walks, and its transfers share their
+    # deltas: one split expansion per distinct delta that survives its walk
+    lower, upper = fib.GrassFiber(3, (0, 1, 2, 3, 4)), fib.GrassFiber(1, taut=True)
+    plan = fib.FibrationPlan(fib.FibrationPlan(fib.point_base(), lower, 0), upper, 0)
+    reference = reference_candidate_ext_table(plan)
+    assert fib.candidate_ext_table(plan) == reference
+    deltas = set()
+    for a, b in iter_product(reversed_box(1, 2), repeat=2):
+        for gamma, *_ in reference_items(((upper, 3),), (a,), (b,)):
+            for lam, mu in iter_product(reversed_box(3, 2), repeat=2):
+                deltas.update(product_expand([gamma, lam, dual_weight(mu)], 3))
+    walked = {delta for delta in deltas if bwb.dotted_weyl(delta + (0, 0)) is not None}
+    assert len(splits) == len(set(splits)) == len(walked) > 0
 
 
 def test_sweep_folds_each_suffix_pair_once(monkeypatch):
     # stage k folds each live (source suffix, target suffix) pair above it
-    # once: one transfer per item of that pair, for each pair of stage-k
-    # weights extending it.  The top stage folds once per distinct top-weight
-    # pair, 9 transfers where a chain per object pair made 32,400.
+    # once.  Live pairs whose items and stage-k weights agree form one group,
+    # which makes one transfer per item for each pair of its stage-k weights.
+    # The top stage folds once per distinct top-weight pair, 9 transfers
+    # where a chain per object pair made 32,400.
     n, steps = 6, (1, 3, 5)
     spec = coll.flag_collection(bwb.FlagSpace(n, steps))
     ranked = reference_flag_stages(n, steps)
@@ -632,9 +699,10 @@ def test_sweep_folds_each_suffix_pair_once(monkeypatch):
     folded = Counter()  # (stage, source suffix, target suffix) -> times handed on
 
     def counted(k, st, rank, *args):
-        for v, w, items in fold(k, st, rank, *args):
-            folded[st, v, w] += 1
-            yield v, w, items
+        # a suffix is named by the position of the first label carrying it
+        for p, q, items in fold(k, st, rank, *args):
+            folded[st, labels[p][k:], labels[q][k:]] += 1
+            yield p, q, items
 
     monkeypatch.setattr(coll, "_fold", counted)
     assert coll.verify_tilting(spec, coll.ext_table(spec)).passed
@@ -644,17 +712,23 @@ def test_sweep_folds_each_suffix_pair_once(monkeypatch):
     per_stage = Counter(ranked[args[0]][0] for args in transfers)
     assert per_stage[ranked[-1][0]] == 9
     for k in range(len(ranked) - 1):
-        width = Counter(suffix[1:] for suffix in {lab[k:] for lab in labels})
-        expected, live = 0, set()
-        for a, b in iter_product(width, repeat=2):
-            items = {item[:3] for item in reference_items(ranked[k + 1:], a, b)}
-            expected += width[a] * width[b] * len(items)
+        heads = {}  # suffix from stage k + 1 -> the stage-k weights extending it
+        for lab in labels:
+            heads.setdefault(lab[k + 1:], {})[lab[k]] = None
+        groups, live = set(), set()
+        for a, b in iter_product(heads, repeat=2):
+            items = Counter()
+            for gamma, s, deg, mult in reference_items(ranked[k + 1:], a, b):
+                items[gamma, s, deg] += mult
             if items:
                 live.add((a, b))
-        assert per_stage[ranked[k][0]] == expected, k
+                groups.add((frozenset(items.items()), tuple(heads[a]), tuple(heads[b])))
+        assert per_stage[ranked[k][0]] == sum(len(lams) * len(mus) * len(items)
+                                               for items, lams, mus in groups), k
         # only the pairs with items are handed on: an empty one is pruned
         assert {(v, w) for st, v, w in folded if st == ranked[k + 1][0]} == live, k
-    assert sum(per_stage.values()) == len(transfers) == 20_913
+        assert len(groups) < len(live), k  # 51 groups of 366 live pairs at the root
+    assert sum(per_stage.values()) == len(transfers) == 4_341
 
 
 def test_candidate_table_sweeps_each_label_pair_once(monkeypatch):
@@ -683,7 +757,9 @@ def test_chain_reports_higher_direct_images():
 
 
 def test_failing_transfer_is_not_cached(monkeypatch):
-    ranked = coll.rank_stages((coll.GrassFiber(1, (0, 0)),))
+    # a raising walk or expansion leaves no memo entry of its own, and the
+    # same memo then computes the chain afresh
+    ranked = coll.rank_stages((coll.GrassFiber(1, (0, 0)),))  # (0,), (5,) is out of bound: it walks
     expand = coll.product_expand
 
     def failing(factors, rank):
@@ -694,19 +770,37 @@ def test_failing_transfer_is_not_cached(monkeypatch):
     for _ in range(2):
         with pytest.raises(ArithmeticError):
             swept_chain(ranked, ((0,),), ((5,),), memo)
-    assert transfer_keys(memo) == []
+    assert memo == {}
     monkeypatch.setattr(coll, "product_expand", expand)
     assert swept_chain(ranked, ((0,),), ((5,),), memo) == {(1, 0): 4}
-    # a transfer that raises halfway through its split-stage expansions
+    # gamma (x) lam, or s_{alpha/mu}, raising on the split root of equal degrees
     ranked = reference_flag_stages(4, (1, 2))
-    src, tgt = ((2, 2), (1,)), ((2, 1), (0,))  # its stage-0 transfer expands twice
+    src, tgt = ((2, 2), (1,)), ((2, 1), (0,))
+    expected = reference_chain(ranked, src, tgt)
+    for name, kind in (("product_expand", "expand"), ("_skew_dimension", "skew")):
+        fn = getattr(coll, name)
+
+        def failing_at_root(*args, fn=fn):
+            if args[-1] in (2, 4):  # the root's l (expansions) or rank (skew dimensions)
+                raise ArithmeticError("root failed")
+            return fn(*args)
+
+        memo = {}
+        monkeypatch.setattr(coll, name, failing_at_root)
+        with pytest.raises(ArithmeticError):
+            swept_chain(ranked, src, tgt, memo)
+        assert memo and not [key for key in memo if key[0] == kind or key[:2] == ("transfer", 0)]
+        monkeypatch.setattr(coll, name, fn)
+        assert swept_chain(ranked, src, tgt, memo) == expected
+    # a transfer that raises halfway through its split-stage expansions
+    ranked = coll.rank_stages((coll.GrassFiber(2, (0, 1, 2, 3)), coll.GrassFiber(1, taut=True)))
     expected = reference_chain(ranked, src, tgt)
     expand = coll.split_bundle_expand
     calls = []
 
     def failing_once(delta, degrees):
         calls.append(delta)
-        if len(calls) == 2:
+        if len(calls) == 2:  # its stage-0 transfer expands twice
             raise ArithmeticError("expansion failed")
         return expand(delta, degrees)
 
@@ -715,7 +809,9 @@ def test_failing_transfer_is_not_cached(monkeypatch):
     with pytest.raises(ArithmeticError):
         swept_chain(ranked, src, tgt, memo)
     assert all(key[1] != 0 for key in transfer_keys(memo))
+    assert len([key for key in memo if key[0] == "push" and key[3] is not None]) == 1
     assert swept_chain(ranked, src, tgt, memo) == expected
+    assert len(calls) == 3
 
 
 def test_no_memo_survives_chain_tables(monkeypatch):
