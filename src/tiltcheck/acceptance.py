@@ -127,17 +127,18 @@ def generalized_bs():
 
 def fibration_twist_search():
     """Criterion 7: twist search, flag-tower agreement, and the C_2 count."""
-    base = fibration.BaseModel(1)
+    root = fibration.BaseModel(1)
     fiber = fibration.GrassFiber(1, (0, 1))
-    stuck = fibration.verify_plan(fibration.FibrationPlan(base, fiber, 0))
+    stuck = fibration.verify_plan(fibration.FibrationPlan(root, ((fiber, 0),)))
     if stuck.verified or stuck.obstruction[2:] != (1, 1):
         return False, f"m=0 witness {stuck.obstruction}"
-    plan = fibration.twist_search(base, fiber, 4)
-    if not plan.verified or plan.twist != 1 or len(plan.summands()) != 4:
-        return False, f"search result twist={plan.twist}, verified={plan.verified}"
+    plan = fibration.twist_search(fibration.FibrationPlan(root), fiber, 4)
+    twists = [tw for _f, tw in plan.layers]
+    if not plan.verified or twists != [1] or len(plan.summands()) != 4:
+        return False, f"search result twists={twists}, verified={plan.verified}"
     tower = fibration.tower_compose(
         [fibration.GrassFiber(2, (0, 0, 0)), fibration.GrassFiber(1, taut=True)],
-        fibration.point_base(),
+        fibration.BaseModel(0),
         2,
     )
     flag_table = coll.ext_table(coll.flag_collection(bwb.FlagSpace(3, (1, 2))))

@@ -76,13 +76,11 @@ def _cohomology_payload(res):
 
 
 def _plan_payload(plan: fibration.FibrationPlan) -> dict:
-    layers = plan.layers()
-    table = plan.table
-    entries = table.higher_entries()[:5] if table is not None else []
-    higher = [{"source": i, "target": j, "degree": s, "dimension": v} for (i, j, s), v in entries]
+    higher = [{"source": i, "target": j, "degree": s, "dimension": v}
+              for (i, j, s), v in plan.table.higher_entries()[:5]]
     return {
         "verified": plan.verified,
-        "twists": [tw for _f, tw in layers],
+        "twists": [tw for _f, tw in plan.layers],
         "summand_count": len(plan.summands()),
         "total_dimension": plan.total_dimension(),
         "obstruction": plan.obstruction,
@@ -219,11 +217,7 @@ def _cmd_fibration(args, pretty):
         twists = [int(x) for x in args.twists.split(",")] if args.twists else [0] * len(stages)
         if len(twists) != len(stages):
             raise ValueError("one twist per stage required")
-        # the fiberless plan adds no layer: with no stages it is the root's own bundle
-        plan = fibration.FibrationPlan(root, None, 0)
-        for fiber, tw in zip(stages, twists):
-            plan = fibration.FibrationPlan(plan, fiber, tw)
-        plan = fibration.verify_plan(plan)
+        plan = fibration.verify_plan(fibration.FibrationPlan(root, zip(stages, twists)))
     verdict = "pass" if plan.verified else "fail"
     return emit("fibration", {"mode": args.what, "plan": args.plan},
                 _plan_payload(plan), verdict, pretty)

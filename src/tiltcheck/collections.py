@@ -128,8 +128,9 @@ def _sweep(ranked, sources, targets, memo: dict):
     before it hands on a pair; the root level streams out.  A suffix is named
     by the first position carrying it, so a label by its own.
     """
-    # items: (gamma destined for the current stage or None, s, root degree) -> multiplicity
-    level = [(0, 0, {(None, 0, 0): 1})]
+    # items: (gamma destined for the current stage or None, s, root degree) -> multiplicity;
+    # with no sources or no targets there is no pair to extend
+    level = [(0, 0, {(None, 0, 0): 1})] if sources and targets else []
     for k in range(len(ranked) - 1, -1, -1):
         grown = []  # per side: suffix from stage k + 1 -> (its stage-k weights, their suffixes)
         for labels in (sources, targets):

@@ -6,6 +6,11 @@ sums pullbacks of twisted base summands against fiber objects.  The engine
 computes its full Ext table exactly and searches for the least twist exponent
 killing every positive-degree entry.
 
+A plan (`FibrationPlan`) is a root, P^m or a point, and its layers: a
+bottom-first tuple of (fiber, twist exponent) pairs, the stage list of a plan
+file with one twist per stage.  A tower is searched stage by stage, each
+search adding one layer to the verified plan below it.
+
 Computability boundary: automatic verification covers Grassmann-bundle stages
 (`GrassFiber`, the stage model the flag tables of `collections` use too)
 whose bundle is either split with degrees taken from the root or the
@@ -21,7 +26,7 @@ from __future__ import annotations
 import json
 import os
 from itertools import product as iter_product
-from typing import Optional, Union
+from typing import Optional
 
 from .bwb import pn_line_cohomology
 from .collections import ExtTable, GrassFiber, _chain_table, rank_stages
@@ -38,7 +43,7 @@ class BaseModel(FrozenValue):
     __slots__ = _fields = ("dim", "tilting_degrees")
 
     def __init__(self, dim: int, tilting_degrees: tuple[int, ...] = ()):
-        if dim < 0:
+        if json_int(dim, "root dim") < 0:
             raise ValueError("dimension must be non-negative")
         degs = (tuple(json_int(d, "base degree") for d in tilting_degrees)
                 or tuple(range(dim + 1)))
@@ -53,10 +58,6 @@ class BaseModel(FrozenValue):
                         f"H^{res.degree}(O({b - a})) = {res.dimension}"
                     )
         self._set(dim, degs)
-
-
-def point_base() -> BaseModel:
-    return BaseModel(0)
 
 
 class TableFiber(FrozenValue):
@@ -113,44 +114,28 @@ class TableFiber(FrozenValue):
         return dict(self._pushforwards.get((j, i), {}))
 
 
-Fiber = Union[GrassFiber, TableFiber]
-
-
 class FibrationPlan(FrozenValue):
-    """One fibration layer, possibly stacked on a previous verified plan."""
+    """A root and its fibration layers, bottom-first, as a plan file lists them.
 
-    __slots__ = _fields = ("base", "fiber", "twist", "verified", "table", "obstruction")
+    Each layer is a (fiber, twist exponent) pair; a plan with no layers is
+    the root's own tilting bundle.
+    """
 
-    def __init__(self, base: Union[BaseModel, "FibrationPlan"], fiber: Optional[Fiber],
-                 twist: int = 0, verified: bool = False, table: Optional[ExtTable] = None,
-                 obstruction: Optional[tuple] = None):
-        self._set(base, fiber, twist, verified, table, obstruction)
+    __slots__ = _fields = ("root", "layers", "verified", "table", "obstruction")
 
-    @property
-    def root(self) -> BaseModel:
-        node = self.base
-        while isinstance(node, FibrationPlan):
-            node = node.base
-        return node
-
-    def layers(self) -> list[tuple[Fiber, int]]:
-        """Fibration layers bottom-first, with their twist exponents."""
-        if isinstance(self.base, FibrationPlan):
-            below = self.base.layers()
-        else:
-            below = []
-        if self.fiber is None:
-            return below
-        return below + [(self.fiber, self.twist)]
+    def __init__(self, root: BaseModel, layers=(), verified: bool = False,
+                 table: Optional[ExtTable] = None, obstruction: Optional[tuple] = None):
+        layers = tuple((fiber, json_int(twist, "twist")) for fiber, twist in layers)
+        self._set(root, layers, verified, table, obstruction)
 
     def summands(self) -> tuple[tuple, ...]:
         """Candidate summand labels: top fiber object first, root degree last."""
-        ranked = rank_stages(f for f, _twist in self.layers())
+        ranked = rank_stages(f for f, _twist in self.layers)
         objects = [fiber.objects(rank) for fiber, rank in ranked]
         return tuple(iter_product(*reversed(objects), self.root.tilting_degrees))
 
     def total_dimension(self) -> int:
-        ranked = rank_stages(f for f, _twist in self.layers())
+        ranked = rank_stages(f for f, _twist in self.layers)
         return self.root.dim + sum(fiber.l * (rank - fiber.l)
                                    for fiber, rank in ranked if rank is not None)
 
@@ -162,7 +147,7 @@ def candidate_ext_table(plan: FibrationPlan) -> ExtTable:
     carries the root shift of its base degree plus, per layer, the twist
     times its object's position there.
     """
-    layers = plan.layers()
+    layers = plan.layers
     ranked = rank_stages(f for f, _twist in layers)
     positions = [{obj: p for p, obj in enumerate(fiber.objects(rank))} for fiber, rank in ranked]
     summands = plan.summands()
@@ -182,41 +167,45 @@ def verify_plan(plan: FibrationPlan) -> FibrationPlan:
     """
     table = candidate_ext_table(plan)
     witness = table.higher_witness()
-    return FibrationPlan(plan.base, plan.fiber, plan.twist, witness is None, table, witness)
+    return FibrationPlan(plan.root, plan.layers, witness is None, table, witness)
 
 
-def twist_search(base, fiber: Fiber, cap: int = 8) -> FibrationPlan:
-    """Least twist exponent in [0, cap] with no positive-degree Ext.
-
-    On failure returns the cap plan, unverified, carrying the first
-    obstruction witness (source, target, degree, dimension).  Each twist tried
-    is one candidate table build.
-    """
-    if cap < 1:
+def _checked_cap(cap) -> int:
+    if json_int(cap, "cap") < 1:
         raise ValueError("cap must be positive")
-    for m in range(cap + 1):
-        plan = verify_plan(FibrationPlan(base, fiber, m))
+    return cap
+
+
+def twist_search(below: FibrationPlan, fiber: GrassFiber | TableFiber, cap: int = 8) -> FibrationPlan:
+    """Least twist exponent m in [0, cap] for `fiber` stacked on `below`.
+
+    Tries the layers of `below` plus (fiber, m), m = 0, 1, ..., and returns
+    the first plan with no positive-degree Ext; `FibrationPlan(root)` stands
+    for the root alone.  On failure returns the cap plan, unverified, carrying
+    the first obstruction witness (source, target, degree, dimension).  Each
+    twist tried is one candidate table build.
+    """
+    for m in range(_checked_cap(cap) + 1):
+        plan = verify_plan(FibrationPlan(below.root, below.layers + ((fiber, m),)))
         if plan.verified:
             break
     return plan
 
 
 def tower_compose(stages, root: BaseModel, cap: int = 8) -> FibrationPlan:
-    """Fold twist_search along a stage list, root-first.
+    """Fold twist_search along a stage list, root-first, from `FibrationPlan(root)`.
 
-    Each verified stage becomes the base of the next; an empty list returns
-    the root's own tilting bundle as a trivial plan.
+    Each verified plan is the one the next stage is searched on; the first
+    unverified one is returned as it stands.  An empty list returns the
+    root's own tilting bundle, verified.
     """
-    if not stages:
-        return verify_plan(FibrationPlan(root, None, 0))
-    base: Union[BaseModel, FibrationPlan] = root
-    plan = None
+    _checked_cap(cap)
+    plan = FibrationPlan(root)
     for fiber in stages:
-        plan = twist_search(base, fiber, cap)
+        plan = twist_search(plan, fiber, cap)
         if not plan.verified:
             return plan
-        base = plan
-    return plan
+    return plan if stages else verify_plan(plan)
 
 
 # ---------------------------------------------------------------------------
@@ -257,10 +246,10 @@ def parse_plan(payload: dict, plan_dir: str = ""):
         raise ValueError("a plan root must be a JSON object")
     kind = root_spec.get("kind", "pn")
     if kind == "point":
-        root = point_base()
+        root = BaseModel(0)
     elif kind == "pn":
         degrees = tuple(json_int(d, "root degree") for d in root_spec.get("degrees", ()))
-        root = BaseModel(json_int(root_spec["dim"], "root dim"), degrees)
+        root = BaseModel(root_spec["dim"], degrees)
     else:
         raise ValueError(f"unknown root kind {kind!r}")
     stages = []

@@ -182,6 +182,18 @@ def test_malformed_plan_file_exits_2(capsys, tmp_path, plan, table):
         assert captured.err.startswith("tiltcheck: invalid input: ")
 
 
+@pytest.mark.parametrize("cap", [0, -3])
+@pytest.mark.parametrize("stages", [[], [GRASS_STAGE]], ids=["root-only", "one-stage"])
+def test_search_refuses_non_positive_cap(capsys, tmp_path, stages, cap):
+    # one rule whether or not the plan has stages: refused before any table is built
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps({"root": PN_ROOT, "stages": stages, "cap": cap}))
+    assert cli.run(["fibration", "search", "--plan", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "tiltcheck: invalid input: cap must be positive\n"
+
+
 @pytest.mark.parametrize(
     "stage",
     [
@@ -261,13 +273,17 @@ def test_engine_errors_exit_2(capsys, monkeypatch, error):
         (["fibration", "search", "--plan",
           str(resources.files("tiltcheck") / "data" / "hirzebruch_plan.json")], "pass"),
         (["fibration", "search", "--plan", "EQUAL_DEGREE_PLAN"], "pass"),
+        (["fibration", "plan", "--twists", "0,0", "--plan",
+          str(resources.files("tiltcheck") / "data" / "flag_1_2_3_plan.json")], "pass"),
+        (["fibration", "search", "--plan",
+          str(resources.files("tiltcheck") / "data" / "sp4_borel_split_plan.json")], "pass"),
         (["descent", "gbs", "--degree", "4", "--period", "2", "--d", "2"], "n/a"),
         (["descent", "gbs", "--degree", "8", "--period", "2", "--d", "4"], "n/a"),
         (["descent", "bs", "--degree", "4", "--period", "2", "--indices", "1,3"], None),
         (["euler", "--a", "2,1", "--b", "1", "--d", "2", "--n", "4"], "n/a"),
     ],
     ids=["kapranov", "kapranov-4-9", "beilinson", "flag", "flag-1-3-5-6", "fibration",
-         "fibration-equal-degrees", "descent-gbs", "descent-gbs-8-2-4", "descent-bad-index", "euler"],
+         "fibration-equal-degrees", "fibration-plan-flag", "fibration-sp4", "descent-gbs", "descent-gbs-8-2-4", "descent-bad-index", "euler"],
 )
 def test_optimized_interpreter_same_reports(tmp_path, argv, verdict):
     # python -O strips assert statements; the integrity checks must not be asserts

@@ -455,7 +455,7 @@ def reference_candidate_ext_table(plan):
     taken from the code under test.
     """
     root = plan.root
-    layers = plan.layers()
+    layers = plan.layers
     top = len(layers) - 1
     segments = []  # (table fiber, None, [layer]) or (None, (stage, rank) pairs, [layers])
     objects = []  # per layer, bottom-first
@@ -584,9 +584,7 @@ def plan_twists():
 
 @pytest.mark.parametrize("root, stages, twists", plan_twists())
 def test_candidate_table_matches_reference(root, stages, twists):
-    plan = root
-    for fiber, twist in zip(stages, twists):
-        plan = fib.FibrationPlan(plan, fiber, twist)
+    plan = fib.FibrationPlan(root, zip(stages, twists))
     assert fib.candidate_ext_table(plan) == reference_candidate_ext_table(plan)
 
 
@@ -626,7 +624,7 @@ def test_closed_form_transfer_matches_the_walk(case):
 def test_candidate_table_expands_each_transfer_once(monkeypatch):
     root, stages, _cap = fib.parse_plan(
         json.loads((DATA / "flag_1_2_3_plan.json").read_text(encoding="utf-8")))
-    plan = fib.FibrationPlan(fib.FibrationPlan(root, stages[0], 0), stages[1], 0)
+    plan = fib.FibrationPlan(root, ((stages[0], 0), (stages[1], 0)))
     reference = reference_candidate_ext_table(plan)
     transfers = count_calls(monkeypatch, "_transfer")
     expansions = count_calls(monkeypatch, "product_expand")
@@ -646,7 +644,7 @@ def test_one_split_stage_over_a_point_is_the_kapranov_table(d, n):
     # over a point the split degrees do not matter: every pair meets H^0 of a point
     expected = coll.ext_table(coll.kapranov_collection(d, n))
     for degrees in ((0,) * n, tuple(range(n)), (3,) + (0,) * (n - 1)):
-        plan = fib.FibrationPlan(fib.point_base(), fib.GrassFiber(d, degrees), 0)
+        plan = fib.FibrationPlan(fib.BaseModel(0), ((fib.GrassFiber(d, degrees), 0),))
         assert fib.candidate_ext_table(plan) == expected, degrees
 
 
@@ -654,11 +652,11 @@ def test_twist_search_expands_each_transfer_once(monkeypatch):
     # each twist tried is one table build, which expands each transfer once
     fiber = fib.GrassFiber(2, (0, 1, 2, 3))
     expansions = count_calls(monkeypatch, "product_expand")
-    fib.candidate_ext_table(fib.FibrationPlan(fib.BaseModel(1), fiber, 0))
+    fib.candidate_ext_table(fib.FibrationPlan(fib.BaseModel(1), ((fiber, 0),)))
     assert len(expansions) == 36
     expansions.clear()
-    plan = fib.twist_search(fib.BaseModel(1), fiber, 8)
-    assert plan.verified and plan.twist == 3
+    plan = fib.twist_search(fib.FibrationPlan(fib.BaseModel(1)), fiber, 8)
+    assert plan.verified and plan.layers == ((fiber, 3),)
     assert len(expansions) == 4 * 36
 
 
@@ -672,7 +670,7 @@ def test_flag_table_splits_each_delta_once(monkeypatch):
     # with distinct root degrees the root walks, and its transfers share their
     # deltas: one split expansion per distinct delta that survives its walk
     lower, upper = fib.GrassFiber(3, (0, 1, 2, 3, 4)), fib.GrassFiber(1, taut=True)
-    plan = fib.FibrationPlan(fib.FibrationPlan(fib.point_base(), lower, 0), upper, 0)
+    plan = fib.FibrationPlan(fib.BaseModel(0), ((lower, 0), (upper, 0)))
     reference = reference_candidate_ext_table(plan)
     assert fib.candidate_ext_table(plan) == reference
     deltas = set()
@@ -734,7 +732,7 @@ def test_sweep_folds_each_suffix_pair_once(monkeypatch):
 def test_candidate_table_sweeps_each_label_pair_once(monkeypatch):
     # a summand repeats its fiber label once per root degree of P^2: the one
     # stage folds each distinct label pair once, 9 times rather than 81
-    plan = fib.FibrationPlan(fib.BaseModel(2), fib.GrassFiber(2, (0, 1, 3)), 1)
+    plan = fib.FibrationPlan(fib.BaseModel(2), ((fib.GrassFiber(2, (0, 1, 3)), 1),))
     fiber_labels = [A[:-1] for A in plan.summands()]
     assert len(fiber_labels) == 3 * len(set(fiber_labels)) == 9
     reference = reference_candidate_ext_table(plan)
@@ -818,7 +816,7 @@ def test_no_memo_survives_chain_tables(monkeypatch):
     flag = coll.flag_collection(bwb.FlagSpace(3, (1, 2)))
     root, stages, _cap = fib.parse_plan(
         json.loads((DATA / "flag_1_2_3_plan.json").read_text(encoding="utf-8")))
-    plan = fib.FibrationPlan(fib.FibrationPlan(root, stages[0], 0), stages[1], 0)
+    plan = fib.FibrationPlan(root, ((stages[0], 0), (stages[1], 0)))
     table = coll.ext_table(flag)
     assert fib.candidate_ext_table(plan) == table
     expand = coll.product_expand
@@ -941,6 +939,19 @@ def test_collection_spec_validation():
         coll.CollectionSpec(space, (((0, 0),),), multiplicities=(0,))
     with pytest.raises(ValueError):
         coll.CollectionSpec(space, (((0, 0), (0,)),))
+
+
+@pytest.mark.parametrize("space", [bwb.grassmannian(2, 4), bwb.FlagSpace(3, (1, 2)),
+                                   bwb.FlagSpace(4, (1, 2, 3))],
+                         ids=["grass-2-4", "flag-1-2-3", "flag-1-2-3-4"])
+def test_empty_collection_has_empty_table(space):
+    spec = coll.CollectionSpec(space, ())
+    table = coll.ext_table(spec)
+    assert table == coll.ExtTable(0, space.dimension()) and table.dims == {}
+    assert table.max_degree == space.dimension()
+    report = coll.verify_tilting(spec)
+    assert report.passed and report.k0_rank == 0 and report.end_algebra_dim == 0
+    assert report.hom_matrix == () and report.higher_ext_witness is None
 
 
 def probing_verify_tilting(spec, table):

@@ -11,6 +11,7 @@ from tiltcheck import bwb
 from tiltcheck import collections as coll
 from tiltcheck import descent as dsc
 from tiltcheck import fibration as fib
+from tiltcheck.partitions import FrozenValue
 
 DATA = resources.files("tiltcheck") / "data"
 
@@ -31,6 +32,11 @@ def serialize_fiber_table(fiber):
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def twists(plan):
+    """The twist exponents of a plan's layers, bottom-first."""
+    return [twist for _fiber, twist in plan.layers]
+
+
 def test_base_model_validation():
     fib.BaseModel(2)
     fib.BaseModel(1, (3, 4))
@@ -38,6 +44,8 @@ def test_base_model_validation():
         fib.BaseModel(1, (0, 3))  # H^1(O(-3)) on P^1 obstructs
     with pytest.raises(ValueError):
         fib.BaseModel(1, (0, 0))
+    with pytest.raises(ValueError, match="non-negative"):
+        fib.BaseModel(-1)
 
 
 def test_grassfiber_objects_order():
@@ -60,16 +68,16 @@ def test_relative_pushforward_examples():
 def test_hirzebruch_twist_search():
     base = fib.BaseModel(1)
     fiber = fib.GrassFiber(1, (0, 1))
-    stuck = fib.candidate_ext_table(fib.FibrationPlan(base, fiber, 0))
+    stuck = fib.candidate_ext_table(fib.FibrationPlan(base, ((fiber, 0),)))
     witnesses = list(stuck.higher_entries())
     assert witnesses
     (i, j, s), v = witnesses[0]
     assert s == 1 and v == 1
-    stuck_plan = fib.verify_plan(fib.FibrationPlan(base, fiber, 0))
+    stuck_plan = fib.verify_plan(fib.FibrationPlan(base, ((fiber, 0),)))
     assert not stuck_plan.verified and stuck_plan.obstruction == (i, j, s, v)
     assert stuck_plan.table == stuck
-    plan = fib.twist_search(base, fiber, 4)
-    assert plan.verified and plan.twist == 1
+    plan = fib.twist_search(fib.FibrationPlan(base), fiber, 4)
+    assert plan.verified and plan.layers == ((fiber, 1),)
     assert len(plan.summands()) == 4
     # diagonal entries carry the base End only
     table = plan.table
@@ -81,7 +89,7 @@ def test_split_grass37_search_values():
     # a split stage with seven distinct degrees: every transfer expands
     # through the branching-rule kernel
     plan = fib.tower_compose([fib.GrassFiber(3, tuple(range(7)))], fib.BaseModel(1), 8)
-    assert plan.verified and plan.twist == 6
+    assert plan.verified and twists(plan) == [6]
     assert len(plan.summands()) == 70
     table = plan.table
     assert table.end_dim((1,) * table.size) == 693_379_764
@@ -92,11 +100,12 @@ def test_twist_monotonicity():
     base = fib.BaseModel(1)
     for degrees in [(0, 1), (0, 0), (0, 2)]:
         fiber = fib.GrassFiber(1, degrees)
-        plan = fib.twist_search(base, fiber, 6)
+        plan = fib.twist_search(fib.FibrationPlan(base), fiber, 6)
         assert plan.verified
+        [twist] = twists(plan)
         for extra in (1, 2):
             higher = fib.candidate_ext_table(
-                fib.FibrationPlan(base, fiber, plan.twist + extra)
+                fib.FibrationPlan(base, ((fiber, twist + extra),))
             )
             assert not list(higher.higher_entries())
 
@@ -114,61 +123,62 @@ def test_pushforward_shape_conformance():
 
 
 def test_trivial_bundle_needs_no_twist():
-    plan = fib.twist_search(fib.BaseModel(1), fib.GrassFiber(1, (0, 0)), 4)
-    assert plan.verified and plan.twist == 0
+    plan = fib.twist_search(fib.FibrationPlan(fib.BaseModel(1)), fib.GrassFiber(1, (0, 0)), 4)
+    assert plan.verified and twists(plan) == [0]
 
 
 def test_point_fiber_reproduces_base():
-    plan = fib.twist_search(fib.BaseModel(2), fib.GrassFiber(1, (0,)), 4)
-    assert plan.verified and plan.twist == 0
+    plan = fib.twist_search(fib.FibrationPlan(fib.BaseModel(2)), fib.GrassFiber(1, (0,)), 4)
+    assert plan.verified and twists(plan) == [0]
     assert fib.candidate_ext_table(plan).hom_matrix() == [[1, 3, 6], [0, 1, 3], [0, 0, 1]]
 
 
 def test_unverified_cap_plan_reports_obstruction():
     # dual degrees reach -4, so the worst base degree is m - 5: needs m >= 4
     fiber = fib.GrassFiber(1, (0, 4))
-    plan = fib.twist_search(fib.BaseModel(1), fiber, 1)
+    root_plan = fib.FibrationPlan(fib.BaseModel(1))
+    plan = fib.twist_search(root_plan, fiber, 1)
     assert not plan.verified
     assert plan.obstruction is not None
-    assert fib.twist_search(fib.BaseModel(1), fiber, 6).twist == 4
+    assert twists(fib.twist_search(root_plan, fiber, 6)) == [4]
 
 
 def test_flag_tower_matches_absolute_engine():
     tower = fib.tower_compose(
         [fib.GrassFiber(2, (0, 0, 0)), fib.GrassFiber(1, taut=True)],
-        fib.point_base(),
+        fib.BaseModel(0),
         2,
     )
     assert tower.verified
     flag_table = coll.ext_table(coll.flag_collection(bwb.FlagSpace(3, (1, 2))))
     assert tower.table == flag_table
     assert len(tower.summands()) == 6
-    assert [t for _f, t in tower.layers()] == [0, 0]
+    assert twists(tower) == [0, 0]
 
 
 def test_grass24_tower_matches_absolute_engine():
-    tower = fib.tower_compose([fib.GrassFiber(2, (0, 0, 0, 0))], fib.point_base(), 2)
+    tower = fib.tower_compose([fib.GrassFiber(2, (0, 0, 0, 0))], fib.BaseModel(0), 2)
     assert tower.verified
     table = coll.ext_table(coll.kapranov_collection(2, 4))
     assert tower.table == table
 
 
 def test_grass25_tower_matches_absolute_engine():
-    tower = fib.tower_compose([fib.GrassFiber(2, (0,) * 5)], fib.point_base(), 2)
+    tower = fib.tower_compose([fib.GrassFiber(2, (0,) * 5)], fib.BaseModel(0), 2)
     assert tower.verified
     assert tower.table == coll.ext_table(coll.kapranov_collection(2, 5))
 
 
 def test_two_stage_tower_over_projective_root():
     # trivial P^1-bundle stacked on the Hirzebruch plan: the second search
-    # runs against a tower base, so the recursion through plan layers is live
+    # extends the verified one-layer plan below it
     plan = fib.tower_compose(
         [fib.GrassFiber(1, (0, 1)), fib.GrassFiber(1, (0, 0))],
         fib.BaseModel(1),
         4,
     )
     assert plan.verified
-    assert [t for _f, t in plan.layers()] == [1, 0]
+    assert twists(plan) == [1, 0]
     assert len(plan.summands()) == 8
     for k in range(8):
         assert plan.table.get(k, k, 0) == 1
@@ -191,6 +201,40 @@ def test_empty_tower_returns_root():
     assert plan.verified
     assert len(plan.summands()) == 3
     assert plan.table.hom_matrix() == [[1, 3, 6], [0, 1, 3], [0, 0, 1]]
+
+
+@pytest.mark.parametrize("cap", [0, -1])
+def test_cap_must_be_positive_for_every_plan(monkeypatch, cap):
+    # refused before any table is built, whether or not the plan has stages
+    monkeypatch.setattr(fib, "candidate_ext_table", lambda plan: pytest.fail("a table was built"))
+    fiber = fib.GrassFiber(1, (0, 1))
+    with pytest.raises(ValueError, match="cap must be positive"):
+        fib.twist_search(fib.FibrationPlan(fib.BaseModel(1)), fiber, cap)
+    for stages in ([], [fiber]):
+        with pytest.raises(ValueError, match="cap must be positive"):
+            fib.tower_compose(stages, fib.BaseModel(1), cap)
+
+
+def test_tower_result_keeps_no_intermediate_plan():
+    # the layers carry fibers and twists only: the one table is the result's own
+    plan = fib.tower_compose([fib.GrassFiber(1, (0, 1)), fib.GrassFiber(1, (0, 0))],
+                             fib.BaseModel(1), 4)
+    tables = []
+
+    def walk(value):
+        if isinstance(value, coll.ExtTable):
+            tables.append(value)
+        elif isinstance(value, FrozenValue):
+            for field in value._values():
+                walk(field)
+        elif isinstance(value, (tuple, list)):
+            for item in value:
+                walk(item)
+
+    walk(plan)
+    assert len(tables) == 1 and tables[0] is plan.table
+    assert repr(plan).count("FibrationPlan(") == 1
+    assert isinstance(plan.root, fib.BaseModel) and len(plan.layers) == 2
 
 
 def test_taut_stage_requires_grass_below():
@@ -244,7 +288,7 @@ def test_fiber_table_round_trip(fiber):
 def plan_roots(draw):
     """A point, or P^m with its default or a drawn tilting range of degrees."""
     if draw(st.booleans()):
-        return fib.point_base()
+        return fib.BaseModel(0)
     dim = draw(st.integers(1, 4))
     start = draw(st.integers(-5, 5))
     # degrees within one window of length dim + 1 are tilting on P^dim
@@ -262,7 +306,7 @@ plan_stages = st.one_of(
 
 def plan_payload(root, stages, cap, plan_dir):
     """The plan file format for parsed objects; table stages are written to `plan_dir`."""
-    if root == fib.point_base():
+    if root == fib.BaseModel(0):
         root_spec = {"kind": "point"}
     else:
         root_spec = {"kind": "pn", "dim": root.dim, "degrees": list(root.tilting_degrees)}
@@ -313,6 +357,15 @@ TWO_OBJECTS = {(0, 0, 0, 0): 1, (1, 1, 0, 0): 1}
     pytest.param(lambda: dsc.CSAClass(4, 2.0), id="algebra-period"),
     pytest.param(lambda: dsc.bs_tilting_summary(dsc.CSAClass(2, 2), 2.5), id="bs-range-length"),
     pytest.param(lambda: fib.BaseModel(1, (0, 1.5)), id="base-model-degree"),
+    pytest.param(lambda: fib.BaseModel(1.0), id="base-model-dim"),
+    pytest.param(lambda: fib.BaseModel(True), id="base-model-bool-dim"),
+    pytest.param(lambda: fib.twist_search(fib.FibrationPlan(fib.BaseModel(1)),
+                                          fib.GrassFiber(1, (0, 1)), True), id="bool-cap"),
+    pytest.param(lambda: fib.tower_compose([], fib.BaseModel(1), 2.0), id="float-cap"),
+    pytest.param(lambda: fib.FibrationPlan(fib.BaseModel(1), ((fib.GrassFiber(1, (0, 1)), 1.5),)),
+                 id="plan-twist"),
+    pytest.param(lambda: fib.FibrationPlan(fib.BaseModel(1), ((fib.GrassFiber(1, (0, 1)), True),)),
+                 id="plan-bool-twist"),
 ])
 def test_constructors_refuse_non_integers(build):
     with pytest.raises(ValueError, match="must be an integer"):
@@ -352,8 +405,8 @@ def test_table_fiber_matches_grass_fiber():
     table_fiber = fib.TableFiber(("R", "O"), records)
     base = fib.BaseModel(1)
     for m in (0, 1, 2):
-        via_table = fib.candidate_ext_table(fib.FibrationPlan(base, table_fiber, m))
-        via_grass = fib.candidate_ext_table(fib.FibrationPlan(base, grass, m))
+        via_table = fib.candidate_ext_table(fib.FibrationPlan(base, ((table_fiber, m),)))
+        via_grass = fib.candidate_ext_table(fib.FibrationPlan(base, ((grass, m),)))
         assert via_table == via_grass
 
 
@@ -362,8 +415,8 @@ def test_shipped_conic_table_round_trip_and_search():
     fiber = fib.parse_fiber_table(raw)
     assert serialize_fiber_table(fiber) == raw
     assert fiber.pushforward(1, 0) == {0: 2}
-    plan = fib.twist_search(fib.BaseModel(1), fiber, 4)
-    assert plan.verified and plan.twist == 0
+    plan = fib.twist_search(fib.FibrationPlan(fib.BaseModel(1)), fiber, 4)
+    assert plan.verified and twists(plan) == [0]
     assert len(plan.summands()) == 4
 
 
@@ -374,7 +427,7 @@ def test_shipped_quadric_surface_table():
     assert len(fiber.labels) == 4
     assert fiber.pushforward(2, 0) == {0: 2}
     assert fiber.pushforward(1, 0) == {}
-    plan = fib.twist_search(fib.BaseModel(2), fiber, 4)
+    plan = fib.twist_search(fib.FibrationPlan(fib.BaseModel(2)), fiber, 4)
     assert plan.verified
     assert len(plan.summands()) == 12
 

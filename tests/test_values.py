@@ -43,10 +43,10 @@ VALUES = [
     (BaseModel, (1,), {"tilting_degrees": ()}, True, "BaseModel(dim=1, tilting_degrees=(0, 1))"),
     (TableFiber, (("a", "b"), TABLE_RECORDS), {"records": None}, False,
      "TableFiber(labels=('a', 'b'), records={(0, 0, 0, 0): 1, (1, 1, 0, 0): 1, (1, 0, 0, 2): 3})"),
-    (FibrationPlan, (BaseModel(1), GrassFiber(1, (0, 1)), 2),
-     {"twist": 0, "verified": False, "table": None, "obstruction": None}, True,
-     "FibrationPlan(base=BaseModel(dim=1, tilting_degrees=(0, 1)), "
-     "fiber=GrassFiber(l=1, split_degrees=(0, 1), taut=False), twist=2, verified=False, "
+    (FibrationPlan, (BaseModel(1), [(GrassFiber(1, (0, 1)), 2)]),
+     {"layers": (), "verified": False, "table": None, "obstruction": None}, True,
+     "FibrationPlan(root=BaseModel(dim=1, tilting_degrees=(0, 1)), "
+     "layers=((GrassFiber(l=1, split_degrees=(0, 1), taut=False), 2),), verified=False, "
      "table=None, obstruction=None)"),
 ]
 
