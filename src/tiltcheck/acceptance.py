@@ -137,7 +137,7 @@ def fibration_twist_search():
     if not plan.verified or twists != [1] or len(plan.summands()) != 4:
         return False, f"search result twists={twists}, verified={plan.verified}"
     tower = fibration.tower_compose(
-        [fibration.GrassFiber(2, (0, 0, 0)), fibration.GrassFiber(1, taut=True)],
+        [fibration.GrassFiber(2, (0, 0, 0)), fibration.GrassFiber(1)],
         fibration.BaseModel(0),
         2,
     )

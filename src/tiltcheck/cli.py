@@ -15,10 +15,12 @@ import argparse
 import json
 import os
 import sys
+from functools import partial
 
 # Each command imports the engine modules it runs, so a process pays only for those;
 # no engine module loads dataclasses or inspect (their values are partitions.FrozenValue).
 from . import __version__, partitions
+from .partitions import json_field, json_int
 
 
 def _canonical(obj):
@@ -56,14 +58,15 @@ def parse_weight(text: str) -> tuple[int, ...]:
 def parse_space(text: str) -> bwb.FlagSpace:
     from . import bwb
     kind, _, rest = text.partition(":")
-    if kind == "grass":
-        d, n = (int(x) for x in rest.split(","))
-        return bwb.grassmannian(d, n)
-    if kind == "flag":
-        steps_text, _, n_text = rest.rpartition(";")
-        steps = tuple(int(x) for x in steps_text.split(","))
-        return bwb.FlagSpace(int(n_text), steps)
-    raise ValueError(f"unknown space descriptor {text!r} (use grass:d,n or flag:l1,..;n)")
+    # grass:d,n is Flag(d; n), one step before the last comma
+    steps_text, _, n_text = rest.rpartition(";" if kind == "flag" else ",")
+    try:
+        steps, n = tuple(int(x) for x in steps_text.split(",")), int(n_text)
+    except ValueError:
+        kind = None  # malformed: refused with the usage text, as an unknown kind is
+    if kind not in ("grass", "flag") or kind == "grass" and len(steps) > 1:
+        raise ValueError(f"unknown space descriptor {text!r} (use grass:d,n or flag:l1,..;n)")
+    return bwb.FlagSpace(n, steps)
 
 
 def _cohomology_payload(res):
@@ -81,8 +84,8 @@ def _plan_payload(plan: fibration.FibrationPlan) -> dict:
     return {
         "verified": plan.verified,
         "twists": [tw for _f, tw in plan.layers],
-        "summand_count": len(plan.summands()),
-        "total_dimension": plan.total_dimension(),
+        "summand_count": plan.table.size,
+        "total_dimension": plan.table.max_degree,
         "obstruction": plan.obstruction,
         "higher_ext_sample": higher,
     }
@@ -185,22 +188,26 @@ def _cmd_descent(args, pretty):
     else:
         with open(args.plan, encoding="utf-8") as fh:
             payload = json.load(fh)
+        # every stage is read before any is summarized, so a bad file is refused up front
         stages = []
-        for st in payload["stages"]:
-            alg = st["algebra"]
+        for st in json_field(payload, "stages", "a tower plan", listed=True):
+            alg = json_field(st, "algebra", "a tower stage")
+            indices = json_field(alg, "indices", "a stage algebra", None, listed=True)
             algebra = descent.CSAClass(
-                partitions.json_int(alg["degree"], "algebra degree"),
-                partitions.json_int(alg["period"], "algebra period"),
-                tuple(partitions.json_int(x, "algebra index") for x in alg["indices"])
-                if "indices" in alg else None,
+                json_int(json_field(alg, "degree", "a stage algebra"), "algebra degree"),
+                json_int(json_field(alg, "period", "a stage algebra"), "algebra period"),
+                None if indices is None else tuple(json_int(x, "algebra index") for x in indices),
             )
-            if st["kind"] == "bs":
-                stages.append(("bs", algebra))
-            elif st["kind"] == "gbs":
-                stages.append(("gbs", algebra, partitions.json_int(st["params"]["d"], "gbs d")))
+            kind = json_field(st, "kind", "a tower stage")
+            if kind == "bs":
+                stages.append(partial(descent.bs_tilting_summary, algebra))
+            elif kind == "gbs":
+                params = json_field(st, "params", "a gbs stage")
+                d = json_int(json_field(params, "d", "gbs params"), "gbs d")
+                stages.append(partial(descent.generalized_bs_summary, algebra, d))
             else:
-                raise ValueError(f"unknown tower stage kind {st['kind']!r}")
-        summary = descent.twisted_tower_summary(stages)
+                raise ValueError(f"unknown tower stage kind {kind!r}")
+        summary = descent.twisted_tower_summary([summarize() for summarize in stages])
         inputs = {"variety": "tower", "plan": args.plan, "stage_count": len(stages)}
     result = {**summary._asdict(), "summand_count": summary.summand_count}
     return emit("descent", inputs, result, "n/a", pretty)

@@ -58,24 +58,26 @@ class GrassFiber(FrozenValue):
     """One Grassmann-bundle stage: l-planes in a stage bundle.
 
     The stage bundle is split, (+) O(d) over the root for d in
-    `split_degrees`, or, with `taut`, the tautological subbundle of the stage
-    directly below, whose rank is that stage's l.  Both kinds serve flag
-    tables and fibration plans alike: Flag(l_1 < ... < l_m; n) is the split
-    stage (l_m, 0^n) carrying taut stages l_(m-1), ..., l_1, and a plan stacks
-    stages of either kind over its root.  The fiberwise collection is the
-    Kapranov one.
+    `split_degrees`, or, given no degrees (`taut`), the tautological
+    subbundle of the stage directly below, whose rank is that stage's l.
+    Both kinds serve flag tables and fibration plans alike:
+    Flag(l_1 < ... < l_m; n) is the split stage (l_m, 0^n) carrying taut
+    stages l_(m-1), ..., l_1, and a plan stacks stages of either kind over its
+    root.  The fiberwise collection is the Kapranov one.
     """
 
-    __slots__ = _fields = ("l", "split_degrees", "taut")
+    __slots__ = _fields = ("l", "split_degrees")
 
-    def __init__(self, l: int, split_degrees: Optional[tuple[int, ...]] = None, taut: bool = False):
+    def __init__(self, l: int, split_degrees: Optional[tuple[int, ...]] = None):
         if split_degrees is not None:
             split_degrees = tuple(json_int(d, "split degree") for d in split_degrees)
-        if (split_degrees is None) == (not taut):
-            raise ValueError("exactly one of split_degrees / taut must be given")
         if json_int(l, "l") < 1:
             raise ValueError("l must be positive")
-        self._set(l, split_degrees, taut)
+        self._set(l, split_degrees)
+
+    @property
+    def taut(self) -> bool:
+        return self.split_degrees is None
 
     def objects(self, rank: int) -> tuple[tuple[int, ...], ...]:
         """S^lam over the l x (rank - l) box, larger diagrams first."""
@@ -351,7 +353,7 @@ def _flag_stages(space: bwb.FlagSpace) -> tuple:
     """The flag space as root-first (stage, rank) pairs."""
     steps = space.steps
     stages = [GrassFiber(steps[-1], (0,) * space.n)]
-    stages += [GrassFiber(l, taut=True) for l in reversed(steps[:-1])]
+    stages += [GrassFiber(l) for l in reversed(steps[:-1])]
     return rank_stages(stages)
 
 

@@ -14,7 +14,9 @@ lam_1 <= n - d columns, one per wedge factor.  So with M the Schur
 multiplicities of the wedge sheaves, the End of their sum weighted by mults
 is u^T H_0 u with u = M mults, one pass over H's degree-0 entries; no wedge
 Ext table is built.  A positive-degree wedge Ext needs a positive-degree
-entry of H, and a Kapranov table has none.
+entry of H, and a Kapranov table has none; a `WedgeReport` is tilting
+exactly when it carries no such witness.  A tower composes its stages'
+`DescentSummary` values, however each was computed.
 """
 
 from __future__ import annotations
@@ -164,11 +166,14 @@ def _wedge_columns(d: int, n: int) -> tuple[list[tuple[int, ...]], ExtTable, lis
 
 
 class WedgeReport(FrozenValue):
-    __slots__ = _fields = ("is_tilting", "k0_rank", "end_dim", "higher_ext_witness")
+    __slots__ = _fields = ("k0_rank", "end_dim", "higher_ext_witness")
 
-    def __init__(self, is_tilting: bool, k0_rank: int, end_dim: int,
-                 higher_ext_witness: Optional[tuple]):
-        self._set(is_tilting, k0_rank, end_dim, higher_ext_witness)
+    def __init__(self, k0_rank: int, end_dim: int, higher_ext_witness: Optional[tuple]):
+        self._set(k0_rank, end_dim, higher_ext_witness)
+
+    @property
+    def is_tilting(self) -> bool:
+        return self.higher_ext_witness is None
 
 
 def verify_wedge_collection(d: int, n: int) -> WedgeReport:
@@ -189,7 +194,7 @@ def verify_wedge_collection(d: int, n: int) -> WedgeReport:
     if witness is not None:
         witness = (box[witness[0]], box[witness[1]], *witness[2:])
     end_dim = table.end_dim([sum(col.values()) for col in columns])
-    return WedgeReport(witness is None, len(box), end_dim, witness)
+    return WedgeReport(len(box), end_dim, witness)
 
 
 def generalized_bs_summary(a: CSAClass, d: int) -> DescentSummary:
@@ -226,22 +231,14 @@ _TOWER_NOTE = (
 )
 
 
-def twisted_tower_summary(stages) -> DescentSummary:
+def twisted_tower_summary(summaries) -> DescentSummary:
     """Compose per-stage descent summaries along a tower of twisted forms.
 
-    Each stage is ("bs", algebra) or ("gbs", algebra, d).  Summand labels are
-    tuples of per-stage labels; multiplicities and ranks multiply, and end_dim
-    is composed in the product model.
+    Each stage is a summary (`bs_tilting_summary`, `generalized_bs_summary`).
+    Summand labels are tuples of per-stage labels; multiplicities and ranks
+    multiply, and end_dim is composed in the product model.
     """
-    summaries = []
-    for stage in stages:
-        kind = stage[0]
-        if kind == "bs":
-            summaries.append(bs_tilting_summary(stage[1]))
-        elif kind == "gbs":
-            summaries.append(generalized_bs_summary(stage[1], stage[2]))
-        else:
-            raise ValueError(f"unknown tower stage kind {kind!r}")
+    summaries = tuple(summaries)
     if not summaries:
         raise ValueError("tower needs at least one stage")
     if len(summaries) == 1:

@@ -6,10 +6,12 @@ sums pullbacks of twisted base summands against fiber objects.  The engine
 computes its full Ext table exactly and searches for the least twist exponent
 killing every positive-degree entry.
 
-A plan (`FibrationPlan`) is a root, P^m or a point, and its layers: a
+A plan (`FibrationPlan`) is a root, P^m or a point, its layers: a
 bottom-first tuple of (fiber, twist exponent) pairs, the stage list of a plan
-file with one twist per stage.  A tower is searched stage by stage, each
-search adding one layer to the verified plan below it.
+file with one twist per stage, and, once checked, its candidate Ext table,
+which alone decides it: verified without a positive-degree entry, else
+obstructed by the first.  A tower is searched stage by stage, each search
+adding one layer to the verified plan below it.
 
 Computability boundary: automatic verification covers Grassmann-bundle stages
 (`GrassFiber`, the stage model the flag tables of `collections` use too)
@@ -30,7 +32,7 @@ from typing import Optional
 
 from .bwb import pn_line_cohomology
 from .collections import ExtTable, GrassFiber, _chain_table, rank_stages
-from .partitions import FrozenValue, json_int
+from .partitions import FrozenValue, json_field, json_int
 
 
 class BaseModel(FrozenValue):
@@ -118,15 +120,22 @@ class FibrationPlan(FrozenValue):
     """A root and its fibration layers, bottom-first, as a plan file lists them.
 
     Each layer is a (fiber, twist exponent) pair; a plan with no layers is
-    the root's own tilting bundle.
+    the root's own tilting bundle.  Its checked `table` decides its verdict.
     """
 
-    __slots__ = _fields = ("root", "layers", "verified", "table", "obstruction")
+    __slots__ = _fields = ("root", "layers", "table")
 
-    def __init__(self, root: BaseModel, layers=(), verified: bool = False,
-                 table: Optional[ExtTable] = None, obstruction: Optional[tuple] = None):
+    def __init__(self, root: BaseModel, layers=(), table: Optional[ExtTable] = None):
         layers = tuple((fiber, json_int(twist, "twist")) for fiber, twist in layers)
-        self._set(root, layers, verified, table, obstruction)
+        self._set(root, layers, table)
+
+    @property
+    def obstruction(self) -> Optional[tuple[int, int, int, int]]:
+        return None if self.table is None else self.table.higher_witness()
+
+    @property
+    def verified(self) -> bool:
+        return self.table is not None and self.obstruction is None
 
     def summands(self) -> tuple[tuple, ...]:
         """Candidate summand labels: top fiber object first, root degree last."""
@@ -134,18 +143,14 @@ class FibrationPlan(FrozenValue):
         objects = [fiber.objects(rank) for fiber, rank in ranked]
         return tuple(iter_product(*reversed(objects), self.root.tilting_degrees))
 
-    def total_dimension(self) -> int:
-        ranked = rank_stages(f for f, _twist in self.layers)
-        return self.root.dim + sum(fiber.l * (rank - fiber.l)
-                                   for fiber, rank in ranked if rank is not None)
-
 
 def candidate_ext_table(plan: FibrationPlan) -> ExtTable:
     """Full Ext table of the candidate bundle, exact integers.
 
     The layers are one root-first chain of stages over the root.  A summand
     carries the root shift of its base degree plus, per layer, the twist
-    times its object's position there.
+    times its object's position there.  `max_degree` is the total dimension,
+    to which a fiber table, carrying none, adds nothing.
     """
     layers = plan.layers
     ranked = rank_stages(f for f, _twist in layers)
@@ -155,19 +160,14 @@ def candidate_ext_table(plan: FibrationPlan) -> ExtTable:
     labels = [A[-2::-1] for A in summands]
     shifts = [A[-1] + sum(twist * positions[k][lab[k]] for k, (_fiber, twist) in enumerate(layers))
               for A, lab in zip(summands, labels)]
-    return ExtTable(len(labels), plan.total_dimension(),
-                    _chain_table(ranked, labels, plan.root.dim, shifts))
+    dimension = plan.root.dim + sum(fiber.l * (rank - fiber.l)
+                                    for fiber, rank in ranked if rank is not None)
+    return ExtTable(len(labels), dimension, _chain_table(ranked, labels, plan.root.dim, shifts))
 
 
 def verify_plan(plan: FibrationPlan) -> FibrationPlan:
-    """The plan with its candidate Ext table, verified or obstructed.
-
-    The obstruction is the first positive-degree entry, as (source, target,
-    degree, dimension).
-    """
-    table = candidate_ext_table(plan)
-    witness = table.higher_witness()
-    return FibrationPlan(plan.root, plan.layers, witness is None, table, witness)
+    """The plan with its candidate Ext table, which decides its verdict."""
+    return FibrationPlan(plan.root, plan.layers, candidate_ext_table(plan))
 
 
 def _checked_cap(cap) -> int:
@@ -176,7 +176,7 @@ def _checked_cap(cap) -> int:
     return cap
 
 
-def twist_search(below: FibrationPlan, fiber: GrassFiber | TableFiber, cap: int = 8) -> FibrationPlan:
+def twist_search(below: FibrationPlan, fiber: GrassFiber | TableFiber, cap: int) -> FibrationPlan:
     """Least twist exponent m in [0, cap] for `fiber` stacked on `below`.
 
     Tries the layers of `below` plus (fiber, m), m = 0, 1, ..., and returns
@@ -192,7 +192,7 @@ def twist_search(below: FibrationPlan, fiber: GrassFiber | TableFiber, cap: int 
     return plan
 
 
-def tower_compose(stages, root: BaseModel, cap: int = 8) -> FibrationPlan:
+def tower_compose(stages, root: BaseModel, cap: int) -> FibrationPlan:
     """Fold twist_search along a stage list, root-first, from `FibrationPlan(root)`.
 
     Each verified plan is the one the next stage is searched on; the first
@@ -213,14 +213,15 @@ def tower_compose(stages, root: BaseModel, cap: int = 8) -> FibrationPlan:
 
 def parse_fiber_table(text: str) -> TableFiber:
     payload = json.loads(text)
-    labels = tuple(str(x) for x in payload["objects"])
+    labels = tuple(str(x) for x in json_field(payload, "objects", "a fiber table", listed=True))
     records: dict[tuple[int, int, int, int], int] = {}
-    for rec in payload["pushforwards"]:
-        key = tuple(json_int(rec[name], f"record {name}")
+    for rec in json_field(payload, "pushforwards", "a fiber table", listed=True):
+        key = tuple(json_int(json_field(rec, name, "a pushforward record"), f"record {name}")
                     for name in ("j", "i", "s", "base_degree"))
         if key in records:
             raise ValueError(f"duplicate pushforward record {key}")
-        records[key] = json_int(rec["multiplicity"], "record multiplicity")
+        records[key] = json_int(json_field(rec, "multiplicity", "a pushforward record"),
+                                "record multiplicity")
     return TableFiber(labels, records)
 
 
@@ -237,32 +238,31 @@ def parse_plan(payload: dict, plan_dir: str = ""):
     {"kind": "grass-taut", "l": int} for tautological stages, or
     {"kind": "table", "path": "..."} for fiber tables.  A relative table path
     is read from `plan_dir`, the directory of the plan file; an absolute one
-    as it stands.  Every number is a JSON integer.
+    as it stands.  Every number is a JSON integer; a refusal names the field.
     """
-    if not isinstance(payload, dict):
-        raise ValueError("a plan must be a JSON object")
-    root_spec = payload.get("root", {"kind": "point"})
-    if not isinstance(root_spec, dict):
-        raise ValueError("a plan root must be a JSON object")
-    kind = root_spec.get("kind", "pn")
+    root_spec = json_field(payload, "root", "a plan", {"kind": "point"})
+    kind = json_field(root_spec, "kind", "a plan root", "pn")
     if kind == "point":
         root = BaseModel(0)
     elif kind == "pn":
-        degrees = tuple(json_int(d, "root degree") for d in root_spec.get("degrees", ()))
-        root = BaseModel(root_spec["dim"], degrees)
+        degrees = json_field(root_spec, "degrees", "a plan root", [], listed=True)
+        degrees = tuple(json_int(d, "root degree") for d in degrees)
+        root = BaseModel(json_field(root_spec, "dim", "a plan root"), degrees)
     else:
         raise ValueError(f"unknown root kind {kind!r}")
     stages = []
-    for st in payload.get("stages", ()):
-        skind = st["kind"]
+    for st in json_field(payload, "stages", "a plan", [], listed=True):
+        skind = json_field(st, "kind", "a plan stage")
         if skind == "grass":
-            stages.append(GrassFiber(json_int(st["l"], "stage l"),
-                                     tuple(json_int(d, "stage degree") for d in st["degrees"])))
+            l = json_int(json_field(st, "l", "a grass stage"), "stage l")
+            degrees = json_field(st, "degrees", "a grass stage", listed=True)
+            stages.append(GrassFiber(l, tuple(json_int(d, "stage degree") for d in degrees)))
         elif skind == "grass-taut":
-            stages.append(GrassFiber(json_int(st["l"], "stage l"), taut=True))
+            stages.append(GrassFiber(json_int(json_field(st, "l", "a grass-taut stage"), "stage l")))
         elif skind == "table":
-            stages.append(load_fiber_table(os.path.join(plan_dir, st["path"])))
+            path = json_field(st, "path", "a table stage")
+            stages.append(load_fiber_table(os.path.join(plan_dir, path)))
         else:
             raise ValueError(f"unknown stage kind {skind!r}")
-    cap = json_int(payload.get("cap", 8), "cap")
+    cap = json_int(json_field(payload, "cap", "a plan", 8), "cap")
     return root, stages, cap

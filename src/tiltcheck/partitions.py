@@ -29,6 +29,26 @@ def json_int(value, what: str) -> int:
     return value
 
 
+_REQUIRED = object()
+
+
+def json_field(obj, name: str, what: str, default=_REQUIRED, listed: bool = False):
+    """`obj[name]` from the JSON object `obj`, which `what` names in a refusal.
+
+    A missing field is refused unless a default is given; a `listed` field
+    that is present must be a JSON list.
+    """
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    if name not in obj:
+        if default is _REQUIRED:
+            raise ValueError(f"{what} is missing field {name!r}")
+        return default
+    if listed and not isinstance(obj[name], list):
+        raise ValueError(f"{name!r} in {what} must be a JSON list")
+    return obj[name]
+
+
 def conjugate(p) -> tuple[int, ...]:
     """Transpose of the Young diagram."""
     p = normalize(p)

@@ -152,25 +152,58 @@ def conic_table_with(**changes):
     return table
 
 
+TABLE_STAGE_PLAN = {"root": PN_ROOT, "stages": [{"kind": "table", "path": "table.json"}]}
+
+
 @pytest.mark.parametrize(
-    "plan, table",
+    "plan, table, message",
     [
-        ([], None),
-        ({"root": [1]}, None),
-        ({"root": PN_ROOT, "stages": [{**GRASS_STAGE, "degrees": [0, 1.7]}]}, None),
-        ({"root": {**PN_ROOT, "dim": 1.9}, "stages": [GRASS_STAGE]}, None),
-        ({"root": {**PN_ROOT, "degrees": [0, 1.5]}, "stages": [GRASS_STAGE]}, None),
-        ({"root": PN_ROOT, "stages": [{**GRASS_STAGE, "l": True}]}, None),
-        ({"root": PN_ROOT, "stages": [GRASS_STAGE], "cap": "4"}, None),
-        ({"root": PN_ROOT, "stages": [{"kind": "table", "path": "table.json"}]},
-         conic_table_with(multiplicity=1.0)),
-        ({"root": PN_ROOT, "stages": [{"kind": "table", "path": "table.json"}]},
-         conic_table_with(base_degree="0")),
+        ([], None, "a plan must be a JSON object"),
+        ({"root": [1]}, None, "a plan root must be a JSON object"),
+        ({"root": PN_ROOT, "stages": [{**GRASS_STAGE, "degrees": [0, 1.7]}]}, None,
+         "stage degree must be an integer, got 1.7"),
+        ({"root": {**PN_ROOT, "dim": 1.9}, "stages": [GRASS_STAGE]}, None,
+         "root dim must be an integer, got 1.9"),
+        ({"root": {**PN_ROOT, "degrees": [0, 1.5]}, "stages": [GRASS_STAGE]}, None,
+         "root degree must be an integer, got 1.5"),
+        ({"root": PN_ROOT, "stages": [{**GRASS_STAGE, "l": True}]}, None,
+         "stage l must be an integer, got True"),
+        ({"root": PN_ROOT, "stages": [GRASS_STAGE], "cap": "4"}, None,
+         "cap must be an integer, got '4'"),
+        (TABLE_STAGE_PLAN, conic_table_with(multiplicity=1.0),
+         "record multiplicity must be an integer, got 1.0"),
+        (TABLE_STAGE_PLAN, conic_table_with(base_degree="0"),
+         "record base_degree must be an integer, got '0'"),
+        # a missing or mistyped field is named
+        ({"root": PN_ROOT, "stages": "xx"}, None, "'stages' in a plan must be a JSON list"),
+        ({"root": {"kind": "pn"}}, None, "a plan root is missing field 'dim'"),
+        ({"root": {**PN_ROOT, "degrees": 2}}, None, "'degrees' in a plan root must be a JSON list"),
+        ({"stages": [{"l": 1}]}, None, "a plan stage is missing field 'kind'"),
+        ({"stages": ["grass"]}, None, "a plan stage must be a JSON object"),
+        ({"root": PN_ROOT, "stages": [{"kind": "grass", "l": 1}]}, None,
+         "a grass stage is missing field 'degrees'"),
+        ({"root": PN_ROOT, "stages": [{"kind": "grass", "degrees": [0, 1]}]}, None,
+         "a grass stage is missing field 'l'"),
+        ({"stages": [GRASS_STAGE, {"kind": "grass-taut"}]}, None,
+         "a grass-taut stage is missing field 'l'"),
+        ({"stages": [{"kind": "table"}]}, None, "a table stage is missing field 'path'"),
+        (TABLE_STAGE_PLAN, {"pushforwards": []}, "a fiber table is missing field 'objects'"),
+        (TABLE_STAGE_PLAN, {"objects": "ab", "pushforwards": []},
+         "'objects' in a fiber table must be a JSON list"),
+        (TABLE_STAGE_PLAN, {"objects": ["a"]}, "a fiber table is missing field 'pushforwards'"),
+        (TABLE_STAGE_PLAN, {"objects": ["a"], "pushforwards": [{"i": 0, "j": 0, "s": 0}]},
+         "a pushforward record is missing field 'base_degree'"),
+        (TABLE_STAGE_PLAN, {"objects": ["a"], "pushforwards": [
+            {"i": 0, "j": 0, "s": 0, "base_degree": 0}]},
+         "a pushforward record is missing field 'multiplicity'"),
     ],
     ids=["list", "root-list", "stage-degree-float", "root-dim-float", "root-degree-float",
-         "stage-l-bool", "cap-string", "table-multiplicity-float", "table-degree-string"],
+         "stage-l-bool", "cap-string", "table-multiplicity-float", "table-degree-string",
+         "stages-string", "root-no-dim", "root-degrees-int", "stage-no-kind", "stage-string",
+         "grass-no-degrees", "grass-no-l", "taut-no-l", "table-no-path", "table-no-objects",
+         "table-objects-string", "table-no-pushforwards", "record-no-degree", "record-no-mult"],
 )
-def test_malformed_plan_file_exits_2(capsys, tmp_path, plan, table):
+def test_malformed_plan_file_exits_2(capsys, tmp_path, plan, table, message):
     if table is not None:
         (tmp_path / "table.json").write_text(json.dumps(table))
     path = tmp_path / "plan.json"
@@ -179,7 +212,7 @@ def test_malformed_plan_file_exits_2(capsys, tmp_path, plan, table):
         assert cli.run(["fibration", mode, "--plan", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("tiltcheck: invalid input: ")
+        assert captured.err == f"tiltcheck: invalid input: {message}\n"
 
 
 @pytest.mark.parametrize("cap", [0, -3])
@@ -194,23 +227,50 @@ def test_search_refuses_non_positive_cap(capsys, tmp_path, stages, cap):
     assert captured.err == "tiltcheck: invalid input: cap must be positive\n"
 
 
+TOWER_ALGEBRA = {"degree": 4, "period": 2}
+
+
 @pytest.mark.parametrize(
-    "stage",
+    "plan, message",
     [
-        {"algebra": {"degree": 4.9, "period": 2}, "kind": "bs"},
-        {"algebra": {"degree": 4, "period": 2}, "kind": "gbs", "params": {"d": 2.2}},
-        {"algebra": {"degree": 4, "period": True}, "kind": "bs"},
-        {"algebra": {"degree": 4, "period": 2, "indices": [1, "2"]}, "kind": "bs"},
+        ({"stages": [{"algebra": {"degree": 4.9, "period": 2}, "kind": "bs"}]},
+         "algebra degree must be an integer, got 4.9"),
+        ({"stages": [{"algebra": TOWER_ALGEBRA, "kind": "gbs", "params": {"d": 2.2}}]},
+         "gbs d must be an integer, got 2.2"),
+        ({"stages": [{"algebra": {"degree": 4, "period": True}, "kind": "bs"}]},
+         "algebra period must be an integer, got True"),
+        ({"stages": [{"algebra": {**TOWER_ALGEBRA, "indices": [1, "2"]}, "kind": "bs"}]},
+         "algebra index must be an integer, got '2'"),
+        # a missing or mistyped field is named; an unknown kind is refused once, here
+        ([], "a tower plan must be a JSON object"),
+        ({}, "a tower plan is missing field 'stages'"),
+        ({"stages": [{"kind": "bs"}]}, "a tower stage is missing field 'algebra'"),
+        ({"stages": [{"kind": "bs", "algebra": 4}]}, "a stage algebra must be a JSON object"),
+        ({"stages": [{"kind": "bs", "algebra": {"period": 2}}]},
+         "a stage algebra is missing field 'degree'"),
+        ({"stages": [{"kind": "bs", "algebra": {"degree": 4}}]},
+         "a stage algebra is missing field 'period'"),
+        ({"stages": [{"kind": "bs", "algebra": {**TOWER_ALGEBRA, "indices": 1}}]},
+         "'indices' in a stage algebra must be a JSON list"),
+        ({"stages": [{"algebra": TOWER_ALGEBRA}]}, "a tower stage is missing field 'kind'"),
+        ({"stages": [{"algebra": TOWER_ALGEBRA, "kind": "gbs"}]},
+         "a gbs stage is missing field 'params'"),
+        ({"stages": [{"algebra": TOWER_ALGEBRA, "kind": "gbs", "params": {}}]},
+         "gbs params is missing field 'd'"),
+        ({"stages": [{"algebra": TOWER_ALGEBRA, "kind": "cone"}]}, "unknown tower stage kind 'cone'"),
     ],
-    ids=["degree-float", "d-float", "period-bool", "index-string"],
+    ids=["degree-float", "d-float", "period-bool", "index-string", "tower-list",
+         "tower-no-stages", "tower-no-algebra", "tower-algebra-int", "algebra-no-degree",
+         "algebra-no-period", "algebra-indices-int", "tower-no-kind", "gbs-no-params",
+         "gbs-no-d", "tower-kind"],
 )
-def test_malformed_tower_file_exits_2(capsys, tmp_path, stage):
+def test_malformed_tower_file_exits_2(capsys, tmp_path, plan, message):
     path = tmp_path / "tower.json"
-    path.write_text(json.dumps({"stages": [stage]}))
+    path.write_text(json.dumps(plan))
     assert cli.run(["descent", "tower", "--plan", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("tiltcheck: invalid input: ")
+    assert captured.err == f"tiltcheck: invalid input: {message}\n"
 
 
 def test_determinism_byte_identical(capsys):
@@ -228,6 +288,33 @@ def test_numbers_are_strings(capsys):
     # ints become strings at every depth; bools, an int subclass, stay bools
     assert cli._canonical({"m": [[1, 0], (True, False)], 2: (-3, [4, None])}) == {
         "m": [["1", "0"], [True, False]], "2": ["-3", ["4", None]]}
+
+
+@pytest.mark.parametrize("space", ["flag:1,2", "grass:2", "grass:1,2,4", "flag:;3", "grass:x,4",
+                                   "mystery:2"])
+def test_malformed_space_gets_the_usage_text(capsys, space):
+    assert cli.run(["bott", "--space", space, "--blocks", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"tiltcheck: invalid input: unknown space descriptor {space!r} "
+                            "(use grass:d,n or flag:l1,..;n)\n")
+
+
+def test_well_formed_space_keeps_its_own_refusal(capsys):
+    assert cli.run(["bott", "--space", "flag:2,1;3", "--blocks", "0|0|0"]) == 2
+    assert capsys.readouterr().err == "tiltcheck: invalid input: steps must be strictly increasing\n"
+
+
+@pytest.mark.parametrize("option, bundle", [("--sub", "of_sub"), ("--quot", "of_quot")])
+def test_bott_sub_and_quot(capsys, option, bundle):
+    from tiltcheck import bwb
+    space = bwb.grassmannian(2, 4)
+    expected = bwb.flag_cohomology(getattr(bwb, bundle)(space, (1,)))
+    code, report = run_cli(["bott", "--space", "grass:2,4", option, "1"], capsys)
+    assert code == 0
+    assert report["result"] == cli._canonical(cli._cohomology_payload(expected))
+    assert report["inputs"]["blocks"] == [[str(x) for x in b]
+                                          for b in getattr(bwb, bundle)(space, (1,)).blocks]
 
 
 def test_invalid_inputs_exit_2(capsys):
@@ -277,21 +364,31 @@ def test_engine_errors_exit_2(capsys, monkeypatch, error):
           str(resources.files("tiltcheck") / "data" / "flag_1_2_3_plan.json")], "pass"),
         (["fibration", "search", "--plan",
           str(resources.files("tiltcheck") / "data" / "sp4_borel_split_plan.json")], "pass"),
+        (["fibration", "plan", "--twists", "0", "--plan",
+          str(resources.files("tiltcheck") / "data" / "hirzebruch_plan.json")], "fail"),
+        (["descent", "tower", "--plan", "TOWER_PLAN"], "n/a"),
         (["descent", "gbs", "--degree", "4", "--period", "2", "--d", "2"], "n/a"),
         (["descent", "gbs", "--degree", "8", "--period", "2", "--d", "4"], "n/a"),
         (["descent", "bs", "--degree", "4", "--period", "2", "--indices", "1,3"], None),
         (["euler", "--a", "2,1", "--b", "1", "--d", "2", "--n", "4"], "n/a"),
     ],
     ids=["kapranov", "kapranov-4-9", "beilinson", "flag", "flag-1-3-5-6", "fibration",
-         "fibration-equal-degrees", "fibration-plan-flag", "fibration-sp4", "descent-gbs", "descent-gbs-8-2-4", "descent-bad-index", "euler"],
+         "fibration-equal-degrees", "fibration-plan-flag", "fibration-sp4",
+         "fibration-plan-obstructed", "descent-tower", "descent-gbs", "descent-gbs-8-2-4",
+         "descent-bad-index", "euler"],
 )
 def test_optimized_interpreter_same_reports(tmp_path, argv, verdict):
     # python -O strips assert statements; the integrity checks must not be asserts
-    if "EQUAL_DEGREE_PLAN" in argv:  # a split stage of equal degrees 1, a taut stage on top
-        plan = tmp_path / "equal_degree_plan.json"
-        plan.write_text(json.dumps({"root": {"kind": "pn", "dim": 1}, "cap": 4, "stages": [
-            {"kind": "grass", "l": 2, "degrees": [1, 1, 1, 1]}, {"kind": "grass-taut", "l": 1}]}))
-        argv = [str(plan) if arg == "EQUAL_DEGREE_PLAN" else arg for arg in argv]
+    plans = {  # EQUAL_DEGREE_PLAN: a split stage of equal degrees 1, a taut stage on top
+        "EQUAL_DEGREE_PLAN": {"root": {"kind": "pn", "dim": 1}, "cap": 4, "stages": [
+            {"kind": "grass", "l": 2, "degrees": [1, 1, 1, 1]}, {"kind": "grass-taut", "l": 1}]},
+        "TOWER_PLAN": TOWER_PLAN,  # a bs stage under a gbs stage
+    }
+    for name, payload in plans.items():
+        if name in argv:
+            plan = tmp_path / f"{name.lower()}.json"
+            plan.write_text(json.dumps(payload))
+            argv = [str(plan) if arg == name else arg for arg in argv]
     src = str(Path(tiltcheck.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
     runs = [

@@ -444,7 +444,7 @@ def reference_flag_stages(n, steps):
     """Flag(steps; n) as root-first (stage, ambient rank) pairs, ranks worked out here."""
     ranked = [(coll.GrassFiber(steps[-1], (0,) * n), n)]
     for l, above in zip(reversed(steps[:-1]), reversed(steps[1:])):
-        ranked.append((coll.GrassFiber(l, taut=True), above))
+        ranked.append((coll.GrassFiber(l), above))
     return tuple(ranked)
 
 
@@ -575,8 +575,8 @@ def plan_twists():
     split_twice = [fib.GrassFiber(1, (0, 1)), fib.GrassFiber(1, (0, 2))]
     plans.append(("grass-grass", fib.BaseModel(1), split_twice, 2))
     # split stages of equal degrees d != 0: the closed form's root shift -d(|alpha| - |mu|)
-    plans.append(("equal-111-taut", fib.BaseModel(1), [fib.GrassFiber(1, (1, 1, 1)), fib.GrassFiber(1, taut=True)], 2))
-    plans.append(("equal-2222-taut", fib.BaseModel(2), [fib.GrassFiber(2, (2, 2, 2, 2)), fib.GrassFiber(1, taut=True)], 2))
+    plans.append(("equal-111-taut", fib.BaseModel(1), [fib.GrassFiber(1, (1, 1, 1)), fib.GrassFiber(1)], 2))
+    plans.append(("equal-2222-taut", fib.BaseModel(2), [fib.GrassFiber(2, (2, 2, 2, 2)), fib.GrassFiber(1)], 2))
     for name, root, stages, cap in plans:
         for twists in iter_product(range(cap + 1), repeat=len(stages)):
             yield pytest.param(root, stages, twists, id=f"{name}-{twists}")
@@ -599,7 +599,7 @@ def equal_degree_chains(draw):
     l = draw(st.integers(1, rank - 1))
     stages = [coll.GrassFiber(l, (draw(st.integers(-2, 2)),) * rank)]
     if l > 1 and draw(st.booleans()):
-        stages.append(coll.GrassFiber(draw(st.integers(1, l - 1)), taut=True))
+        stages.append(coll.GrassFiber(draw(st.integers(1, l - 1))))
     ranked = coll.rank_stages(stages)
 
     def label():
@@ -613,7 +613,7 @@ def equal_degree_chains(draw):
 @given(equal_degree_chains())
 @example((coll.rank_stages((coll.GrassFiber(2, (1,) * 4),)), ((1, 0),), ((0, 0),)))  # in bound
 @example((coll.rank_stages((coll.GrassFiber(2, (-1,) * 4),)), ((0, 0),), ((3, 0),)))  # out of bound
-@example((coll.rank_stages((coll.GrassFiber(3, (2,) * 5), coll.GrassFiber(1, taut=True))),
+@example((coll.rank_stages((coll.GrassFiber(3, (2,) * 5), coll.GrassFiber(1))),
           ((1, 1, 0), (2,)), ((0, 0, 0), (0,))))
 def test_closed_form_transfer_matches_the_walk(case):
     # the swept chain takes the closed form on in-bound terms; the reference walks every term
@@ -669,7 +669,7 @@ def test_flag_table_splits_each_delta_once(monkeypatch):
     assert splits == []
     # with distinct root degrees the root walks, and its transfers share their
     # deltas: one split expansion per distinct delta that survives its walk
-    lower, upper = fib.GrassFiber(3, (0, 1, 2, 3, 4)), fib.GrassFiber(1, taut=True)
+    lower, upper = fib.GrassFiber(3, (0, 1, 2, 3, 4)), fib.GrassFiber(1)
     plan = fib.FibrationPlan(fib.BaseModel(0), ((lower, 0), (upper, 0)))
     reference = reference_candidate_ext_table(plan)
     assert fib.candidate_ext_table(plan) == reference
@@ -791,7 +791,7 @@ def test_failing_transfer_is_not_cached(monkeypatch):
         monkeypatch.setattr(coll, name, fn)
         assert swept_chain(ranked, src, tgt, memo) == expected
     # a transfer that raises halfway through its split-stage expansions
-    ranked = coll.rank_stages((coll.GrassFiber(2, (0, 1, 2, 3)), coll.GrassFiber(1, taut=True)))
+    ranked = coll.rank_stages((coll.GrassFiber(2, (0, 1, 2, 3)), coll.GrassFiber(1)))
     expected = reference_chain(ranked, src, tgt)
     expand = coll.split_bundle_expand
     calls = []

@@ -131,7 +131,8 @@ def test_wedge_ext_table_matches_per_pair_reference(d, n):
                 assert table.get(i, j, s) == ref.get(s, 0), (lam, mu, s)
     # the production End and witness, read off H without this table
     report = dsc.verify_wedge_collection(d, n)
-    assert report == dsc.WedgeReport(True, len(box), table.end_dim((1,) * len(box)), None)
+    assert report == dsc.WedgeReport(len(box), table.end_dim((1,) * len(box)), None)
+    assert report.is_tilting
     assert table.higher_witness() is None
     summary = dsc.generalized_bs_summary(dsc.split_class(n), d)
     assert summary.end_dim == table.end_dim(summary.multiplicities)
@@ -200,8 +201,9 @@ def test_wedge_witness_is_the_least_higher_entry(monkeypatch):
     least = table.higher_witness()
     assert least is not None
     report = dsc.verify_wedge_collection(2, 4)
-    assert report == dsc.WedgeReport(False, 6, table.end_dim((1,) * 6),
+    assert report == dsc.WedgeReport(6, table.end_dim((1,) * 6),
                                      (box[least[0]], box[least[1]], *least[2:]))
+    assert not report.is_tilting
     assert report.higher_ext_witness == ((2,), (2,), 1, 3)
     monkeypatch.undo()  # the added entries are all of positive degree
     assert report.end_dim == dsc.verify_wedge_collection(2, 4).end_dim
@@ -234,7 +236,7 @@ def test_wedge_schur_decomposition_example():
 
 def test_tower_conic_over_conic():
     q = dsc.CSAClass(2, 2)
-    t = dsc.twisted_tower_summary([("bs", q), ("bs", q)])
+    t = dsc.twisted_tower_summary([dsc.bs_tilting_summary(q), dsc.bs_tilting_summary(q)])
     assert t.summand_count == 4
     assert t.total_rank == 9
     assert t.end_dim == 81
@@ -242,7 +244,7 @@ def test_tower_conic_over_conic():
 
 def test_tower_sp4_shaped():
     t = dsc.twisted_tower_summary(
-        [("bs", dsc.split_class(4)), ("bs", dsc.split_class(2))]
+        [dsc.bs_tilting_summary(dsc.split_class(4)), dsc.bs_tilting_summary(dsc.split_class(2))]
     )
     assert t.summand_count == 8
     assert t.total_rank == 8
@@ -250,12 +252,13 @@ def test_tower_sp4_shaped():
 
 def test_tower_single_stage_is_bs():
     q = dsc.CSAClass(2, 2)
-    assert dsc.twisted_tower_summary([("bs", q)]) == dsc.bs_tilting_summary(q)
+    assert dsc.twisted_tower_summary([dsc.bs_tilting_summary(q)]) == dsc.bs_tilting_summary(q)
 
 
 def test_tower_with_gbs_stage():
     t = dsc.twisted_tower_summary(
-        [("bs", dsc.split_class(2)), ("gbs", dsc.CSAClass(4, 2), 2)]
+        [dsc.bs_tilting_summary(dsc.split_class(2)),
+         dsc.generalized_bs_summary(dsc.CSAClass(4, 2), 2)]
     )
     assert t.summand_count == 2 * 6
     assert t.total_rank == 2 * 209

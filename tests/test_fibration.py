@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tiltcheck import bwb
+from tiltcheck import bwb, cli
 from tiltcheck import collections as coll
 from tiltcheck import descent as dsc
 from tiltcheck import fibration as fib
@@ -143,9 +143,35 @@ def test_unverified_cap_plan_reports_obstruction():
     assert twists(fib.twist_search(root_plan, fiber, 6)) == [4]
 
 
+def test_tower_stops_at_first_unverified_stage(monkeypatch, tmp_path, capsys):
+    # the fiber above needs twist 4, so at cap 1 the search ends below the taut stage
+    fiber, taut = fib.GrassFiber(1, (0, 4)), fib.GrassFiber(1)
+    searched = []
+
+    def recording_search(below, stage, cap):
+        searched.append(stage)
+        return twist_search(below, stage, cap)
+
+    twist_search = fib.twist_search
+    monkeypatch.setattr(fib, "twist_search", recording_search)
+    plan = fib.tower_compose([fiber, taut], fib.BaseModel(1), 1)
+    assert searched == [fiber]
+    assert plan.layers == ((fiber, 1),)
+    assert not plan.verified
+    assert plan.obstruction is not None and plan.obstruction == plan.table.higher_witness()
+    monkeypatch.undo()
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps({"root": {"kind": "pn", "dim": 1}, "cap": 1, "stages": [
+        {"kind": "grass", "l": 1, "degrees": [0, 4]}, {"kind": "grass-taut", "l": 1}]}))
+    assert cli.run(["fibration", "search", "--plan", str(path)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdict"] == "fail" and report["result"]["twists"] == ["1"]
+    assert report["result"]["obstruction"] == [str(x) for x in plan.obstruction]
+
+
 def test_flag_tower_matches_absolute_engine():
     tower = fib.tower_compose(
-        [fib.GrassFiber(2, (0, 0, 0)), fib.GrassFiber(1, taut=True)],
+        [fib.GrassFiber(2, (0, 0, 0)), fib.GrassFiber(1)],
         fib.BaseModel(0),
         2,
     )
@@ -239,12 +265,12 @@ def test_tower_result_keeps_no_intermediate_plan():
 
 def test_taut_stage_requires_grass_below():
     with pytest.raises(ValueError):
-        fib.tower_compose([fib.GrassFiber(1, taut=True)], fib.BaseModel(1), 2)
+        fib.tower_compose([fib.GrassFiber(1)], fib.BaseModel(1), 2)
     conic = fib.parse_fiber_table((DATA / "conic_fiber.json").read_text(encoding="utf-8"))
     with pytest.raises(ValueError, match="requires a Grass stage directly below"):
-        fib.tower_compose([conic, fib.GrassFiber(1, taut=True)], fib.BaseModel(1), 2)
+        fib.tower_compose([conic, fib.GrassFiber(1)], fib.BaseModel(1), 2)
     with pytest.raises(ValueError, match="need 1 <= l <= rank"):
-        fib.tower_compose([fib.GrassFiber(2, (0, 0)), fib.GrassFiber(3, taut=True)],
+        fib.tower_compose([fib.GrassFiber(2, (0, 0)), fib.GrassFiber(3)],
                           fib.BaseModel(1), 2)
 
 
@@ -299,7 +325,7 @@ def plan_roots(draw):
 plan_stages = st.one_of(
     st.builds(fib.GrassFiber, st.integers(1, 4),
               st.lists(st.integers(-4, 4), max_size=5).map(tuple)),
-    st.builds(lambda l: fib.GrassFiber(l, taut=True), st.integers(1, 4)),
+    st.builds(fib.GrassFiber, st.integers(1, 4)),
     table_fibers(),
 )
 
@@ -341,7 +367,7 @@ TWO_OBJECTS = {(0, 0, 0, 0): 1, (1, 1, 0, 0): 1}
 @pytest.mark.parametrize("build", [
     pytest.param(lambda: fib.GrassFiber(1, (0, 1.7)), id="split-degree"),
     pytest.param(lambda: fib.GrassFiber(1.0, (0, 1)), id="l"),
-    pytest.param(lambda: fib.GrassFiber(True, taut=True), id="bool-l"),
+    pytest.param(lambda: fib.GrassFiber(True), id="bool-l"),
     pytest.param(lambda: fib.TableFiber(("a",), {(0, 0, 0, 0): 1.5}), id="multiplicity"),
     pytest.param(lambda: fib.TableFiber(("a", "b"), {**TWO_OBJECTS, (1, 0, 0, 2.5): 2}),
                  id="base-degree"),

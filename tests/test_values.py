@@ -22,8 +22,8 @@ VALUES = [
      "HomogeneousBundle(space=FlagSpace(n=3, steps=(1,)), blocks=((2,), (0, -1)))"),
     (CohomologyResult, (1, (0, -1), 3), {}, True,
      "CohomologyResult(degree=1, dominant_weight=(0, -1), dimension=3)"),
-    (GrassFiber, (2, [0, 1, 2]), {"split_degrees": None, "taut": False}, True,
-     "GrassFiber(l=2, split_degrees=(0, 1, 2), taut=False)"),
+    (GrassFiber, (2, [0, 1, 2]), {"split_degrees": None}, True,
+     "GrassFiber(l=2, split_degrees=(0, 1, 2))"),
     (CollectionSpec, (FlagSpace(2, (1,)), [[[1]], [[0]]]), {"multiplicities": (), "order_note": ""},
      True, "CollectionSpec(space=FlagSpace(n=2, steps=(1,)), labels=(((1,),), ((0,),)), "
            "multiplicities=(1, 1), order_note='')"),
@@ -38,16 +38,15 @@ VALUES = [
     (DescentSummary, ((0, 1), (1, 1), (1, 2), 3, 5), {"notes": ()}, True,
      "DescentSummary(summand_labels=(0, 1), multiplicities=(1, 1), ranks=(1, 2), total_rank=3, "
      "end_dim=5, notes=())"),
-    (WedgeReport, (True, 3, 6, None), {}, True,
-     "WedgeReport(is_tilting=True, k0_rank=3, end_dim=6, higher_ext_witness=None)"),
+    (WedgeReport, (3, 6, None), {}, True,
+     "WedgeReport(k0_rank=3, end_dim=6, higher_ext_witness=None)"),
     (BaseModel, (1,), {"tilting_degrees": ()}, True, "BaseModel(dim=1, tilting_degrees=(0, 1))"),
     (TableFiber, (("a", "b"), TABLE_RECORDS), {"records": None}, False,
      "TableFiber(labels=('a', 'b'), records={(0, 0, 0, 0): 1, (1, 1, 0, 0): 1, (1, 0, 0, 2): 3})"),
     (FibrationPlan, (BaseModel(1), [(GrassFiber(1, (0, 1)), 2)]),
-     {"layers": (), "verified": False, "table": None, "obstruction": None}, True,
+     {"layers": (), "table": None}, True,
      "FibrationPlan(root=BaseModel(dim=1, tilting_degrees=(0, 1)), "
-     "layers=((GrassFiber(l=1, split_degrees=(0, 1), taut=False), 2),), verified=False, "
-     "table=None, obstruction=None)"),
+     "layers=((GrassFiber(l=1, split_degrees=(0, 1)), 2),), table=None)"),
 ]
 
 
@@ -102,3 +101,25 @@ def test_table_fiber_pushforwards_are_not_a_field():
     assert repr(fiber) == repr(other)
     assert "_pushforwards" not in repr(fiber) and "_pushforwards" not in fiber._asdict()
     assert fiber.pushforward(1, 0) == {2: 3} and other.pushforward(1, 0) == {}
+
+
+def test_verdicts_are_read_from_their_evidence():
+    assert FibrationPlan._fields == ("root", "layers", "table")
+    assert WedgeReport._fields == ("k0_rank", "end_dim", "higher_ext_witness")
+    assert GrassFiber._fields == ("l", "split_degrees")
+    for cls, name in ((FibrationPlan, "verified"), (FibrationPlan, "obstruction"),
+                      (WedgeReport, "is_tilting"), (GrassFiber, "taut")):
+        assert isinstance(getattr(cls, name), property) and getattr(cls, name).fset is None
+    assert not hasattr(FibrationPlan, "total_dimension")
+    # no table, no verdict: an unchecked plan is not verified and has no obstruction
+    unchecked = FibrationPlan(BaseModel(1))
+    assert not unchecked.verified and unchecked.obstruction is None
+    clean = ExtTable(2, 1, {(0, 0, 0): 1, (1, 1, 0): 1, (0, 1, 0): 2})
+    checked = FibrationPlan(BaseModel(1), (), clean)
+    assert checked.verified and checked.obstruction is None
+    obstructed = FibrationPlan(BaseModel(1), (), ExtTable(2, 1, {**clean.dims, (1, 0, 1): 3, (0, 1, 1): 1}))
+    assert not obstructed.verified and obstructed.obstruction == (0, 1, 1, 1)
+    assert WedgeReport(3, 6, None).is_tilting
+    assert not WedgeReport(3, 6, ((1,), (1,), 1, 2)).is_tilting
+    assert GrassFiber(1).taut and GrassFiber(1) == GrassFiber(1, None)
+    assert not GrassFiber(1, (0, 1)).taut
