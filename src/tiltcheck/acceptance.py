@@ -211,14 +211,14 @@ CRITERIA = (
 
 
 def run_all(criteria=None):
-    """Run the battery; `criteria` may be a comma list of criterion numbers.
+    """Run the battery, or only the criteria whose numbers `criteria` lists.
 
     Returns one (name, passed, detail, elapsed seconds) per criterion run.  A
     number that names no criterion is rejected before anything runs.
     """
     wanted = None
     if criteria:
-        wanted = {int(x) for x in str(criteria).split(",")}
+        wanted = set(criteria)
         unknown = sorted(wanted - {int(name.split()[0]) for name, _fn in CRITERIA})
         if unknown:
             raise ValueError(f"no criterion numbered {', '.join(map(str, unknown))}")

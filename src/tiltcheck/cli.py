@@ -2,11 +2,11 @@
 
 Every command prints one report object with sorted keys; numeric payloads are
 serialized as decimal strings so downstream consumers never see truncated
-integers.  A report's `result` is the fields of the result object its command
-computes: `VerificationReport` for `verify`, `DescentSummary` plus its
-`summand_count` for `descent`.  Exit codes: 0 pass (or informational),
-1 failed verification, 2 invalid input or an engine error (reported on
-stderr, no traceback).
+integers.  A report's `result` holds the values of the result object its
+command computes: a `VerificationReport`'s `REPORTED` values for `verify`, a
+`DescentSummary`'s fields plus its `summand_count` and `total_rank` for
+`descent`.  Exit codes: 0 pass (or informational), 1 failed verification,
+2 invalid input or an engine error (reported on stderr, no traceback).
 """
 
 from __future__ import annotations
@@ -48,11 +48,13 @@ def emit(command: str, inputs: dict, result, verdict: str, pretty: bool) -> int:
     return {"pass": 0, "n/a": 0, "fail": 1}[verdict]
 
 
-def parse_weight(text: str) -> tuple[int, ...]:
-    text = text.strip()
-    if not text:
-        return ()
-    return tuple(int(x) for x in text.split(","))
+def parse_ints(text: str | None, option: str) -> tuple[int, ...]:
+    """The comma list of integers given to `option`; blank or absent text is the empty list."""
+    text = (text or "").strip()
+    try:
+        return tuple(int(x) for x in text.split(",")) if text else ()
+    except ValueError:
+        raise ValueError(f"{option} must be a comma list of integers, got {text!r}") from None
 
 
 def parse_space(text: str) -> bwb.FlagSpace:
@@ -103,7 +105,7 @@ def _cmd_partitions(args, pretty):
 
 def _cmd_lr(args, pretty):
     from .schur import lr_expand
-    terms = lr_expand(parse_weight(args.a), parse_weight(args.b), args.rank)
+    terms = lr_expand(parse_ints(args.a, "--a"), parse_ints(args.b, "--b"), args.rank)
     result = {"terms": [{"partition": list(p), "multiplicity": c}
                         for p, c in sorted(terms.items())]}
     return emit("lr", {"a": args.a, "b": args.b, "rank": args.rank}, result, "n/a", pretty)
@@ -111,7 +113,7 @@ def _cmd_lr(args, pretty):
 
 def _cmd_schur_dim(args, pretty):
     from .schur import schur_dimension
-    dim = schur_dimension(parse_weight(args.weight), args.n)
+    dim = schur_dimension(parse_ints(args.weight, "--weight"), args.n)
     return emit("schur-dim", {"weight": args.weight, "n": args.n},
                 {"dimension": dim}, "n/a", pretty)
 
@@ -123,14 +125,14 @@ def _cmd_bott(args, pretty):
     if len(given) != 1:
         raise ValueError("give exactly one of --sub / --sub-dual / --quot / --blocks")
     if args.blocks is not None:
-        blocks = tuple(parse_weight(b) for b in args.blocks.split("|"))
+        blocks = tuple(parse_ints(b, "--blocks") for b in args.blocks.split("|"))
         bundle = bwb.HomogeneousBundle(space, blocks)
     elif args.sub is not None:
-        bundle = bwb.of_sub(space, parse_weight(args.sub))
+        bundle = bwb.of_sub(space, parse_ints(args.sub, "--sub"))
     elif args.sub_dual is not None:
-        bundle = bwb.of_sub_dual(space, parse_weight(args.sub_dual))
+        bundle = bwb.of_sub_dual(space, parse_ints(args.sub_dual, "--sub-dual"))
     else:
-        bundle = bwb.of_quot(space, parse_weight(args.quot))
+        bundle = bwb.of_quot(space, parse_ints(args.quot, "--quot"))
     res = bwb.flag_cohomology(bundle)
     return emit("bott", {"space": args.space, "blocks": [list(b) for b in bundle.blocks]},
                 _cohomology_payload(res), "n/a", pretty)
@@ -138,7 +140,8 @@ def _cmd_bott(args, pretty):
 
 def _cmd_euler(args, pretty):
     from . import bwb
-    value = bwb.localization_euler(parse_weight(args.a), parse_weight(args.b), args.d, args.n)
+    a, b = parse_ints(args.a, "--a"), parse_ints(args.b, "--b")
+    value = bwb.localization_euler(a, b, args.d, args.n)
     return emit("euler", {"a": args.a, "b": args.b, "d": args.d, "n": args.n},
                 {"euler_characteristic": value}, "n/a", pretty)
 
@@ -153,23 +156,22 @@ def _cmd_verify(args, pretty):
     elif args.what == "flag":
         if not args.steps:
             raise ValueError("verify flag needs --steps")
-        steps = tuple(int(x) for x in args.steps.split(","))
+        steps = parse_ints(args.steps, "--steps")
         spec = coll.flag_collection(bwb.FlagSpace(args.n, steps))
         inputs = {"collection": "flag", "steps": list(steps), "n": args.n}
     else:
-        degrees = parse_weight(args.degrees) if args.degrees else None
+        degrees = parse_ints(args.degrees, "--degrees") or None
         spec = coll.beilinson_collection(args.n, degrees)
         inputs = {"collection": "beilinson", "n": args.n,
                   "degrees": list(degrees) if degrees else list(range(args.n + 1))}
-    table = coll.ext_table(spec)
-    report = coll.verify_tilting(spec, table)
-    verdict = "pass" if report.passed else "fail"
-    return emit("verify", inputs, report._asdict(), verdict, pretty)
+    report = coll.verify_tilting(spec, coll.ext_table(spec))
+    result = {name: getattr(report, name) for name in report.REPORTED}
+    return emit("verify", inputs, result, "pass" if report.passed else "fail", pretty)
 
 
 def _parse_algebra(args) -> descent.CSAClass:
     from . import descent
-    indices = tuple(int(x) for x in args.indices.split(",")) if args.indices else None
+    indices = parse_ints(args.indices, "--indices") or None
     return descent.CSAClass(args.degree, args.period, indices)
 
 
@@ -209,7 +211,8 @@ def _cmd_descent(args, pretty):
                 raise ValueError(f"unknown tower stage kind {kind!r}")
         summary = descent.twisted_tower_summary([summarize() for summarize in stages])
         inputs = {"variety": "tower", "plan": args.plan, "stage_count": len(stages)}
-    result = {**summary._asdict(), "summand_count": summary.summand_count}
+    result = {**summary._asdict(), "summand_count": summary.summand_count,
+              "total_rank": summary.total_rank}
     return emit("descent", inputs, result, "n/a", pretty)
 
 
@@ -221,7 +224,7 @@ def _cmd_fibration(args, pretty):
     if args.what == "search":
         plan = fibration.tower_compose(stages, root, cap)
     else:
-        twists = [int(x) for x in args.twists.split(",")] if args.twists else [0] * len(stages)
+        twists = parse_ints(args.twists, "--twists") or (0,) * len(stages)
         if len(twists) != len(stages):
             raise ValueError("one twist per stage required")
         plan = fibration.verify_plan(fibration.FibrationPlan(root, zip(stages, twists)))
@@ -232,7 +235,7 @@ def _cmd_fibration(args, pretty):
 
 def _cmd_selftest(args, pretty):
     from . import acceptance
-    results = acceptance.run_all(criteria=args.criteria)
+    results = acceptance.run_all(parse_ints(args.criteria, "--criteria"))
     ok = all(passed for _name, passed, _detail, _seconds in results)
     for name, passed, detail, seconds in results:
         sys.stderr.write(f"{'PASS' if passed else 'FAIL'} {name}: {detail} ({seconds:.3f} s)\n")

@@ -464,18 +464,38 @@ def ext_table(spec: CollectionSpec) -> ExtTable:
 
 
 class VerificationReport(FrozenValue):
-    __slots__ = _fields = ("is_strong_exceptional", "is_exceptional_each", "triangularity_witness",
-                           "higher_ext_witness", "k0_rank", "end_algebra_dim", "hom_matrix",
-                           "order_note", "generation_note")
+    """The Ext-vanishing half of the tilting predicate, read from a collection's Ext table.
 
-    def __init__(self, is_strong_exceptional: bool, is_exceptional_each: bool,
-                 triangularity_witness: Optional[tuple[int, int]],
-                 higher_ext_witness: Optional[tuple[int, int, int, int]], k0_rank: int,
-                 end_algebra_dim: int, hom_matrix: tuple[tuple[int, ...], ...], order_note: str,
-                 generation_note: str):
-        self._set(is_strong_exceptional, is_exceptional_each, triangularity_witness,
-                  higher_ext_witness, k0_rank, end_algebra_dim, hom_matrix, order_note,
-                  generation_note)
+    Only the evidence, `spec` and `table`, are fields, so eq, hash and repr go
+    by it.  The `REPORTED` values, slots after the fields, are read once from
+    the table's nonzero entries.  Fullness is not checked (GENERATION_NOTE):
+    `k0_rank` is the collection's length.
+    """
+
+    REPORTED = ("is_strong_exceptional", "is_exceptional_each", "triangularity_witness",
+                "higher_ext_witness", "k0_rank", "end_algebra_dim", "hom_matrix", "order_note",
+                "generation_note")
+    __slots__ = ("spec", "table") + REPORTED
+    _fields = ("spec", "table")
+
+    def __init__(self, spec: CollectionSpec, table: ExtTable):
+        if table.size != len(spec):
+            raise ValueError(f"the Ext table has {table.size} objects, the collection {len(spec)}")
+        # End(E_i) = k with no shifted self-Ext, and the backward Homs against the stored order
+        units, diagonal_higher, backward = 0, False, []
+        for (i, j, s), v in table.dims.items():
+            if v and i == j:
+                units += s == 0 and v == 1
+                diagonal_higher |= 0 < s <= table.max_degree
+            elif v and s == 0 and j < i:
+                backward.append((i, j))
+        exceptional_each = units == table.size and not diagonal_higher
+        tri_witness = min(backward, default=None)
+        higher_witness = table.higher_witness()
+        self._set(spec, table, higher_witness is None and exceptional_each and tri_witness is None,
+                  exceptional_each, tri_witness, higher_witness, table.size,
+                  table.end_dim(spec.multiplicities),
+                  tuple(tuple(row) for row in table.hom_matrix()), spec.order_note, GENERATION_NOTE)
 
     @property
     def passed(self) -> bool:
@@ -489,33 +509,5 @@ GENERATION_NOTE = (
 
 
 def verify_tilting(spec: CollectionSpec, table: Optional[ExtTable] = None) -> VerificationReport:
-    """Ext-vanishing half of the tilting predicate; failure is data, not error.
-
-    Checks End(E_i) = k, vanishing of all shifted Homs, and vanishing of all
-    backward Homs against the stored order, from the table's nonzero entries
-    rather than a probe of every (i, j, s).  Fullness is not recomputed (see
-    GENERATION_NOTE); k0_rank reports the necessary free-rank count.
-    """
-    if table is None:
-        table = ext_table(spec)
-    units, diagonal_higher, backward = 0, False, []
-    for (i, j, s), v in table.dims.items():
-        if v and i == j:
-            units += s == 0 and v == 1
-            diagonal_higher |= 0 < s <= table.max_degree
-        elif v and s == 0 and j < i:
-            backward.append((i, j))
-    exceptional_each = units == table.size and not diagonal_higher
-    tri_witness = min(backward, default=None)
-    higher_witness = table.higher_witness()
-    return VerificationReport(
-        is_strong_exceptional=higher_witness is None and exceptional_each and tri_witness is None,
-        is_exceptional_each=exceptional_each,
-        triangularity_witness=tri_witness,
-        higher_ext_witness=higher_witness,
-        k0_rank=table.size,
-        end_algebra_dim=table.end_dim(spec.multiplicities),
-        hom_matrix=tuple(tuple(row) for row in table.hom_matrix()),
-        order_note=spec.order_note,
-        generation_note=GENERATION_NOTE,
-    )
+    """The collection's report from `table`, or from its own table; failure is data, not error."""
+    return VerificationReport(spec, ext_table(spec) if table is None else table)

@@ -70,16 +70,21 @@ def index_of_power(a: CSAClass, i: int) -> int:
 
 
 class DescentSummary(FrozenValue):
-    __slots__ = _fields = ("summand_labels", "multiplicities", "ranks", "total_rank", "end_dim",
-                           "notes")
+    """Descended summands with their multiplicities and ranks, and End; `total_rank` sums the ranks."""
+
+    __slots__ = _fields = ("summand_labels", "multiplicities", "ranks", "end_dim", "notes")
 
     def __init__(self, summand_labels: tuple, multiplicities: tuple[int, ...],
-                 ranks: tuple[int, ...], total_rank: int, end_dim: int, notes: tuple[str, ...] = ()):
-        self._set(summand_labels, multiplicities, ranks, total_rank, end_dim, notes)
+                 ranks: tuple[int, ...], end_dim: int, notes: tuple[str, ...] = ()):
+        self._set(summand_labels, multiplicities, ranks, end_dim, notes)
 
     @property
     def summand_count(self) -> int:
         return len(self.summand_labels)
+
+    @property
+    def total_rank(self) -> int:
+        return sum(self.ranks)
 
 
 _RANGE_NOTE = (
@@ -108,7 +113,6 @@ def bs_tilting_summary(a: CSAClass, range_length: Optional[int] = None) -> Desce
         summand_labels=tuple(range(length)),
         multiplicities=(1,) * length,
         ranks=ranks,
-        total_rank=sum(ranks),
         end_dim=end_dim,
         notes=(_RANGE_NOTE,),
     )
@@ -219,7 +223,6 @@ def generalized_bs_summary(a: CSAClass, d: int) -> DescentSummary:
         summand_labels=tuple(box),
         multiplicities=tuple(mults),
         ranks=ranks,
-        total_rank=sum(ranks),
         end_dim=table.end_dim([sum(mults[i] * m for i, m in col.items()) for col in columns]),
         notes=("multiplicities are sufficient for descent, not claimed minimal",),
     )
@@ -252,7 +255,6 @@ def twisted_tower_summary(summaries) -> DescentSummary:
         summand_labels=labels,
         multiplicities=mults,
         ranks=ranks,
-        total_rank=prod(s.total_rank for s in summaries),
         end_dim=prod(s.end_dim for s in summaries),
         notes=(_TOWER_NOTE,),
     )

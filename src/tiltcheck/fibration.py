@@ -32,7 +32,7 @@ from typing import Optional
 
 from .bwb import pn_line_cohomology
 from .collections import ExtTable, GrassFiber, _chain_table, rank_stages
-from .partitions import FrozenValue, json_field, json_int
+from .partitions import FrozenValue, json_field, json_int, json_str
 
 
 class BaseModel(FrozenValue):
@@ -68,7 +68,7 @@ class TableFiber(FrozenValue):
     `records` maps (j, i, s, base_degree) to a multiplicity and must have the
     strongly-exceptional shape: no s > 0 entries, nothing for j < i, and the
     diagonal equal to the single trivial class {degree 0: 1}.  Every entry
-    and multiplicity is an integer.
+    and multiplicity is an integer, and every label a string.
     """
 
     # _pushforwards, (j, i) -> {base degree: multiplicity} with degrees
@@ -78,6 +78,7 @@ class TableFiber(FrozenValue):
 
     def __init__(self, labels: tuple[str, ...], records: Optional[dict] = None):
         records = {} if records is None else records
+        labels = tuple(json_str(x, "fiber object label") for x in labels)
         if len(set(labels)) != len(labels):
             raise ValueError("fiber labels must be distinct")
         n = len(labels)
@@ -104,8 +105,7 @@ class TableFiber(FrozenValue):
         pushforwards: dict = {}
         for (j, i, _s, deg), mult in sorted(records.items()):
             pushforwards.setdefault((j, i), {})[deg] = mult
-        self._set(labels, records)
-        object.__setattr__(self, "_pushforwards", pushforwards)
+        self._set(labels, records, pushforwards)
 
     def objects(self, rank=None) -> tuple[int, ...]:
         """Object indices; `rank` is unused, as the table lists its objects."""
@@ -213,7 +213,7 @@ def tower_compose(stages, root: BaseModel, cap: int) -> FibrationPlan:
 
 def parse_fiber_table(text: str) -> TableFiber:
     payload = json.loads(text)
-    labels = tuple(str(x) for x in json_field(payload, "objects", "a fiber table", listed=True))
+    labels = json_field(payload, "objects", "a fiber table", listed=True)
     records: dict[tuple[int, int, int, int], int] = {}
     for rec in json_field(payload, "pushforwards", "a fiber table", listed=True):
         key = tuple(json_int(json_field(rec, name, "a pushforward record"), f"record {name}")
@@ -260,7 +260,7 @@ def parse_plan(payload: dict, plan_dir: str = ""):
         elif skind == "grass-taut":
             stages.append(GrassFiber(json_int(json_field(st, "l", "a grass-taut stage"), "stage l")))
         elif skind == "table":
-            path = json_field(st, "path", "a table stage")
+            path = json_str(json_field(st, "path", "a table stage"), "table stage path")
             stages.append(load_fiber_table(os.path.join(plan_dir, path)))
         else:
             raise ValueError(f"unknown stage kind {skind!r}")

@@ -29,6 +29,13 @@ def json_int(value, what: str) -> int:
     return value
 
 
+def json_str(value, what: str) -> str:
+    """`value` if it is a JSON string."""
+    if type(value) is not str:
+        raise ValueError(f"{what} must be a string, got {value!r}")
+    return value
+
+
 _REQUIRED = object()
 
 
@@ -75,9 +82,10 @@ def grevlex_key(p, length: int):
 class FrozenValue:
     """Base of the immutable value types: fields named by the class's `_fields`.
 
-    A subclass declares `__slots__` and `_fields` and writes its own
-    `__init__`, which validates its arguments and sets each field once with
-    `_set`.  Equality, hash and repr go by the field values in `_fields`
+    A subclass declares `__slots__`, its fields first, and `_fields`, and
+    writes its own `__init__`, which validates its arguments and sets each
+    slot once with `_set`.  A slot after the fields holds a value derived
+    from them.  Equality, hash and repr go by the field values in `_fields`
     order, as a frozen dataclass's do; assigning or deleting an attribute
     raises AttributeError.
     """
@@ -86,7 +94,7 @@ class FrozenValue:
     _fields: tuple[str, ...] = ()
 
     def _set(self, *values) -> None:
-        for name, value in zip(self._fields, values):
+        for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):

@@ -425,8 +425,8 @@ def test_descent_missing_option_is_named(capsys, argv, missing):
     assert captured.err == f"tiltcheck: invalid input: descent {argv[1]} needs {missing}\n"
 
 
-REPORT_FIELDS = set(VerificationReport._fields)
-SUMMARY_FIELDS = set(DescentSummary._fields) | {"summand_count"}
+REPORT_FIELDS = set(VerificationReport.REPORTED)
+SUMMARY_FIELDS = set(DescentSummary._fields) | {"summand_count", "total_rank"}
 # the result keys as recorded in the report digests; a renamed field shows up here by name
 RECORDED_KEYS = {
     "verify": {"is_strong_exceptional", "is_exceptional_each", "triangularity_witness",

@@ -955,7 +955,7 @@ def test_empty_collection_has_empty_table(space):
 
 
 def probing_verify_tilting(spec, table):
-    """The tilting predicate by probing every (i, j, s) of the table, pair by pair."""
+    """The reported values of the tilting predicate by probing every (i, j, s), pair by pair."""
     n_obj = table.size
     higher = next(((i, j, s, v) for (i, j, s), v in sorted(table.dims.items()) if s > 0 and v), None)
     exceptional_each = all(table.get(i, i, 0) == 1 for i in range(n_obj)) and not any(
@@ -964,7 +964,7 @@ def probing_verify_tilting(spec, table):
     mults = spec.multiplicities
     end_dim = sum(mults[i] * mults[j] * table.get(i, j, 0)
                   for i in range(n_obj) for j in range(n_obj))
-    return coll.VerificationReport(
+    return dict(
         is_strong_exceptional=higher is None and exceptional_each and tri is None,
         is_exceptional_each=exceptional_each,
         triangularity_witness=tri,
@@ -1016,4 +1016,8 @@ DIAGONAL = {(0, 0, 0): 1, (1, 1, 0): 1, (2, 2, 0): 1}
 def test_verify_tilting_matches_probing_predicate(spec, dims):
     table = coll.ext_table(spec) if dims is None else coll.ExtTable(len(spec), 2, dims)
     report = coll.verify_tilting(spec, table)
-    assert report._asdict() == probing_verify_tilting(spec, table)._asdict()
+    probed = probing_verify_tilting(spec, table)
+    assert tuple(probed) == coll.VerificationReport.REPORTED
+    assert {name: getattr(report, name) for name in probed} == probed
+    assert report.passed == probed["is_strong_exceptional"]
+    assert report == coll.VerificationReport(spec, table) and report.table is table

@@ -39,6 +39,7 @@ def plan_with_table(table):
 
 NO_FILES = {}
 DUPLICATE = {**CONIC, "pushforwards": CONIC["pushforwards"][:1] * 2}
+ODD_LABELS = {**CONIC, "objects": [1, {"a": 1}]}
 NON_SINGLE_STEP = bwb.FlagSpace(3, (1, 2))
 SPLIT_SUB = ["bott", "--space", "flag:1,2;3"]
 
@@ -111,7 +112,43 @@ REFUSALS = [
     ("schur-dim-n", "n must be positive", lambda: schur_dimension((1,), 0),
      (NO_FILES, ["schur-dim", "--weight", "1", "--n", "0"])),
     ("split-no-degree", "need at least one degree", lambda: split_bundle_expand((1,), ()), None),
+    ("report-size", "the Ext table has 3 objects, the collection 6",
+     lambda: coll.verify_tilting(coll.kapranov_collection(2, 4),
+                                 coll.ext_table(coll.kapranov_collection(1, 3))), None),
+    ("table-path", "table stage path must be a string, got 5",
+     lambda: fib.parse_plan({"stages": [{"kind": "table", "path": 5}]}),
+     ({"plan.json": {"root": PN_ROOT, "stages": [{"kind": "table", "path": 5}]}},
+      ["fibration", "search", "--plan", "plan.json"])),
+    ("fiber-label", "fiber object label must be a string, got 1",
+     lambda: fib.parse_fiber_table(json.dumps(ODD_LABELS)), plan_with_table(ODD_LABELS)),
+    ("fiber-label-object", "fiber object label must be a string, got {'a': 1}",
+     lambda: fib.TableFiber(("a", {"a": 1}), {(0, 0, 0, 0): 1, (1, 1, 0, 0): 1}), None),
 ]
+
+# a malformed comma list of integers is refused with the option's name:
+# (id, argv, option, the list given to it)
+COMMA_LISTS = [
+    ("lr-a", ["lr", "--a", "1,x", "--b", "1", "--rank", "2"], "--a", "1,x"),
+    ("lr-b", ["lr", "--a", "1", "--b", "x", "--rank", "2"], "--b", "x"),
+    ("schur-dim-weight", ["schur-dim", "--weight", "2,,1", "--n", "3"], "--weight", "2,,1"),
+    ("euler-a", ["euler", "--a", "1.5", "--d", "2", "--n", "4"], "--a", "1.5"),
+    ("euler-b", ["euler", "--b", "0,x", "--d", "2", "--n", "4"], "--b", "0,x"),
+    ("bott-sub", ["bott", "--space", "grass:2,4", "--sub", "1,x"], "--sub", "1,x"),
+    ("bott-sub-dual", ["bott", "--space", "grass:2,4", "--sub-dual", "x"], "--sub-dual", "x"),
+    ("bott-quot", ["bott", "--space", "grass:2,4", "--quot", "1;1"], "--quot", "1;1"),
+    ("bott-blocks", ["bott", "--space", "grass:2,4", "--blocks", "1,0|1,x"], "--blocks", "1,x"),
+    ("verify-steps", ["verify", "flag", "--steps", "1,x", "--n", "4"], "--steps", "1,x"),
+    ("verify-degrees", ["verify", "beilinson", "--n", "2", "--degrees", "0,1,x"], "--degrees",
+     "0,1,x"),
+    ("descent-indices", ["descent", "bs", "--degree", "4", "--period", "2", "--indices", "1,x"],
+     "--indices", "1,x"),
+    ("fibration-twists", ["fibration", "plan", "--plan", HIRZEBRUCH, "--twists", "a"], "--twists",
+     "a"),
+    ("selftest-criteria", ["selftest", "--criteria", "3,x"], "--criteria", "3,x"),
+]
+REFUSALS += [(name, f"{option} must be a comma list of integers, got {text!r}",
+              lambda argv=argv: dispatch(argv), (NO_FILES, argv))
+             for name, argv, option, text in COMMA_LISTS]
 
 
 @pytest.mark.parametrize("message, call, command", [row[1:] for row in REFUSALS],

@@ -11,9 +11,11 @@ from tiltcheck.fibration import BaseModel, FibrationPlan, TableFiber
 from tiltcheck.partitions import FrozenValue, OrderedPartitionSet
 
 TABLE_RECORDS = {(0, 0, 0, 0): 1, (1, 1, 0, 0): 1, (1, 0, 0, 2): 3}
+SPEC = CollectionSpec(FlagSpace(2, (1,)), (((1,),), ((0,),)), (), "note")
+REPORT_TABLE = ExtTable(2, 1, {(0, 0, 0): 1, (1, 1, 0): 1, (1, 0, 0): 1})
 
 # (class, positional arguments, parameter defaults, hashable, repr); each repr
-# is the one the frozen dataclasses these types replace printed
+# names the fields in order, as the frozen dataclasses these types replace did
 VALUES = [
     (OrderedPartitionSet, (1, 1, ((), (1,))), {}, True,
      "OrderedPartitionSet(box_rows=1, box_cols=1, members=((), (1,)))"),
@@ -29,15 +31,15 @@ VALUES = [
            "multiplicities=(1, 1), order_note='')"),
     (ExtTable, (2, 1, {(0, 0, 0): 1, (0, 1, 1): 2}), {"dims": None}, False,
      "ExtTable(size=2, max_degree=1, dims={(0, 0, 0): 1, (0, 1, 1): 2})"),
-    (VerificationReport, (False, True, (1, 0), None, 2, 3, ((1, 0), (1, 1)), "note", "gen"), {},
-     True, "VerificationReport(is_strong_exceptional=False, is_exceptional_each=True, "
-           "triangularity_witness=(1, 0), higher_ext_witness=None, k0_rank=2, end_algebra_dim=3, "
-           "hom_matrix=((1, 0), (1, 1)), order_note='note', generation_note='gen')"),
+    (VerificationReport, (SPEC, REPORT_TABLE), {}, False,
+     "VerificationReport(spec=CollectionSpec(space=FlagSpace(n=2, steps=(1,)), "
+     "labels=(((1,),), ((0,),)), multiplicities=(1, 1), order_note='note'), "
+     "table=ExtTable(size=2, max_degree=1, dims={(0, 0, 0): 1, (1, 1, 0): 1, (1, 0, 0): 1}))"),
     (CSAClass, (4, 2, [1, 2]), {"index_table": None}, True,
      "CSAClass(degree=4, period=2, index_table=(1, 2))"),
-    (DescentSummary, ((0, 1), (1, 1), (1, 2), 3, 5), {"notes": ()}, True,
-     "DescentSummary(summand_labels=(0, 1), multiplicities=(1, 1), ranks=(1, 2), total_rank=3, "
-     "end_dim=5, notes=())"),
+    (DescentSummary, ((0, 1), (1, 1), (1, 2), 5), {"notes": ()}, True,
+     "DescentSummary(summand_labels=(0, 1), multiplicities=(1, 1), ranks=(1, 2), end_dim=5, "
+     "notes=())"),
     (WedgeReport, (3, 6, None), {}, True,
      "WedgeReport(k0_rank=3, end_dim=6, higher_ext_witness=None)"),
     (BaseModel, (1,), {"tilting_degrees": ()}, True, "BaseModel(dim=1, tilting_degrees=(0, 1))"),
@@ -107,8 +109,12 @@ def test_verdicts_are_read_from_their_evidence():
     assert FibrationPlan._fields == ("root", "layers", "table")
     assert WedgeReport._fields == ("k0_rank", "end_dim", "higher_ext_witness")
     assert GrassFiber._fields == ("l", "split_degrees")
+    assert VerificationReport._fields == ("spec", "table")
+    assert DescentSummary._fields == ("summand_labels", "multiplicities", "ranks", "end_dim", "notes")
     for cls, name in ((FibrationPlan, "verified"), (FibrationPlan, "obstruction"),
-                      (WedgeReport, "is_tilting"), (GrassFiber, "taut")):
+                      (WedgeReport, "is_tilting"), (GrassFiber, "taut"),
+                      (VerificationReport, "passed"), (DescentSummary, "total_rank"),
+                      (DescentSummary, "summand_count")):
         assert isinstance(getattr(cls, name), property) and getattr(cls, name).fset is None
     assert not hasattr(FibrationPlan, "total_dimension")
     # no table, no verdict: an unchecked plan is not verified and has no obstruction
@@ -123,3 +129,14 @@ def test_verdicts_are_read_from_their_evidence():
     assert not WedgeReport(3, 6, ((1,), (1,), 1, 2)).is_tilting
     assert GrassFiber(1).taut and GrassFiber(1) == GrassFiber(1, None)
     assert not GrassFiber(1, (0, 1)).taut
+    # a report's values are read from its table, and none of them can be assigned
+    report = VerificationReport(SPEC, REPORT_TABLE)
+    assert (report.passed, report.triangularity_witness, report.k0_rank, report.end_algebra_dim,
+            report.hom_matrix, report.order_note) == (False, (1, 0), 2, 3, ((1, 0), (1, 1)), "note")
+    for name in VerificationReport.REPORTED:
+        with pytest.raises(AttributeError):
+            setattr(report, name, None)
+        with pytest.raises(AttributeError):
+            delattr(report, name)
+    assert VerificationReport(SPEC, REPORT_TABLE) == report
+    assert DescentSummary((0, 1), (1, 1), (1, 2), 5).total_rank == 3
