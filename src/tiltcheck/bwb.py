@@ -21,7 +21,7 @@ from math import comb
 from operator import add, sub
 from typing import Optional
 
-from .partitions import FrozenValue, normalize
+from .partitions import FrozenValue, json_int, json_ints, normalize
 from .schur import as_weight, dual_weight, schur_dimension, split_bundle_expand
 
 
@@ -31,9 +31,9 @@ class FlagSpace(FrozenValue):
     __slots__ = _fields = ("n", "steps")
 
     def __init__(self, n: int, steps: tuple[int, ...]):
-        steps = tuple(steps)
-        if n < 1:
+        if json_int(n, "n") < 1:
             raise ValueError("n must be positive")
+        steps = json_ints(steps, "step")
         if not steps:
             raise ValueError("need at least one step")
         if any(b <= a for a, b in zip(steps, steps[1:])):
@@ -73,7 +73,7 @@ class HomogeneousBundle(FrozenValue):
 
     def __post_init__(self):
         # a method of its own: perfbench counts its calls as constructions
-        blocks = tuple(tuple(int(x) for x in b) for b in self.blocks)
+        blocks = tuple(json_ints(b, "block entry") for b in self.blocks)
         object.__setattr__(self, "blocks", blocks)
         lengths = tuple(len(b) for b in blocks)
         if lengths != self.space.block_lengths:
@@ -157,7 +157,7 @@ def pn_line_cohomology(m: int, n: int) -> Optional[CohomologyResult]:
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    m = int(m)
+    m = json_int(m, "m")
     if n == 0:
         return CohomologyResult(0, None, 1)
     if m >= 0:

@@ -94,13 +94,9 @@ def _plan_payload(plan: fibration.FibrationPlan) -> dict:
 
 
 def _cmd_partitions(args, pretty):
-    # both tags name the one order enumerate_box_partitions lists
-    if args.order not in ("size_order", "containment_order"):
-        raise ValueError(f"unknown order tag {args.order!r}")
     box = partitions.enumerate_box_partitions(args.rows, args.cols)
     result = {"count": len(box), "members": [list(p) for p in box]}
-    return emit("partitions", {"rows": args.rows, "cols": args.cols, "order": args.order},
-                result, "n/a", pretty)
+    return emit("partitions", {"rows": args.rows, "cols": args.cols}, result, "n/a", pretty)
 
 
 def _cmd_lr(args, pretty):
@@ -253,7 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("partitions", help="enumerate a partition box")
     p.add_argument("--rows", type=int, required=True)
     p.add_argument("--cols", type=int, required=True)
-    p.add_argument("--order", default="size_order")
 
     p = sub.add_parser("lr", help="Littlewood-Richardson expansion")
     p.add_argument("--a", required=True)

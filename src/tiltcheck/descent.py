@@ -63,7 +63,7 @@ def split_class(degree: int) -> CSAClass:
 
 def index_of_power(a: CSAClass, i: int) -> int:
     """ind(A^i); depends only on i mod period."""
-    r = int(i) % a.period
+    r = json_int(i, "power") % a.period
     if a.index_table is not None:
         return a.index_table[r]
     return a.period // gcd(a.period, r)

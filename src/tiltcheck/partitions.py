@@ -10,8 +10,8 @@ from math import comb
 
 
 def normalize(parts) -> tuple[int, ...]:
-    """Canonical form: tuple, trailing zeros stripped, monotonicity checked."""
-    p = tuple(int(x) for x in parts)
+    """Canonical form: tuple, trailing zeros stripped, integers and monotonicity checked."""
+    p = json_ints(parts, "partition part")
     while p and p[-1] == 0:
         p = p[:-1]
     for i in range(len(p) - 1):
@@ -27,6 +27,15 @@ def json_int(value, what: str) -> int:
     if type(value) is not int:
         raise ValueError(f"{what} must be an integer, got {value!r}")
     return value
+
+
+def json_ints(values, what: str) -> tuple[int, ...]:
+    """`values` as a tuple if each entry is a JSON integer (see `json_int`)."""
+    values = tuple(values)
+    for x in values:
+        if type(x) is not int:
+            json_int(x, what)
+    return values
 
 
 def json_str(value, what: str) -> str:

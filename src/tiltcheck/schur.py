@@ -12,22 +12,26 @@ from functools import lru_cache
 from itertools import product
 from math import comb
 
-from .partitions import normalize
+from .partitions import json_ints, normalize
+
+
+def _checked_weight(w, length: int) -> tuple[int, ...]:
+    """`w` as a tuple, unpadded, if `as_weight` can pad it to `length`."""
+    w = json_ints(w, "weight entry")
+    if len(w) > length:
+        raise ValueError(f"weight {w} longer than declared length {length}")
+    if len(w) < length and w and w[-1] < 0:
+        raise ValueError(f"cannot zero-pad weight {w} with a negative tail")
+    for i in range(len(w) - 1):
+        if w[i] < w[i + 1]:
+            raise ValueError(f"not non-increasing: {w + (0,) * (length - len(w))}")
+    return w
 
 
 def as_weight(w, length: int) -> tuple[int, ...]:
     """Pad a non-increasing integer sequence with zeros up to `length`."""
-    w = tuple(int(x) for x in w)
-    if len(w) > length:
-        raise ValueError(f"weight {w} longer than declared length {length}")
-    if len(w) < length:
-        if w and w[-1] < 0:
-            raise ValueError(f"cannot zero-pad weight {w} with a negative tail")
-        w = w + (0,) * (length - len(w))
-    for i in range(length - 1):
-        if w[i] < w[i + 1]:
-            raise ValueError(f"not non-increasing: {w}")
-    return w
+    w = _checked_weight(w, length)
+    return w + (0,) * (length - len(w))
 
 
 def dual_weight(w) -> tuple[int, ...]:
@@ -132,35 +136,25 @@ def product_expand(weights, rank: int) -> dict:
 def schur_dimension(w, n: int) -> int:
     """Dimension of the irreducible GL_n representation with highest weight w.
 
-    Hook-content product on the shift-normalized partition; equals the number
-    of semistandard tableaux with entries in {1..n}.  A partition with more
-    than n rows gives 0 (the functor vanishes); an extended weight declared
-    longer than n is rejected, since negative tails have no such convention.
+    `_skew_dimension` of the shift-normalized partition's rows over the
+    empty shape: the number of semistandard tableaux with entries in {1..n},
+    at a cost that follows the rows, not n.  A partition with more than n
+    rows gives 0 (the functor vanishes); an extended weight declared longer
+    than n is rejected, since negative tails have no such convention.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    w = tuple(int(x) for x in w)
+    w = json_ints(w, "weight entry")
     if len(w) > n:
         if min(w) < 0:
             raise ValueError(f"extended weight {w} needs more than {n} slots")
-        lam = normalize(w)
-        return 0 if len(lam) > n else schur_dimension(lam, n)
-    w = as_weight(w, n)
+        w = normalize(w)
+        if len(w) > n:
+            return 0
+    w = _checked_weight(w, n)
     m = normalizing_shift(w)
-    # as_weight checked the order, so these are the rows of the partition w + m
-    lam = [x + m for x in w if x + m]
-    conj = [0] * (lam[0] if lam else 0)
-    for i, row in enumerate(lam):
-        conj[:row] = [i + 1] * row
-    num = 1
-    den = 1
-    for i, row in enumerate(lam):
-        for j in range(row):
-            num *= n + j - i
-            den *= row - j + conj[j] - i - 1
-    if num % den:
-        raise ArithmeticError(f"hook-content quotient {num}/{den} for {w} is not an integer")
-    return num // den
+    rows = tuple(x + m for x in w if x + m)
+    return _skew_dimension(rows, (0,) * len(rows), n)
 
 
 def _skew_dimension(lam, mu, n: int) -> int:
@@ -170,8 +164,10 @@ def _skew_dimension(lam, mu, n: int) -> int:
     det[h_{lam_i - mu_j - i + j}(1^n)] with h_k(1^n) = C(n + k - 1, k) and
     h_k = 0 for k < 0.  It is 0 unless mu is contained in lam.  Only the
     differences lam_i - mu_j enter, so extended weights give the value of
-    their common shift to partitions.  The determinant is exact
-    fraction-free (Bareiss) elimination.
+    their common shift to partitions.  The one kernel of every Schur count
+    (`schur_dimension` is mu = 0), by exact fraction-free (Bareiss)
+    elimination; it counts tableaux, so a negative value raises
+    ArithmeticError.
     """
     size = len(lam)
     if not size:
@@ -193,7 +189,10 @@ def _skew_dimension(lam, mu, n: int) -> int:
             for j in range(k + 1, size):
                 m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
         prev = m[k][k]
-    return sign * m[-1][-1]
+    value = sign * m[-1][-1]
+    if value < 0:
+        raise ArithmeticError(f"s_(lam/mu)(1^{n}) = {value} < 0 for lam {lam}, mu {mu}")
+    return value
 
 
 def _ssyt_degree_counts(shape, degrees) -> dict[int, int]:
@@ -232,7 +231,7 @@ def split_bundle_expand(w, degrees) -> dict[int, int]:
     are first normalized by a determinant twist, which shifts every degree by
     -m * sum(degrees).
     """
-    degrees = tuple(int(d) for d in degrees)
+    degrees = json_ints(degrees, "degree")
     if not degrees:
         raise ValueError("need at least one degree")
     w = as_weight(w, len(degrees))

@@ -73,6 +73,14 @@ def test_partitions_and_lr_and_dim(capsys):
     assert report["result"]["dimension"] == "8"
 
 
+def test_schur_dim_at_a_billion(capsys):
+    # the dimension's cost follows the weight's rows, so n = 10^9 answers at once
+    n = 10**9
+    code, report = run_cli(["schur-dim", "--weight", "2,1", "--n", str(n)], capsys)
+    assert code == 0
+    assert report["result"]["dimension"] == str(n * (n - 1) * (n + 1) // 3)
+
+
 def test_euler(capsys):
     code, report = run_cli(["euler", "--a", "1", "--b", "", "--d", "2", "--n", "4"], capsys)
     assert code == 0

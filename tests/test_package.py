@@ -1,5 +1,7 @@
+import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 import types
@@ -24,7 +26,8 @@ PUBLIC_NAMES = [
     "twisted_tower_summary", "verify_tilting",
 ]
 SUBMODULES = ("bwb", "collections", "descent", "fibration", "partitions", "schur")
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "perfbench" / "spans.py"
 
 
 def run_python(code):
@@ -117,7 +120,7 @@ def test_failing_property_is_reported_under_the_warning_filters(tmp_path):
     # a failing property makes hypothesis import libcst, whose import warns;
     # under the project's filters that must stay a test failure, not a crash
     (tmp_path / "test_probe.py").write_text(FAILING_PROPERTY, encoding="utf-8")
-    config = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    config = ROOT / "pyproject.toml"
     run = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", str(config),
          "--rootdir", str(tmp_path), "test_probe.py"],
@@ -125,3 +128,24 @@ def test_failing_property_is_reported_under_the_warning_filters(tmp_path):
     assert "INTERNALERROR" not in run.stdout + run.stderr
     assert "1 failed, 1 passed" in run.stdout
     assert run.returncode == 1
+
+
+def test_test_imports_are_installed_by_the_test_extra():
+    # an environment built by `pip install -e '.[test]'` can import every
+    # module the tests (and the probe above) import
+    tomllib = pytest.importorskip("tomllib")  # in the standard library from Python 3.11
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        extra = tomllib.load(fh)["project"]["optional-dependencies"]["test"]
+    installed = {re.match(r"[\w.-]+", req).group().replace("-", "_").lower() for req in extra}
+    test_modules = {path.stem for path in (ROOT / "tests").glob("*.py")}
+    allowed = set(sys.stdlib_module_names) | {"tiltcheck"} | test_modules | installed
+    sources = [path.read_text(encoding="utf-8") for path in (ROOT / "tests").glob("*.py")]
+    imported = set()
+    for tree in map(ast.parse, [*sources, FAILING_PROPERTY]):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                imported.add(node.module.split(".")[0])
+    assert {"hypothesis", "pytest"} <= imported
+    assert imported <= allowed, sorted(imported - allowed)

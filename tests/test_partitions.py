@@ -108,15 +108,15 @@ def test_normalize_rejects_bad_input():
 
 
 def test_unknown_order_tag(capsys):
-    # one order is both the size and the containment order; the CLI keeps both
-    # tags as its names, echoes the tag given, and refuses any other
-    reports = []
-    for tag in ("size_order", "containment_order"):
-        assert cli.run(["partitions", "--rows", "2", "--cols", "2", "--order", tag]) == 0
-        reports.append(json.loads(capsys.readouterr().out))
-    assert [r["inputs"]["order"] for r in reports] == ["size_order", "containment_order"]
-    assert reports[0]["result"] == reports[1]["result"]
-    assert cli.run(["partitions", "--rows", "2", "--cols", "2", "--order", "bogus"]) == 2
+    # one order is both the size and the containment order, so the command
+    # takes no option to choose it: any order tag is refused by argparse
+    assert cli.run(["partitions", "--rows", "2", "--cols", "2"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert set(report["inputs"]) == {"cols", "rows"}
+    assert report["result"]["members"] == [[], ["1"], ["1", "1"], ["2"], ["2", "1"], ["2", "2"]]
+    with pytest.raises(SystemExit) as exc:
+        cli.run(["partitions", "--rows", "2", "--cols", "2", "--order", "size_order"])
+    assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "tiltcheck: invalid input: unknown order tag 'bogus'\n"
+    assert "unrecognized arguments: --order size_order" in captured.err

@@ -10,8 +10,8 @@ from tiltcheck import bwb, cli
 from tiltcheck import collections as coll
 from tiltcheck import descent as dsc
 from tiltcheck import fibration as fib
-from tiltcheck.partitions import enumerate_box_partitions
-from tiltcheck.schur import lr_expand, schur_dimension, split_bundle_expand
+from tiltcheck.partitions import enumerate_box_partitions, normalize
+from tiltcheck.schur import as_weight, lr_expand, schur_dimension, split_bundle_expand
 
 PN_ROOT = {"kind": "pn", "dim": 1}
 HIRZEBRUCH = str(resources.files("tiltcheck") / "data" / "hirzebruch_plan.json")
@@ -123,6 +123,23 @@ REFUSALS = [
      lambda: fib.parse_fiber_table(json.dumps(ODD_LABELS)), plan_with_table(ODD_LABELS)),
     ("fiber-label-object", "fiber object label must be a string, got {'a': 1}",
      lambda: fib.TableFiber(("a", {"a": 1}), {(0, 0, 0, 0): 1, (1, 1, 0, 0): 1}), None),
+    # the engines take integers by json_int's rule, as the file readers do: a
+    # float or bool is refused, not truncated (the CLI parses to ints first)
+    ("partition-part", "partition part must be an integer, got 2.9", lambda: normalize((2.9, 1)),
+     None),
+    ("weight-entry", "weight entry must be an integer, got 1.5",
+     lambda: as_weight((1.5,), 2), None),
+    ("dimension-weight", "weight entry must be an integer, got True",
+     lambda: schur_dimension((True,), 3), None),
+    ("split-degree-int", "degree must be an integer, got 1.5",
+     lambda: split_bundle_expand((1,), (0, 1.5)), None),
+    ("pn-m", "m must be an integer, got 1.5", lambda: bwb.pn_line_cohomology(1.5, 2), None),
+    ("flag-n-int", "n must be an integer, got 4.0", lambda: bwb.FlagSpace(4.0, (1,)), None),
+    ("flag-step", "step must be an integer, got 1.0", lambda: bwb.FlagSpace(4, (1.0,)), None),
+    ("block-entry", "block entry must be an integer, got 1.0",
+     lambda: bwb.HomogeneousBundle(bwb.grassmannian(1, 2), ((1.0,), (0,))), None),
+    ("power", "power must be an integer, got 1.5",
+     lambda: dsc.index_of_power(dsc.CSAClass(4, 2), 1.5), None),
 ]
 
 # a malformed comma list of integers is refused with the option's name:

@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -356,6 +357,26 @@ def test_dimension_is_not_quadratic_in_n():
     # quadratic work in n (Weyl's product over all pairs of rows, or stripping
     # the zero rows one at a time) takes seconds to minutes here
     assert schur_dimension((1,), 10**5) == 10**5
+
+
+def test_dimension_cost_follows_the_rows_not_n():
+    # a weight padded to n entries would take gigabytes here
+    n = 10**9
+    tracemalloc.start()
+    try:
+        assert schur_dimension((2, 1), n) == n * (n - 1) * (n + 1) // 3
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_skew_kernel_refuses_a_negative_count():
+    # rows that are not non-increasing make the determinant negative; no
+    # tableau count is, so the kernel raises instead of returning it
+    with pytest.raises(ArithmeticError, match="-3 < 0"):
+        _skew_dimension((0, 2), (0, 0), 3)
+    assert _skew_dimension((2, 0), (0, 0), 3) == 6
 
 
 # ---------------------------------------------------------------------------

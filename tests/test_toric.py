@@ -197,7 +197,34 @@ def test_shipped_l1_plans_match_the_oracle_at_every_twist(name):
     assert plan.verified and plan.layers[-1][1] == verified.index(True)
 
 
-@settings(max_examples=40, deadline=None)
+# the split l = 1 plans a seeded benchmark plan file can be: P^dim with a split
+# stage of `rank` degrees, each in 0..3, searched up to twist 8 (perfbench/run.py's
+# PLAN_SHAPES and PLAN_MAX_DEGREE, leaving out its tautological shape)
+SEEDED_SHAPES = ((1, 2), (2, 3))
+SEEDED_MAX_DEGREE = 3
+SEEDED_CAP = 8
+
+
+def test_seeded_l1_plans_match_the_oracle_at_every_twist():
+    tables = entries = 0
+    for m, rank in SEEDED_SHAPES:
+        for degrees in iter_product(range(SEEDED_MAX_DEGREE + 1), repeat=rank):
+            verified = []
+            for twist in range(SEEDED_CAP + 1):
+                toric = toric_table(m, [(degrees, twist)])
+                assert candidate(m, [(degrees, twist)]) == toric, (m, degrees, twist)
+                verified.append(clean(toric))
+                entries += sum(1 for _i, _j, s in toric if s > 0)
+                tables += 1
+            plan = fib.twist_search(fib.FibrationPlan(fib.BaseModel(m)),
+                                    coll.GrassFiber(1, degrees), SEEDED_CAP)
+            least = verified.index(True) if True in verified else SEEDED_CAP
+            assert (plan.verified, plan.layers[-1][1]) == (True in verified, least), (m, degrees)
+    assert tables == 80 * (SEEDED_CAP + 1)
+    assert entries == 1955  # positive-degree entries, each one matched
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
 @given(m=st.integers(0, 2),
        stages=st.lists(st.tuples(st.lists(st.integers(-2, 3), min_size=1, max_size=3),
                                  st.integers(0, 3)), min_size=1, max_size=2))
