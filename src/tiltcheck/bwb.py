@@ -61,7 +61,7 @@ def grassmannian(d: int, n: int) -> FlagSpace:
 
 
 def projective_space(m: int) -> FlagSpace:
-    return FlagSpace(m + 1, (1,))
+    return FlagSpace(json_int(m, "m") + 1, (1,))
 
 
 class HomogeneousBundle(FrozenValue):
@@ -155,7 +155,7 @@ def pn_line_cohomology(m: int, n: int) -> Optional[CohomologyResult]:
 
     n = 0 (a point) is allowed; every degree then has a one-dimensional H^0.
     """
-    if n < 0:
+    if json_int(n, "n") < 0:
         raise ValueError("n must be non-negative")
     m = json_int(m, "m")
     if n == 0:
@@ -263,7 +263,7 @@ def localization_euler(a, b, d: int, n: int) -> int:
     all of them by k only substitutes t -> t^k, no other choice could change
     whether the exact division succeeds.  A failure raises ArithmeticError.
     """
-    if not 1 <= d < n:
+    if not 1 <= json_int(d, "d") < json_int(n, "n"):
         raise ValueError("need 1 <= d < n")
     a, b = normalize(a), normalize(b)
     size_a, size_b = sum(a), sum(b)

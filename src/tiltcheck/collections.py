@@ -16,10 +16,10 @@ Each Hom term gets one of two Ext engines.
   w is contained in v.  A split stage of equal degrees d' is Grass(l, r)
   over the root with R twisted by O(d'), so `_transfer` takes each in-bound
   term (alpha, mu) of its Hom this way, at root degree -d'(|alpha| - |mu|).
-  A single Grassmannian's table enumerates the contained in-bound labels
-  w under each source v at once (`_skew_homs`), along the labels'
-  prefixes, with s_{v/w}(1^n) the product over the edge-connected row
-  components of v/w, each translated to a canonical form and evaluated
+  A Grassmannian's table, and so `schur_pair_ext`, enumerates the contained
+  in-bound labels w under each source v at once (`_skew_homs`), along the
+  labels' prefixes, with s_{v/w}(1^n) the product over the edge-connected
+  row components of v/w, each translated to a canonical form and evaluated
   once per build.  Every pair of a Kapranov box is in bound.
 - Stage chain (every other term; `GrassFiber` is the one stage model, and a
   Grassmannian the split stage (d, 0^n) over a point).  Each stage's Hom
@@ -38,7 +38,7 @@ items and stage weights, and drops a pair with no items, as every extension
 of it is zero.  Each distinct label pair meets the root at every index pair
 carrying it (a candidate table repeats a label once per root degree).  A
 build owns one memo: one transfer per distinct input, one walk per distinct
-pushed weight; the per-pair entry points sweep one pair from an empty memo.
+pushed weight; `tower_hom_degrees` sweeps its one pair from an empty memo.
 """
 
 from __future__ import annotations
@@ -267,7 +267,7 @@ class CollectionSpec(FrozenValue):
 
 def kapranov_collection(d: int, n: int) -> CollectionSpec:
     """S^lam(R) over the d x (n-d) box on Grass(d, n), larger diagrams first."""
-    if not 1 <= d < n:
+    if not 1 <= json_int(d, "d") < json_int(n, "n"):
         raise ValueError("need 1 <= d < n")
     space = bwb.grassmannian(d, n)
     # Grass(d, n) is the single split stage (d, 0^n) over a point
@@ -289,7 +289,7 @@ def flag_collection(space: bwb.FlagSpace) -> CollectionSpec:
 
 def beilinson_collection(n: int, degrees=None) -> CollectionSpec:
     """Line bundles O(d) on P^n in the order given (default O(0)..O(n))."""
-    if n < 1:
+    if json_int(n, "n") < 1:
         raise ValueError("n must be positive")
     degrees = tuple(range(n + 1)) if degrees is None else tuple(json_int(d, "degree") for d in degrees)
     space = bwb.projective_space(n)
@@ -360,12 +360,12 @@ def _flag_stages(space: bwb.FlagSpace) -> tuple:
 def schur_pair_ext(d: int, n: int, v, w) -> dict[int, int]:
     """Ext^*(S^v(R), S^w(R)) on Grass(d, n) for extended weights v, w, as {s: dim}.
 
-    The one-pair sweep of Grass(d, n), the split stage (d, 0^n) over a point,
-    afresh on every call: an in-bound pair is one skew Schur dimension, any
-    other pair one relative walk per LR term of the Hom bundle.
+    The (v, w) entries of the table of the labels v, w, built afresh as any
+    Grassmannian's: in bound by `_skew_homs`, otherwise by the relative walk.
     """
-    found = _sweep(_flag_stages(bwb.grassmannian(d, n)), ((as_weight(v, d),),), ((as_weight(w, d),),), {})
-    return {s: mult for *_, chain in found for (s, _deg), mult in sorted(chain.items())}
+    ranked = _flag_stages(bwb.grassmannian(d, n))
+    dims = _chain_table(ranked, [(as_weight(v, d),), (as_weight(w, d),)], 0, (0, 0))
+    return {s: dim for (i, j, s), dim in sorted(dims.items()) if (i, j) == (0, 1)}
 
 
 def _skew_homs(weights, n: int, width: int):
@@ -416,26 +416,25 @@ def _chain_table(ranked, labels, root_dim: int, shifts) -> dict:
     index: dict[Label, list[int]] = {}
     for i, lab in enumerate(labels):
         index.setdefault(lab, []).append(i)
+    distinct, at = tuple(index), list(index.values())
     memo: dict = {}
     dims: dict[tuple[int, int, int], int] = {}
     if root_dim == 0 and len(ranked) == 1 and ranked[0][1] is not None:
         # one split stage over a point is Grass(l, n); in bound: v_l - w_1 >= l - n
         [(st, n)] = ranked
         width = n - st.l
-        for v, homs in _skew_homs([lab[0] for lab in index], n, width):
+        for v, homs in _skew_homs([lab[0] for lab in distinct], n, width):
             for w, hom in homs:
                 for i, j in iter_product(index[(v,)], index[(w,)]):
                     dims[(i, j, 0)] = hom
-        # out-of-bound pairs, w_1 > v_l + width, walk in (i, j) order
-        by_first = sorted(range(len(labels)), key=lambda j: labels[j][0][0])
-        firsts = [labels[j][0][0] for j in by_first]
-        walked = {(v, labels[j]): None for v in labels
-                  for j in sorted(by_first[bisect_right(firsts, v[0][-1] + width):])}
-        chains = ((index[v], index[w], chain) for v, w in walked
-                  for *_, chain in _sweep(ranked, (v,), (w,), memo))
+        # out-of-bound pairs, w_1 > v_l + width, walk in label order
+        by_first = sorted(range(len(distinct)), key=lambda q: distinct[q][0][0])
+        firsts = [distinct[q][0][0] for q in by_first]
+        chains = ((at[p], at[q], chain) for p, v in enumerate(distinct)
+                  for q in sorted(by_first[bisect_right(firsts, v[0][-1] + width):])
+                  for *_, chain in _sweep(ranked, (v,), (distinct[q],), memo))
     else:
-        at = list(index.values())
-        chains = ((at[p], at[q], chain) for p, q, chain in _sweep(ranked, tuple(index), tuple(index), memo))
+        chains = ((at[p], at[q], chain) for p, q, chain in _sweep(ranked, distinct, distinct, memo))
     root: dict[int, Optional[bwb.CohomologyResult]] = {}
     for rows, cols, chain in chains:
         for i, j in iter_product(rows, cols):

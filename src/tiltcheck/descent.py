@@ -209,7 +209,7 @@ def generalized_bs_summary(a: CSAClass, d: int) -> DescentSummary:
     over the splitting field as u^T H_0 u, with u = M mults.
     """
     n = a.degree
-    if not 1 <= d < n:
+    if not 1 <= json_int(d, "d") < n:
         raise ValueError("need 1 <= d < degree")
     box, table, columns = _wedge_columns(d, n)
     mults = []

@@ -142,7 +142,7 @@ class OrderedPartitionSet(FrozenValue):
     __slots__ = _fields = ("box_rows", "box_cols", "members")
 
     def __init__(self, box_rows: int, box_cols: int, members: tuple[tuple[int, ...], ...]):
-        if len(members) != comb(box_rows + box_cols, box_rows):
+        if len(members) != comb(json_int(box_rows, "rows") + json_int(box_cols, "cols"), box_rows):
             raise ValueError("member count does not match the box")
         for m in members:
             if not fits_box(m, box_rows, box_cols):
@@ -156,13 +156,20 @@ class OrderedPartitionSet(FrozenValue):
         return iter(self.members)
 
 
-def _box_partitions(rows: int, cols: int):
-    if rows == 0:
-        yield ()
-        return
-    for first in range(cols + 1):
-        for rest in _box_partitions(rows - 1, first):
-            yield normalize((first,) + rest)
+def _box_partitions(rows: int, cols: int) -> list[tuple[int, ...]]:
+    """Every partition inside the box, grown one row at a time.
+
+    A partition is complete once its next row would be empty; the others
+    grow by one positive row no longer than their last.
+    """
+    done, level = [], [()]
+    for _ in range(rows):
+        grown = []
+        for p in level:
+            done.append(p)
+            grown += [p + (x,) for x in range(1, (p[-1] if p else cols) + 1)]
+        level = grown
+    return done + level
 
 
 def enumerate_box_partitions(rows: int, cols: int) -> OrderedPartitionSet:
@@ -173,9 +180,9 @@ def enumerate_box_partitions(rows: int, cols: int) -> OrderedPartitionSet:
     linear extension of diagram containment, so it serves both as the size
     order and as the containment order.
     """
-    if rows < 1:
+    if json_int(rows, "rows") < 1:
         raise ValueError("rows must be positive")
-    if cols < 0:
+    if json_int(cols, "cols") < 0:
         raise ValueError("cols must be non-negative")
-    members = sorted(set(_box_partitions(rows, cols)), key=lambda p: grevlex_key(p, rows))
+    members = sorted(_box_partitions(rows, cols), key=lambda p: grevlex_key(p, rows))
     return OrderedPartitionSet(rows, cols, tuple(members))

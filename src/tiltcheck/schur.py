@@ -12,7 +12,7 @@ from functools import lru_cache
 from itertools import product
 from math import comb
 
-from .partitions import json_ints, normalize
+from .partitions import json_int, json_ints, normalize
 
 
 def _checked_weight(w, length: int) -> tuple[int, ...]:
@@ -24,13 +24,13 @@ def _checked_weight(w, length: int) -> tuple[int, ...]:
         raise ValueError(f"cannot zero-pad weight {w} with a negative tail")
     for i in range(len(w) - 1):
         if w[i] < w[i + 1]:
-            raise ValueError(f"not non-increasing: {w + (0,) * (length - len(w))}")
+            raise ValueError(f"not non-increasing: {w}")
     return w
 
 
 def as_weight(w, length: int) -> tuple[int, ...]:
     """Pad a non-increasing integer sequence with zeros up to `length`."""
-    w = _checked_weight(w, length)
+    w = _checked_weight(w, json_int(length, "length"))
     return w + (0,) * (length - len(w))
 
 
@@ -55,7 +55,7 @@ def _strips_last(a, b):
     return (a, b) if (sum(b), b) <= (sum(a), a) else (b, a)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def lr_expand(a, b, rank: int) -> dict:
     """Littlewood-Richardson expansion of S^a (x) S^b on a rank-`rank` space.
 
@@ -67,7 +67,7 @@ def lr_expand(a, b, rank: int) -> dict:
     i) joins the shape grown so far subject to the lattice-word condition
     cum_i(r) <= cum_{i-1}(r-1) on cumulative row counts.
     """
-    if rank < 1:
+    if json_int(rank, "rank") < 1:
         raise ValueError("rank must be positive")
     a, b = _strips_last(normalize(a), normalize(b))
     if len(a) > rank or len(b) > rank:
@@ -117,6 +117,7 @@ def product_expand(weights, rank: int) -> dict:
     multiplicities.  Factors are validated on entry only: each is shifted to
     a partition, so the running product is a sum of trusted LR terms.
     """
+    rank = json_int(rank, "rank")
     factors = [as_weight(w, rank) for w in weights]
     shift_total = 0
     current: dict[tuple[int, ...], int] = {(): 1}
@@ -142,7 +143,7 @@ def schur_dimension(w, n: int) -> int:
     rows gives 0 (the functor vanishes); an extended weight declared longer
     than n is rejected, since negative tails have no such convention.
     """
-    if n < 1:
+    if json_int(n, "n") < 1:
         raise ValueError("n must be positive")
     w = json_ints(w, "weight entry")
     if len(w) > n:

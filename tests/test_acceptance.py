@@ -5,6 +5,7 @@ Each test prints a single pass/fail line (visible with `pytest -s` or via the
 """
 
 from tiltcheck import acceptance
+from tiltcheck import collections as coll
 from tiltcheck.schur import schur_dimension
 
 
@@ -54,6 +55,20 @@ def test_criterion_1_runtime_budget():
     elapsed = time.monotonic() - start
     print(f"kapranov sweep wall time: {elapsed:.2f}s")
     assert passed and elapsed < 60.0
+
+
+def test_criterion_2_runs_the_kapranov_table_engine(monkeypatch):
+    # every criterion-2 pair is an in-bound box pair, so `schur_pair_ext` reads
+    # it off the closed form behind `verify kapranov`, never the stage chain
+    calls = {"_skew_homs": 0, "_transfer": 0}
+    for name in calls:
+        def counted(*args, name=name, fn=getattr(coll, name)):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(coll, name, counted)
+    assert acceptance.oracle_equivalence()[0]
+    assert calls == {"_skew_homs": len(acceptance.ORACLE_SPACES) * acceptance.ORACLE_PAIRS,
+                     "_transfer": 0}
 
 
 def test_criterion_8_catches_a_dimension_preserving_lr_error(monkeypatch):

@@ -270,15 +270,18 @@ def test_in_box_table_expands_no_lr_product():
 def per_pair_closed_form_table(spec):
     """Grassmannian table pair by pair: one skew determinant per contained in-bound pair.
 
-    Out-of-bound pairs take the one-pair walk `schur_pair_ext`.
+    Out-of-bound pairs take the one-pair chain `tower_hom_degrees`, which no
+    table build calls.
     """
     d, n = spec.space.steps[0], spec.space.n
+    grass = (coll.GrassFiber(d, (0,) * n),)
     weights = [as_weight(v, d) for (v,) in spec.labels]
     dims = {}
     for i, v in enumerate(weights):
         for j, w in enumerate(weights):
             if out_of_bound(d, n, v, w):
-                dims.update(((i, j, s), x) for s, x in coll.schur_pair_ext(d, n, v, w).items())
+                chain = coll.tower_hom_degrees(grass, (v,), (w,))
+                dims.update(((i, j, s), x) for (s, _deg), x in chain.items())
             elif all(a >= b for a, b in zip(v, w)):
                 dims[(i, j, 0)] = _skew_dimension(v, w, n)
     return coll.ExtTable(len(weights), spec.space.dimension(), dims)

@@ -44,6 +44,14 @@ def test_counts_against_brute_force(rows, cols):
     assert len(box) == comb(rows + cols, rows)
 
 
+def test_box_taller_than_the_recursion_limit(capsys):
+    # the box is grown one row at a time, so its height meets no recursion limit
+    assert cli.run(["partitions", "--rows", "1200", "--cols", "1"]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["count"] == "1201"
+    assert result["members"][:2] == [[], ["1"]] and result["members"][-1] == ["1"] * 1200
+
+
 def test_conjugate_examples():
     assert conjugate((3, 1)) == (2, 1, 1)
     assert conjugate(()) == ()

@@ -3,15 +3,17 @@ and a refusal the CLI can reach exits 2 with that message and no traceback."""
 
 import importlib.resources as resources
 import json
+import tracemalloc
 
 import pytest
 
+import tiltcheck
 from tiltcheck import bwb, cli
 from tiltcheck import collections as coll
 from tiltcheck import descent as dsc
 from tiltcheck import fibration as fib
-from tiltcheck.partitions import enumerate_box_partitions, normalize
-from tiltcheck.schur import as_weight, lr_expand, schur_dimension, split_bundle_expand
+from tiltcheck.partitions import OrderedPartitionSet, enumerate_box_partitions, normalize
+from tiltcheck.schur import as_weight, lr_expand, product_expand, schur_dimension, split_bundle_expand
 
 PN_ROOT = {"kind": "pn", "dim": 1}
 HIRZEBRUCH = str(resources.files("tiltcheck") / "data" / "hirzebruch_plan.json")
@@ -140,6 +142,23 @@ REFUSALS = [
      lambda: bwb.HomogeneousBundle(bwb.grassmannian(1, 2), ((1.0,), (0,))), None),
     ("power", "power must be an integer, got 1.5",
      lambda: dsc.index_of_power(dsc.CSAClass(4, 2), 1.5), None),
+    # so is a size argument, once at the function's door
+    ("dimension-n", "n must be an integer, got 2.5", lambda: schur_dimension((1,), 2.5), None),
+    ("pn-n-int", "n must be an integer, got True", lambda: bwb.pn_line_cohomology(2, True), None),
+    ("euler-d", "d must be an integer, got True",
+     lambda: bwb.localization_euler((1,), (), True, 4), None),
+    ("beilinson-n-int", "n must be an integer, got 2.0", lambda: coll.beilinson_collection(2.0),
+     None),
+    ("weight-length", "length must be an integer, got 2.5", lambda: as_weight((1,), 2.5), None),
+    ("product-rank", "rank must be an integer, got 2.0", lambda: product_expand([(1,)], 2.0), None),
+    ("box-rows-int", "rows must be an integer, got True", lambda: enumerate_box_partitions(True, 2),
+     None),
+    # the cache is typed, so 2.0 does not hit the entry of an integer call
+    ("lr-rank-int", "rank must be an integer, got 2.0",
+     lambda: (lr_expand((1,), (1,), 2), lr_expand((1,), (1,), 2.0)), None),
+    # the refusal echoes the weight as given, never padded to n
+    ("weight-order", "not non-increasing: (1, 2)", lambda: schur_dimension((1, 2), 10**9),
+     (NO_FILES, ["schur-dim", "--weight", "1,2", "--n", "1000000000"])),
 ]
 
 # a malformed comma list of integers is refused with the option's name:
@@ -185,3 +204,71 @@ def test_input_refusal(capsys, tmp_path, monkeypatch, message, call, command):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"tiltcheck: invalid input: {message}\n"
+
+
+def test_disordered_weight_refusal_allocates_nothing_of_size_n():
+    # the refusal echoes the weight as given, so its cost does not follow n
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"^not non-increasing: \(1, 2\)$"):
+            schur_dimension((1, 2), 10**9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+P1_LINE = coll.GrassFiber(1, (0, 0))
+# (function, valid arguments, {position: name in the refusal}) for every public
+# callable with a scalar integer argument, and for `as_weight` and `product_expand`
+SIZE_ARGUMENTS = [
+    (schur_dimension, ((1,), 2), {1: "n"}),
+    (lr_expand, ((1,), (1,), 2), {2: "rank"}),
+    (as_weight, ((1,), 2), {1: "length"}),
+    (product_expand, ([(1,)], 2), {1: "rank"}),
+    (enumerate_box_partitions, (2, 2), {0: "rows", 1: "cols"}),
+    (OrderedPartitionSet, (1, 1, ((), (1,))), {0: "rows", 1: "cols"}),
+    (bwb.FlagSpace, (4, (2,)), {0: "n"}),
+    (bwb.grassmannian, (2, 4), {0: "step", 1: "n"}),
+    (bwb.projective_space, (2,), {0: "m"}),
+    (bwb.pn_line_cohomology, (1, 2), {0: "m", 1: "n"}),
+    (bwb.localization_euler, ((1,), (), 2, 4), {2: "d", 3: "n"}),
+    (coll.GrassFiber, (1, (0, 0)), {0: "l"}),
+    (coll.kapranov_collection, (2, 4), {0: "d", 1: "n"}),
+    (coll.beilinson_collection, (2,), {0: "n"}),
+    (dsc.CSAClass, (4, 2), {0: "degree", 1: "period"}),
+    (dsc.index_of_power, (dsc.CSAClass(4, 2), 1), {1: "power"}),
+    (dsc.bs_tilting_summary, (dsc.CSAClass(2, 2), 2), {1: "range length"}),
+    (dsc.generalized_bs_summary, (dsc.CSAClass(4, 2), 2), {1: "d"}),
+    (fib.BaseModel, (1,), {0: "root dim"}),
+    (fib.twist_search, (fib.FibrationPlan(fib.BaseModel(1)), P1_LINE, 2), {2: "cap"}),
+    (fib.tower_compose, ((P1_LINE,), fib.BaseModel(1), 2), {2: "cap"}),
+]
+# public callables with no scalar integer argument to check; the result records
+# (`CohomologyResult`, `DescentSummary`, `ExtTable`) hold what an engine computed
+NO_SIZE_ARGUMENT = {
+    "CohomologyResult", "CollectionSpec", "DescentSummary", "ExtTable", "FibrationPlan",
+    "HomogeneousBundle", "TableFiber", "VerificationReport", "candidate_ext_table", "conjugate",
+    "ext_table", "flag_cohomology", "flag_collection", "of_quot", "of_sub", "of_sub_dual",
+    "split_bundle_expand", "twisted_tower_summary", "verify_tilting",
+}
+
+
+def test_every_public_size_argument_is_listed():
+    public = {name for name in tiltcheck.__all__ if callable(getattr(tiltcheck, name))}
+    listed = {fn.__name__ for fn, _args, _sizes in SIZE_ARGUMENTS}
+    assert public - NO_SIZE_ARGUMENT <= listed
+    assert NO_SIZE_ARGUMENT <= public and not listed & NO_SIZE_ARGUMENT
+
+
+@pytest.mark.parametrize("fn, args, sizes", SIZE_ARGUMENTS,
+                         ids=[row[0].__name__ for row in SIZE_ARGUMENTS])
+def test_size_arguments_take_integers_only(fn, args, sizes):
+    fn(*args)
+    for position, what in sizes.items():
+        for bad in (float(args[position]), True):
+            call = list(args)
+            call[position] = bad
+            with pytest.raises(ValueError) as exc:
+                fn(*call)
+            assert str(exc.value) == f"{what} must be an integer, got {bad!r}"
