@@ -129,7 +129,7 @@ def fibration_twist_search():
     """Criterion 7: twist search, flag-tower agreement, and the C_2 count."""
     root = fibration.BaseModel(1)
     fiber = fibration.GrassFiber(1, (0, 1))
-    stuck = fibration.verify_plan(fibration.FibrationPlan(root, ((fiber, 0),)))
+    stuck = fibration.FibrationPlan(root, ((fiber, 0),))
     if stuck.verified or stuck.obstruction[2:] != (1, 1):
         return False, f"m=0 witness {stuck.obstruction}"
     plan = fibration.twist_search(fibration.FibrationPlan(root), fiber, 4)

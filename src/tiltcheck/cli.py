@@ -223,7 +223,7 @@ def _cmd_fibration(args, pretty):
         twists = parse_ints(args.twists, "--twists") or (0,) * len(stages)
         if len(twists) != len(stages):
             raise ValueError("one twist per stage required")
-        plan = fibration.verify_plan(fibration.FibrationPlan(root, zip(stages, twists)))
+        plan = fibration.FibrationPlan(root, zip(stages, twists))
     verdict = "pass" if plan.verified else "fail"
     return emit("fibration", {"mode": args.what, "plan": args.plan},
                 _plan_payload(plan), verdict, pretty)

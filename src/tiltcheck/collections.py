@@ -237,12 +237,18 @@ def _transfer(k, st, rank, gamma, lam, mu, memo: dict):
 
 
 class CollectionSpec(FrozenValue):
+    """Objects on a flag space, one weight per step each, stored padded by `as_weight`."""
+
     __slots__ = _fields = ("space", "labels", "multiplicities", "order_note")
 
     def __init__(self, space: bwb.FlagSpace, labels: tuple[Label, ...],
                  multiplicities: tuple[int, ...] = (), order_note: str = ""):
-        labels = tuple(tuple(tuple(json_int(x, "weight entry") for x in w) for w in lab)
-                       for lab in labels)
+        steps = space.steps
+        labels = tuple(tuple(lab) for lab in labels)
+        for lab in labels:
+            if len(lab) != len(steps):
+                raise ValueError(f"label {lab} has {len(lab)} stages, expected {len(steps)}")
+        labels = tuple(tuple(as_weight(w, l) for w, l in zip(lab, steps)) for lab in labels)
         mults = tuple(json_int(m, "multiplicity") for m in multiplicities) or (1,) * len(labels)
         if len(mults) != len(labels):
             raise ValueError("one multiplicity per object required")
@@ -250,12 +256,6 @@ class CollectionSpec(FrozenValue):
             raise ValueError("multiplicities must be positive")
         if len(set(labels)) != len(labels):
             raise ValueError("objects must be pairwise distinct")
-        steps = space.steps
-        for lab in labels:
-            if len(lab) != len(steps):
-                raise ValueError(f"label {lab} has {len(lab)} stages, expected {len(steps)}")
-            for w, l in zip(lab, steps):
-                as_weight(w, l)
         self._set(space, labels, mults, order_note)
 
     def __len__(self) -> int:
@@ -298,12 +298,10 @@ def beilinson_collection(n: int, degrees=None) -> CollectionSpec:
 
 
 def twist_collection(spec: CollectionSpec, power: int) -> CollectionSpec:
-    """Tensor every object of a Grassmannian collection by det(R)^power."""
+    """Tensor every object of a Grassmannian collection by det(R)^power, entrywise."""
     if not spec.space.is_grassmannian:
         raise ValueError("determinant twist helper is single-stage only")
-    labels = tuple(
-        (tuple(x + power for x in lab[0]),) for lab in spec.labels
-    )
+    labels = tuple((tuple(x + power for x in lab[0]),) for lab in spec.labels)
     return CollectionSpec(spec.space, labels, spec.multiplicities, spec.order_note)
 
 
@@ -364,8 +362,8 @@ def schur_pair_ext(d: int, n: int, v, w) -> dict[int, int]:
     Grassmannian's: in bound by `_skew_homs`, otherwise by the relative walk.
     """
     ranked = _flag_stages(bwb.grassmannian(d, n))
-    dims = _chain_table(ranked, [(as_weight(v, d),), (as_weight(w, d),)], 0, (0, 0))
-    return {s: dim for (i, j, s), dim in sorted(dims.items()) if (i, j) == (0, 1)}
+    table = _chain_table(ranked, [(as_weight(v, d),), (as_weight(w, d),)], 0, (0, 0))
+    return {s: dim for (i, j, s), dim in sorted(table.dims.items()) if (i, j) == (0, 1)}
 
 
 def _skew_homs(weights, n: int, width: int):
@@ -408,10 +406,12 @@ def _skew_homs(weights, n: int, width: int):
         yield v, [(w, value) for w, _a, value in level]
 
 
-def _chain_table(ranked, labels, root_dim: int, shifts) -> dict:
-    """{(i, j, s): dim Ext^s} for every ordered pair of root-first labels on `ranked`.
+def _chain_table(ranked, labels, root_dim: int, shifts) -> ExtTable:
+    """The Ext table of every ordered pair of root-first labels on `ranked` over P^root_dim.
 
     A chain's root degree e adds H^*(P^root_dim, O(shifts[j] - shifts[i] + e)).
+    `max_degree` is the total dimension: root_dim plus l(r - l) per Grass
+    stage; a fiber table, carrying none, adds nothing.
     """
     index: dict[Label, list[int]] = {}
     for i, lab in enumerate(labels):
@@ -446,20 +446,18 @@ def _chain_table(ranked, labels, root_dim: int, shifts) -> dict:
                 if res is not None:
                     key = (i, j, s + res.degree)
                     dims[key] = dims.get(key, 0) + mult * res.dimension
-    return dims
+    dimension = root_dim + sum(st.l * (rank - st.l) for st, rank in ranked if rank is not None)
+    return ExtTable(len(labels), dimension, dims)
 
 
 def ext_table(spec: CollectionSpec) -> ExtTable:
     """Every Ext^s between every ordered pair of the collection, exactly.
 
-    Labels are validated and padded once, root-first; the space is its flag
-    stages over a point.
+    The space is its flag stages over a point, and the spec's labels, padded
+    at its construction, are read root-first.
     """
-    ranked = _flag_stages(spec.space)
-    labels = [tuple(as_weight(w, st.l) for w, (st, _rank) in zip(reversed(lab), ranked))
-              for lab in spec.labels]
-    return ExtTable(len(labels), spec.space.dimension(),
-                    _chain_table(ranked, labels, 0, [0] * len(labels)))
+    labels = [lab[::-1] for lab in spec.labels]
+    return _chain_table(_flag_stages(spec.space), labels, 0, [0] * len(labels))
 
 
 class VerificationReport(FrozenValue):
@@ -478,7 +476,7 @@ class VerificationReport(FrozenValue):
     _fields = ("spec", "table")
 
     def __init__(self, spec: CollectionSpec, table: ExtTable):
-        if table.size != len(spec):
+        if json_int(table.size, "Ext table size") != len(spec):
             raise ValueError(f"the Ext table has {table.size} objects, the collection {len(spec)}")
         # End(E_i) = k with no shifted self-Ext, and the backward Homs against the stored order
         units, diagonal_higher, backward = 0, False, []

@@ -33,9 +33,9 @@ from .schur import product_expand
 class CSAClass(FrozenValue):
     """Degree/period model of a central simple algebra.
 
-    The default index model ind(A^i) = p / gcd(p, i) holds for cyclic classes
-    (all classes over local and global fields); pass `index_table` mapping
-    i mod period to an explicit index to model anything else.
+    `index_table` maps i mod period to ind(A^i); given none, the default
+    p / gcd(p, i), which holds for cyclic classes (all classes over local and
+    global fields), is written out and validated as a given table is.
     """
 
     __slots__ = _fields = ("degree", "period", "index_table")
@@ -45,15 +45,16 @@ class CSAClass(FrozenValue):
             raise ValueError("degree must be positive")
         if json_int(period, "period") < 1 or degree % period != 0:
             raise ValueError("period must divide the degree")
-        if index_table is not None:
-            index_table = tuple(json_int(x, "index") for x in index_table)
-            if len(index_table) != period:
-                raise ValueError("index table must have one entry per residue mod period")
-            if index_table[0] != 1:
-                raise ValueError("ind(A^0) must be 1")
-            for x in index_table:
-                if x < 1 or degree % x != 0:
-                    raise ValueError(f"index {x} must divide the degree")
+        if index_table is None:
+            index_table = (period // gcd(period, i) for i in range(period))
+        index_table = tuple(json_int(x, "index") for x in index_table)
+        if len(index_table) != period:
+            raise ValueError("index table must have one entry per residue mod period")
+        if index_table[0] != 1:
+            raise ValueError("ind(A^0) must be 1")
+        for x in index_table:
+            if x < 1 or degree % x != 0:
+                raise ValueError(f"index {x} must divide the degree")
         self._set(degree, period, index_table)
 
 
@@ -62,11 +63,8 @@ def split_class(degree: int) -> CSAClass:
 
 
 def index_of_power(a: CSAClass, i: int) -> int:
-    """ind(A^i); depends only on i mod period."""
-    r = json_int(i, "power") % a.period
-    if a.index_table is not None:
-        return a.index_table[r]
-    return a.period // gcd(a.period, r)
+    """ind(A^i), read from the class's index table at i mod period."""
+    return a.index_table[json_int(i, "power") % a.period]
 
 
 class DescentSummary(FrozenValue):

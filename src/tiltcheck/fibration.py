@@ -6,12 +6,12 @@ sums pullbacks of twisted base summands against fiber objects.  The engine
 computes its full Ext table exactly and searches for the least twist exponent
 killing every positive-degree entry.
 
-A plan (`FibrationPlan`) is a root, P^m or a point, its layers: a
+A plan (`FibrationPlan`) is a root, P^m or a point, and its layers: a
 bottom-first tuple of (fiber, twist exponent) pairs, the stage list of a plan
-file with one twist per stage, and, once checked, its candidate Ext table,
-which alone decides it: verified without a positive-degree entry, else
-obstructed by the first.  A tower is searched stage by stage, each search
-adding one layer to the verified plan below it.
+file with one twist per stage.  Its candidate Ext table is built from these
+when the plan is constructed, and alone decides it: verified without a
+positive-degree entry, else obstructed by the first.  A tower is searched
+stage by stage, each search adding one layer to the verified plan below it.
 
 Computability boundary: automatic verification covers Grassmann-bundle stages
 (`GrassFiber`, the stage model the flag tables of `collections` use too)
@@ -120,22 +120,26 @@ class FibrationPlan(FrozenValue):
     """A root and its fibration layers, bottom-first, as a plan file lists them.
 
     Each layer is a (fiber, twist exponent) pair; a plan with no layers is
-    the root's own tilting bundle.  Its checked `table` decides its verdict.
+    the root's own tilting bundle.  Its `table`, the candidate Ext table, is
+    built from root and layers at construction (no field, so eq, hash and
+    repr skip it) and decides its verdict.
     """
 
-    __slots__ = _fields = ("root", "layers", "table")
+    __slots__ = ("root", "layers", "table")
+    _fields = ("root", "layers")
 
-    def __init__(self, root: BaseModel, layers=(), table: Optional[ExtTable] = None):
+    def __init__(self, root: BaseModel, layers=()):
         layers = tuple((fiber, json_int(twist, "twist")) for fiber, twist in layers)
-        self._set(root, layers, table)
+        self._set(root, layers)
+        self._set(root, layers, candidate_ext_table(self))
 
     @property
     def obstruction(self) -> Optional[tuple[int, int, int, int]]:
-        return None if self.table is None else self.table.higher_witness()
+        return self.table.higher_witness()
 
     @property
     def verified(self) -> bool:
-        return self.table is not None and self.obstruction is None
+        return self.obstruction is None
 
     def summands(self) -> tuple[tuple, ...]:
         """Candidate summand labels: top fiber object first, root degree last."""
@@ -149,8 +153,7 @@ def candidate_ext_table(plan: FibrationPlan) -> ExtTable:
 
     The layers are one root-first chain of stages over the root.  A summand
     carries the root shift of its base degree plus, per layer, the twist
-    times its object's position there.  `max_degree` is the total dimension,
-    to which a fiber table, carrying none, adds nothing.
+    times its object's position there.
     """
     layers = plan.layers
     ranked = rank_stages(f for f, _twist in layers)
@@ -160,14 +163,7 @@ def candidate_ext_table(plan: FibrationPlan) -> ExtTable:
     labels = [A[-2::-1] for A in summands]
     shifts = [A[-1] + sum(twist * positions[k][lab[k]] for k, (_fiber, twist) in enumerate(layers))
               for A, lab in zip(summands, labels)]
-    dimension = plan.root.dim + sum(fiber.l * (rank - fiber.l)
-                                    for fiber, rank in ranked if rank is not None)
-    return ExtTable(len(labels), dimension, _chain_table(ranked, labels, plan.root.dim, shifts))
-
-
-def verify_plan(plan: FibrationPlan) -> FibrationPlan:
-    """The plan with its candidate Ext table, which decides its verdict."""
-    return FibrationPlan(plan.root, plan.layers, candidate_ext_table(plan))
+    return _chain_table(ranked, labels, plan.root.dim, shifts)
 
 
 def _checked_cap(cap) -> int:
@@ -183,10 +179,10 @@ def twist_search(below: FibrationPlan, fiber: GrassFiber | TableFiber, cap: int)
     the first plan with no positive-degree Ext; `FibrationPlan(root)` stands
     for the root alone.  On failure returns the cap plan, unverified, carrying
     the first obstruction witness (source, target, degree, dimension).  Each
-    twist tried is one candidate table build.
+    twist tried is one plan, so one candidate table build.
     """
     for m in range(_checked_cap(cap) + 1):
-        plan = verify_plan(FibrationPlan(below.root, below.layers + ((fiber, m),)))
+        plan = FibrationPlan(below.root, below.layers + ((fiber, m),))
         if plan.verified:
             break
     return plan
@@ -196,8 +192,8 @@ def tower_compose(stages, root: BaseModel, cap: int) -> FibrationPlan:
     """Fold twist_search along a stage list, root-first, from `FibrationPlan(root)`.
 
     Each verified plan is the one the next stage is searched on; the first
-    unverified one is returned as it stands.  An empty list returns the
-    root's own tilting bundle, verified.
+    unverified one is returned as it stands.  The root plan's own table, the
+    root's tilting bundle, is one more build, and an empty list returns it.
     """
     _checked_cap(cap)
     plan = FibrationPlan(root)
@@ -205,7 +201,7 @@ def tower_compose(stages, root: BaseModel, cap: int) -> FibrationPlan:
         plan = twist_search(plan, fiber, cap)
         if not plan.verified:
             return plan
-    return plan if stages else verify_plan(plan)
+    return plan
 
 
 # ---------------------------------------------------------------------------

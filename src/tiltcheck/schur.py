@@ -50,26 +50,29 @@ def _partition(w) -> tuple[int, ...]:
     return w[:w.index(0)] if 0 in w else w
 
 
-def _strips_last(a, b):
-    """Canonical LR argument order: the partition with fewer cells last."""
-    return (a, b) if (sum(b), b) <= (sum(a), a) else (b, a)
-
-
-@lru_cache(maxsize=None, typed=True)
 def lr_expand(a, b, rank: int) -> dict:
     """Littlewood-Richardson expansion of S^a (x) S^b on a rank-`rank` space.
 
-    Returns {partition: multiplicity}; terms with more than `rank` rows are
-    dropped, as forced by the rank.  As c^nu_{a,b} = c^nu_{b,a}, the argument
-    with fewer cells (the last in `_strips_last` order, which callers use for
-    one cache entry per unordered pair) is enumerated as ballot sequences of
-    horizontal strips, placed row by row: strip i (the cells holding letter
-    i) joins the shape grown so far subject to the lattice-word condition
-    cum_i(r) <= cum_{i-1}(r-1) on cumulative row counts.
+    Returns {partition: multiplicity}, without the terms of more than `rank`
+    rows.  The weights are checked and ordered before the cache, `_lr_kernel`'s,
+    is read, so it answers only for a canonical pair.
     """
     if json_int(rank, "rank") < 1:
         raise ValueError("rank must be positive")
-    a, b = _strips_last(normalize(a), normalize(b))
+    a, b = normalize(a), normalize(b)
+    # one entry per unordered pair: the partition with fewer cells last
+    return _lr_kernel(a, b, rank) if (sum(b), b) <= (sum(a), a) else _lr_kernel(b, a, rank)
+
+
+@lru_cache(maxsize=None)
+def _lr_kernel(a, b, rank: int) -> dict:
+    """`lr_expand` of checked partitions, b the one with fewer cells.
+
+    As c^nu_{a,b} = c^nu_{b,a}, b is enumerated as ballot sequences of
+    horizontal strips, placed row by row: strip i (the cells holding letter i)
+    joins the shape grown so far subject to the lattice-word condition
+    cum_i(r) <= cum_{i-1}(r-1) on cumulative row counts.
+    """
     if len(a) > rank or len(b) > rank:
         return {}
     # state: (shape padded to rank, cumulative row counts of the previous letter)
@@ -109,6 +112,9 @@ def lr_expand(a, b, rank: int) -> dict:
     return result
 
 
+lr_expand.cache_info, lr_expand.cache_clear = _lr_kernel.cache_info, _lr_kernel.cache_clear
+
+
 def product_expand(weights, rank: int) -> dict:
     """Expansion of a tensor product of extended Schur functors.
 
@@ -127,7 +133,7 @@ def product_expand(weights, rank: int) -> dict:
         part = _partition(tuple(x + m for x in w))
         updated: dict[tuple[int, ...], int] = {}
         for acc, mult in current.items():
-            for nu, c in lr_expand(*_strips_last(acc, part), rank).items():
+            for nu, c in lr_expand(acc, part, rank).items():
                 updated[nu] = updated.get(nu, 0) + mult * c
         current = updated
     return {tuple(x - shift_total for x in nu) + (-shift_total,) * (rank - len(nu)): c

@@ -1,4 +1,4 @@
-from math import comb
+from math import comb, gcd
 
 import pytest
 
@@ -52,6 +52,18 @@ def test_index_period_periodicity():
     for i in range(-6, 12):
         assert dsc.index_of_power(a, i) == dsc.index_of_power(a, i + 3)
     assert dsc.index_of_power(a, 0) == 1
+
+
+def test_default_index_table_is_written_out():
+    # the default model is one spelling of its written-out table
+    assert dsc.CSAClass(4, 2) == dsc.CSAClass(4, 2, (1, 2))
+    assert hash(dsc.CSAClass(4, 2)) == hash(dsc.CSAClass(4, 2, (1, 2)))
+    for d in range(1, 13):
+        for p in (p for p in range(1, d + 1) if d % p == 0):
+            a = dsc.CSAClass(d, p)
+            expected = [p // gcd(p, i % p) for i in range(12)]
+            assert a.index_table == tuple(expected[:p])
+            assert [dsc.index_of_power(a, i) for i in range(12)] == expected, (d, p)
 
 
 def test_explicit_index_table():

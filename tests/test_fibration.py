@@ -2,6 +2,7 @@ import importlib.resources as resources
 import json
 import os
 import tempfile
+from itertools import product as iter_product
 
 import pytest
 from hypothesis import given, settings
@@ -73,7 +74,7 @@ def test_hirzebruch_twist_search():
     assert witnesses
     (i, j, s), v = witnesses[0]
     assert s == 1 and v == 1
-    stuck_plan = fib.verify_plan(fib.FibrationPlan(base, ((fiber, 0),)))
+    stuck_plan = fib.FibrationPlan(base, ((fiber, 0),))
     assert not stuck_plan.verified and stuck_plan.obstruction == (i, j, s, v)
     assert stuck_plan.table == stuck
     plan = fib.twist_search(fib.FibrationPlan(base), fiber, 4)
@@ -232,10 +233,11 @@ def test_empty_tower_returns_root():
 @pytest.mark.parametrize("cap", [0, -1])
 def test_cap_must_be_positive_for_every_plan(monkeypatch, cap):
     # refused before any table is built, whether or not the plan has stages
+    root = fib.FibrationPlan(fib.BaseModel(1))
     monkeypatch.setattr(fib, "candidate_ext_table", lambda plan: pytest.fail("a table was built"))
     fiber = fib.GrassFiber(1, (0, 1))
     with pytest.raises(ValueError, match="cap must be positive"):
-        fib.twist_search(fib.FibrationPlan(fib.BaseModel(1)), fiber, cap)
+        fib.twist_search(root, fiber, cap)
     for stages in ([], [fiber]):
         with pytest.raises(ValueError, match="cap must be positive"):
             fib.tower_compose(stages, fib.BaseModel(1), cap)
@@ -251,8 +253,8 @@ def test_tower_result_keeps_no_intermediate_plan():
         if isinstance(value, coll.ExtTable):
             tables.append(value)
         elif isinstance(value, FrozenValue):
-            for field in value._values():
-                walk(field)
+            for name in value.__slots__:
+                walk(getattr(value, name))
         elif isinstance(value, (tuple, list)):
             for item in value:
                 walk(item)
@@ -261,6 +263,36 @@ def test_tower_result_keeps_no_intermediate_plan():
     assert len(tables) == 1 and tables[0] is plan.table
     assert repr(plan).count("FibrationPlan(") == 1
     assert isinstance(plan.root, fib.BaseModel) and len(plan.layers) == 2
+
+
+SHIPPED_PLANS = [("hirzebruch_plan.json", 2), ("flag_1_2_3_plan.json", 3),
+                 ("sp4_borel_split_plan.json", 4)]
+
+
+@pytest.mark.parametrize("name, dimension", SHIPPED_PLANS, ids=[row[0] for row in SHIPPED_PLANS])
+def test_plan_table_is_built_from_its_root_and_layers(name, dimension):
+    root, stages, cap = fib.parse_plan(json.loads((DATA / name).read_text(encoding="utf-8")))
+    for tw in iter_product(range(cap + 1), repeat=len(stages)):
+        plan = fib.FibrationPlan(root, zip(stages, tw))
+        assert plan.table == fib.candidate_ext_table(plan)
+        assert plan.table.max_degree == dimension
+        # a checked plan is hashable, by its root and layers
+        same = fib.FibrationPlan(root, list(zip(stages, tw)))
+        assert hash(plan) == hash(same) and len({plan, same}) == 1
+
+
+def test_plan_cannot_carry_another_table():
+    # criterion 7's m = 0 plan is obstructed by its own table, whatever table is offered
+    root, layers = fib.BaseModel(1), ((fib.GrassFiber(1, (0, 1)), 0),)
+    verified = fib.FibrationPlan(root, ((fib.GrassFiber(1, (0, 1)), 1),))
+    assert verified.verified
+    with pytest.raises(TypeError):
+        fib.FibrationPlan(root, layers, verified.table)
+    with pytest.raises(TypeError):
+        fib.FibrationPlan(root, layers, table=verified.table)
+    stuck = fib.FibrationPlan(root, layers)
+    assert not stuck.verified and stuck.obstruction == (1, 2, 1, 1)
+    assert not hasattr(fib, "verify_plan")
 
 
 def test_taut_stage_requires_grass_below():

@@ -75,6 +75,11 @@ REFUSALS = [
      lambda: coll.tower_hom_degrees((coll.GrassFiber(1, (0, 0)),), ((0,), (0,)), ((0,),)), None),
     ("multiplicity-count", "one multiplicity per object required",
      lambda: coll.CollectionSpec(bwb.grassmannian(1, 2), (((0,),),), (1, 1)), None),
+    # a label given short is the object of its padded form
+    ("padded-duplicate-grass", "objects must be pairwise distinct",
+     lambda: coll.CollectionSpec(bwb.grassmannian(2, 4), (((1,),), ((1, 0),))), None),
+    ("padded-duplicate-flag", "objects must be pairwise distinct",
+     lambda: coll.CollectionSpec(NON_SINGLE_STEP, (((0,), (0,)), ((0,), (0, 0)))), None),
     ("kapranov-d", "need 1 <= d < n", lambda: coll.kapranov_collection(4, 4),
      (NO_FILES, ["verify", "kapranov", "--d", "4", "--n", "4"])),
     ("beilinson-n", "n must be positive", lambda: coll.beilinson_collection(0),
@@ -117,6 +122,12 @@ REFUSALS = [
     ("report-size", "the Ext table has 3 objects, the collection 6",
      lambda: coll.verify_tilting(coll.kapranov_collection(2, 4),
                                  coll.ext_table(coll.kapranov_collection(1, 3))), None),
+    ("report-size-bool", "Ext table size must be an integer, got True",
+     lambda: coll.verify_tilting(coll.beilinson_collection(1, (0,)),
+                                 coll.ExtTable(True, 0, {(0, 0, 0): 1})), None),
+    ("report-size-float", "Ext table size must be an integer, got 2.0",
+     lambda: coll.verify_tilting(coll.beilinson_collection(1),
+                                 coll.ExtTable(2.0, 1, {(0, 0, 0): 1, (1, 1, 0): 1})), None),
     ("table-path", "table stage path must be a string, got 5",
      lambda: fib.parse_plan({"stages": [{"kind": "table", "path": 5}]}),
      ({"plan.json": {"root": PN_ROOT, "stages": [{"kind": "table", "path": 5}]}},
@@ -156,6 +167,11 @@ REFUSALS = [
     # the cache is typed, so 2.0 does not hit the entry of an integer call
     ("lr-rank-int", "rank must be an integer, got 2.0",
      lambda: (lr_expand((1,), (1,), 2), lr_expand((1,), (1,), 2.0)), None),
+    # a weight is checked before the cache is read: a warm cache refuses as a cold one
+    ("lr-weight-bool", "partition part must be an integer, got True",
+     lambda: (lr_expand((1,), (1,), 2), lr_expand((True,), (1,), 2)), None),
+    ("lr-weight-float", "partition part must be an integer, got 1.0",
+     lambda: (lr_expand((1,), (1,), 2), lr_expand((1,), (1.0,), 2)), None),
     # the refusal echoes the weight as given, never padded to n
     ("weight-order", "not non-increasing: (1, 2)", lambda: schur_dimension((1, 2), 10**9),
      (NO_FILES, ["schur-dim", "--weight", "1,2", "--n", "1000000000"])),

@@ -46,9 +46,9 @@ VALUES = [
     (TableFiber, (("a", "b"), TABLE_RECORDS), {"records": None}, False,
      "TableFiber(labels=('a', 'b'), records={(0, 0, 0, 0): 1, (1, 1, 0, 0): 1, (1, 0, 0, 2): 3})"),
     (FibrationPlan, (BaseModel(1), [(GrassFiber(1, (0, 1)), 2)]),
-     {"layers": (), "table": None}, True,
+     {"layers": ()}, True,
      "FibrationPlan(root=BaseModel(dim=1, tilting_degrees=(0, 1)), "
-     "layers=((GrassFiber(l=1, split_degrees=(0, 1)), 2),), table=None)"),
+     "layers=((GrassFiber(l=1, split_degrees=(0, 1)), 2),))"),
 ]
 
 
@@ -81,6 +81,35 @@ def test_value_semantics(cls, args, defaults, hashable, text):
     assert repr(copy.deepcopy(value)) == text
 
 
+GRASS_2_4 = FlagSpace(4, (2,))
+LINE = GrassFiber(1, (0, 1))
+
+# (id, one spelling, another, hashable): each pair builds one value.  A value
+# type with a defaulted or normalized field gets a row.
+SPELLINGS = [
+    ("CollectionSpec-labels", lambda: CollectionSpec(GRASS_2_4, (((1,),), ((),))),
+     lambda: CollectionSpec(GRASS_2_4, (((1, 0),), ((0, 0),))), True),
+    ("CollectionSpec-multiplicities", lambda: CollectionSpec(GRASS_2_4, (((1,),), ((),))),
+     lambda: CollectionSpec(GRASS_2_4, (((1,),), ((),)), (1, 1)), True),
+    ("CSAClass", lambda: CSAClass(6, 6), lambda: CSAClass(6, 6, (1, 6, 3, 2, 3, 6)), True),
+    ("BaseModel", lambda: BaseModel(2), lambda: BaseModel(2, range(3)), True),
+    ("GrassFiber", lambda: GrassFiber(2, [0, 1, 2]), lambda: GrassFiber(2, (0, 1, 2)), True),
+    ("FlagSpace", lambda: FlagSpace(4, [1, 3]), lambda: FlagSpace(4, (1, 3)), True),
+    ("FibrationPlan", lambda: FibrationPlan(BaseModel(1), [[LINE, 1]]),
+     lambda: FibrationPlan(BaseModel(1), ((LINE, 1),)), True),
+]
+
+
+@pytest.mark.parametrize("one, other, hashable", [row[1:] for row in SPELLINGS],
+                         ids=[row[0] for row in SPELLINGS])
+def test_two_spellings_are_one_value(one, other, hashable):
+    a, b = one(), other()
+    assert a == b and not a != b
+    assert repr(a) == repr(b)
+    if hashable:
+        assert hash(a) == hash(b)
+
+
 def test_default_dicts_are_fresh():
     assert ExtTable(1, 0).dims == {}
     assert ExtTable(1, 0).dims is not ExtTable(1, 0).dims
@@ -106,7 +135,7 @@ def test_table_fiber_pushforwards_are_not_a_field():
 
 
 def test_verdicts_are_read_from_their_evidence():
-    assert FibrationPlan._fields == ("root", "layers", "table")
+    assert FibrationPlan._fields == ("root", "layers")
     assert WedgeReport._fields == ("k0_rank", "end_dim", "higher_ext_witness")
     assert GrassFiber._fields == ("l", "split_degrees")
     assert VerificationReport._fields == ("spec", "table")
@@ -117,14 +146,13 @@ def test_verdicts_are_read_from_their_evidence():
                       (DescentSummary, "summand_count")):
         assert isinstance(getattr(cls, name), property) and getattr(cls, name).fset is None
     assert not hasattr(FibrationPlan, "total_dimension")
-    # no table, no verdict: an unchecked plan is not verified and has no obstruction
-    unchecked = FibrationPlan(BaseModel(1))
-    assert not unchecked.verified and unchecked.obstruction is None
-    clean = ExtTable(2, 1, {(0, 0, 0): 1, (1, 1, 0): 1, (0, 1, 0): 2})
-    checked = FibrationPlan(BaseModel(1), (), clean)
-    assert checked.verified and checked.obstruction is None
-    obstructed = FibrationPlan(BaseModel(1), (), ExtTable(2, 1, {**clean.dims, (1, 0, 1): 3, (0, 1, 1): 1}))
-    assert not obstructed.verified and obstructed.obstruction == (0, 1, 1, 1)
+    # a plan's verdict is read from its own table, built from its root and layers:
+    # the root alone is its tilting bundle, and the Hirzebruch plan at m = 0 is obstructed
+    root = FibrationPlan(BaseModel(1))
+    assert root.verified and root.obstruction is None and root.table.size == 2
+    obstructed = FibrationPlan(BaseModel(1), ((GrassFiber(1, (0, 1)), 0),))
+    assert not obstructed.verified and obstructed.obstruction == (1, 2, 1, 1)
+    assert obstructed.obstruction == obstructed.table.higher_witness()
     assert WedgeReport(3, 6, None).is_tilting
     assert not WedgeReport(3, 6, ((1,), (1,), 1, 2)).is_tilting
     assert GrassFiber(1).taut and GrassFiber(1) == GrassFiber(1, None)
