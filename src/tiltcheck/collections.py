@@ -35,8 +35,8 @@ sweep over root-first labels.  The items left after the top stages depend
 only on the labels' weights there, so `_sweep` folds from the top stage down
 over live (source suffix, target suffix) pairs, each stage once per distinct
 items and stage weights, and drops a pair with no items, as every extension
-of it is zero.  Each distinct label pair meets the root at every index pair
-carrying it (a candidate table repeats a label once per root degree).  A
+of it is zero.  A chain is handed over once with its label pairs, and the
+root step maps it once per shift difference among their index pairs.  A
 build owns one memo: one transfer per distinct input, one walk per distinct
 pushed weight; `tower_hom_degrees` sweeps its one pair from an empty memo.
 """
@@ -119,20 +119,19 @@ def tower_hom_degrees(stages: tuple[GrassFiber, ...], src: Label, tgt: Label) ->
         raise ValueError("one weight per stage required")
     src = tuple(as_weight(w, st.l) for w, st in zip(src, stages))
     tgt = tuple(as_weight(w, st.l) for w, st in zip(tgt, stages))
-    return dict(sorted(kv for *_, chain in _sweep(ranked, (src,), (tgt,), {}) for kv in chain.items()))
+    return dict(sorted(kv for _pairs, chain in _sweep(ranked, (src,), (tgt,), {}) for kv in chain.items()))
 
 
 def _sweep(ranked, sources, targets, memo: dict):
-    """(p, q, chain) for each pair sources[p], targets[q] of root-first labels with a nonempty chain.
+    """(pairs, chain) once per chain computed over sources x targets of root-first labels.
 
     A chain, {(Ext degree, root degree): mult}, is Hom(source, target) pushed
-    to the root.  Each fold groups the whole level of suffix pairs above it
-    before it hands on a pair; the root level streams out.  A suffix is named
-    by the first position carrying it, so a label by its own.
+    to the root, nonempty, for each (p, q) of `pairs`; no pair is listed twice.
+    A suffix is named by the first position carrying it, so a label by its own.
     """
     # items: (gamma destined for the current stage or None, s, root degree) -> multiplicity;
     # with no sources or no targets there is no pair to extend
-    level = [(0, 0, {(None, 0, 0): 1})] if sources and targets else []
+    level = [([(0, 0)], {(None, 0, 0): 1})] if sources and targets else []
     for k in range(len(ranked) - 1, -1, -1):
         grown = []  # per side: suffix from stage k + 1 -> (its stage-k weights, their suffixes)
         for labels in (sources, targets):
@@ -142,27 +141,25 @@ def _sweep(ranked, sources, targets, memo: dict):
                 grow.setdefault(a, {})[lab[k]] = here.setdefault(lab[k:], p)
             grown.append({a: (tuple(ext), tuple(ext.values())) for a, ext in grow.items()})
         level = _fold(k, *ranked[k], level, *grown, memo)
-    last = chain = None  # pairs sharing a result arrive in a row
-    for p, q, items in level:
-        if items is not last:
-            for gamma, _s, _deg in items:
-                if gamma is not None:
-                    raise ArithmeticError(f"weight {gamma} was never pushed down to the root")
-            last, chain = items, {(s, deg): mult for (_gamma, s, deg), mult in items.items()}
-        yield p, q, chain
+    for pairs, items in level:
+        for gamma, _s, _deg in items:
+            if gamma is not None:
+                raise ArithmeticError(f"weight {gamma} was never pushed down to the root")
+        yield pairs, {(s, deg): mult for (_gamma, s, deg), mult in items.items()}
 
 
 def _fold(k, st, rank, level, grow_src, grow_tgt, memo: dict):
-    """Stage k, `st`, folded into every pair extending a (source, target suffix, items) of `level`.
+    """Stage k, `st`, folded into the suffix pairs extending the (pairs, items) of `level`.
 
-    Pairs whose items and stage-k weights agree share each result, computed
-    once and handed on for all of them in a row.
+    Pairs whose items and stage-k weights agree form a group, and each stage-k
+    weight pair of a group yields (the pairs it extends to, its items) once.
     """
     groups: dict = {}
-    for a, b, items in level:
-        (lams, vs), (mus, ws) = grow_src[a], grow_tgt[b]
-        groups.setdefault((frozenset(items.items()), lams, mus), (items, []))[1].append((vs, ws))
-    for (_items, lams, mus), (items, pairs) in groups.items():
+    for pairs, items in level:
+        for a, b in pairs:
+            (lams, vs), (mus, ws) = grow_src[a], grow_tgt[b]
+            groups.setdefault((frozenset(items.items()), lams, mus), (items, []))[1].append((vs, ws))
+    for (_items, lams, mus), (items, extended) in groups.items():
         for (i, lam), (j, mu) in iter_product(enumerate(lams), enumerate(mus)):
             out = {}  # item -> multiplicity
             for (gamma, s, deg), mult in items.items():
@@ -170,8 +167,7 @@ def _fold(k, st, rank, level, grow_src, grow_tgt, memo: dict):
                     item = (gamma_out, s + ds, deg + shift)
                     out[item] = out.get(item, 0) + mult * c
             if out:
-                for vs, ws in pairs:
-                    yield vs[i], ws[j], out
+                yield [(vs[i], ws[j]) for vs, ws in extended], out
 
 
 def _push(delta, rank: int, duals) -> tuple:
@@ -308,8 +304,8 @@ def twist_collection(spec: CollectionSpec, power: int) -> CollectionSpec:
 class ExtTable(FrozenValue):
     """dims maps (i, j, s) to dim Ext^s(E_i, E_j); absent keys are zero.
 
-    `hom_matrix`, `higher_entries`, `higher_witness` and `end_dim` each go
-    once over the nonzero entries rather than probing every (i, j, s).
+    `higher_entries`, `higher_witness` and `end_dim` each go once over the
+    nonzero entries rather than probing every (i, j, s).
     """
 
     __slots__ = _fields = ("size", "max_degree", "dims")
@@ -319,13 +315,6 @@ class ExtTable(FrozenValue):
 
     def get(self, i: int, j: int, s: int) -> int:
         return self.dims.get((i, j, s), 0)
-
-    def hom_matrix(self) -> list[list[int]]:
-        matrix = [[0] * self.size for _ in range(self.size)]
-        for (i, j, s), v in self.dims.items():
-            if s == 0 and v:
-                matrix[i][j] = v
-        return matrix
 
     def higher_entries(self) -> list:
         """The nonzero positive-degree entries as ((i, j, s), dim), sorted."""
@@ -430,22 +419,25 @@ def _chain_table(ranked, labels, root_dim: int, shifts) -> ExtTable:
         # out-of-bound pairs, w_1 > v_l + width, walk in label order
         by_first = sorted(range(len(distinct)), key=lambda q: distinct[q][0][0])
         firsts = [distinct[q][0][0] for q in by_first]
-        chains = ((at[p], at[q], chain) for p, v in enumerate(distinct)
+        chains = (([(p, q)], chain) for p, v in enumerate(distinct)
                   for q in sorted(by_first[bisect_right(firsts, v[0][-1] + width):])
-                  for *_, chain in _sweep(ranked, (v,), (distinct[q],), memo))
+                  for _pairs, chain in _sweep(ranked, (v,), (distinct[q],), memo))
     else:
-        chains = ((at[p], at[q], chain) for p, q, chain in _sweep(ranked, distinct, distinct, memo))
+        chains = _sweep(ranked, distinct, distinct, memo)
     root: dict[int, Optional[bwb.CohomologyResult]] = {}
-    for rows, cols, chain in chains:
-        for i, j in iter_product(rows, cols):
-            for (s, e), mult in chain.items():
-                e += shifts[j] - shifts[i]
-                if e not in root:
-                    root[e] = bwb.pn_line_cohomology(e, root_dim)
-                res = root[e]
-                if res is not None:
-                    key = (i, j, s + res.degree)
-                    dims[key] = dims.get(key, 0) + mult * res.dimension
+    for pairs, chain in chains:
+        at_diff: dict[int, dict[int, int]] = {}  # shift difference -> {Ext degree: dim}
+        for i, j in [(i, j) for p, q in pairs for i in at[p] for j in at[q]]:
+            degrees = at_diff.get(shifts[j] - shifts[i])
+            if degrees is None:
+                degrees = at_diff[shifts[j] - shifts[i]] = {}
+                for (s, e), mult in chain.items():
+                    e += shifts[j] - shifts[i]
+                    res = root[e] = root[e] if e in root else bwb.pn_line_cohomology(e, root_dim)
+                    if res is not None:
+                        degrees[s + res.degree] = degrees.get(s + res.degree, 0) + mult * res.dimension
+            for s, dim in degrees.items():
+                dims[(i, j, s)] = dims.get((i, j, s), 0) + dim
     dimension = root_dim + sum(st.l * (rank - st.l) for st, rank in ranked if rank is not None)
     return ExtTable(len(labels), dimension, dims)
 
@@ -464,15 +456,16 @@ class VerificationReport(FrozenValue):
     """The Ext-vanishing half of the tilting predicate, read from a collection's Ext table.
 
     Only the evidence, `spec` and `table`, are fields, so eq, hash and repr go
-    by it.  The `REPORTED` values, slots after the fields, are read once from
-    the table's nonzero entries.  Fullness is not checked (GENERATION_NOTE):
-    `k0_rank` is the collection's length.
+    by it.  The other `REPORTED` values, slots after the fields, are read once
+    from the table's nonzero entries, and `hom_matrix` from its degree-0 ones
+    on each access.  Fullness is not checked (GENERATION_NOTE): `k0_rank` is
+    the collection's length.
     """
 
     REPORTED = ("is_strong_exceptional", "is_exceptional_each", "triangularity_witness",
                 "higher_ext_witness", "k0_rank", "end_algebra_dim", "hom_matrix", "order_note",
                 "generation_note")
-    __slots__ = ("spec", "table") + REPORTED
+    __slots__ = ("spec", "table") + tuple(name for name in REPORTED if name != "hom_matrix")
     _fields = ("spec", "table")
 
     def __init__(self, spec: CollectionSpec, table: ExtTable):
@@ -491,8 +484,15 @@ class VerificationReport(FrozenValue):
         higher_witness = table.higher_witness()
         self._set(spec, table, higher_witness is None and exceptional_each and tri_witness is None,
                   exceptional_each, tri_witness, higher_witness, table.size,
-                  table.end_dim(spec.multiplicities),
-                  tuple(tuple(row) for row in table.hom_matrix()), spec.order_note, GENERATION_NOTE)
+                  table.end_dim(spec.multiplicities), spec.order_note, GENERATION_NOTE)
+
+    @property
+    def hom_matrix(self) -> tuple[tuple[int, ...], ...]:
+        matrix = [[0] * self.table.size for _ in range(self.table.size)]
+        for (i, j, s), v in self.table.dims.items():
+            if s == 0 and v:
+                matrix[i][j] = v
+        return tuple(map(tuple, matrix))
 
     @property
     def passed(self) -> bool:

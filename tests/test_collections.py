@@ -34,15 +34,16 @@ def test_kapranov_order_larger_first():
 
 
 def test_beilinson_p1_kronecker_matrix():
-    table = coll.ext_table(coll.kapranov_collection(1, 2))
-    assert table.hom_matrix() == [[1, 2], [0, 1]]
+    spec = coll.kapranov_collection(1, 2)
+    table = coll.ext_table(spec)
+    assert coll.VerificationReport(spec, table).hom_matrix == ((1, 2), (0, 1))
     assert not list(table.higher_entries())
 
 
 def test_beilinson_collection_matrices():
     table = coll.ext_table(coll.beilinson_collection(2))
-    assert table.hom_matrix() == [[1, 3, 6], [0, 1, 3], [0, 0, 1]]
     report = coll.verify_tilting(coll.beilinson_collection(2), table)
+    assert report.hom_matrix == ((1, 3, 6), (0, 1, 3), (0, 0, 1))
     assert report.passed
     assert report.end_algebra_dim == 15
     assert report.k0_rank == 3
@@ -325,7 +326,8 @@ def per_pair_closed_form_table(spec):
 def test_closed_form_table_matches_per_pair_determinants(spec):
     table = coll.ext_table(spec)
     assert table == per_pair_closed_form_table(spec)
-    assert table.hom_matrix() == [[table.get(i, j, 0) for j in range(table.size)] for i in range(table.size)]
+    assert coll.VerificationReport(spec, table).hom_matrix == tuple(
+        tuple(table.get(i, j, 0) for j in range(table.size)) for i in range(table.size))
 
 
 @st.composite
@@ -533,12 +535,24 @@ def reference_candidate_ext_table(plan):
 
 def swept_chain(ranked, src, tgt, memo):
     """The chain of one pair through the sweep, {} when it is zero."""
-    return {(p, q): chain for p, q, chain in coll._sweep(ranked, (src,), (tgt,), memo)}.get((0, 0), {})
+    return swept_chains(ranked, (src,), memo, (tgt,)).get((src, tgt), {})
 
 
-def swept_chains(ranked, labels, memo):
-    """{(source, target): chain} over every pair of `labels` with a nonzero chain, in one sweep."""
-    return {(labels[p], labels[q]): chain for p, q, chain in coll._sweep(ranked, labels, labels, memo)}
+def swept_chains(ranked, labels, memo, targets=None):
+    """{(source, target): chain} over the pairs with a nonzero chain, in one sweep.
+
+    The sources are `labels`, and so are the targets unless `targets` is
+    given.  Each entry of the sweep is one computed chain with the label
+    pairs it covers, and no pair is covered twice.
+    """
+    targets = labels if targets is None else targets
+    swept = {}
+    for pairs, chain in coll._sweep(ranked, labels, targets, memo):
+        assert pairs and chain
+        for p, q in pairs:
+            assert (labels[p], targets[q]) not in swept
+            swept[labels[p], targets[q]] = chain
+    return swept
 
 
 def transfer_keys(memo):
@@ -723,9 +737,10 @@ def test_sweep_folds_each_suffix_pair_once(monkeypatch):
 
     def counted(k, st, rank, *args):
         # a suffix is named by the position of the first label carrying it
-        for p, q, items in fold(k, st, rank, *args):
-            folded[st, labels[p][k:], labels[q][k:]] += 1
-            yield p, q, items
+        for pairs, items in fold(k, st, rank, *args):
+            for p, q in pairs:
+                folded[st, labels[p][k:], labels[q][k:]] += 1
+            yield pairs, items
 
     monkeypatch.setattr(coll, "_fold", counted)
     assert coll.verify_tilting(spec, coll.ext_table(spec)).passed
@@ -761,10 +776,73 @@ def test_candidate_table_sweeps_each_label_pair_once(monkeypatch):
     fiber_labels = [A[:-1] for A in plan.summands()]
     assert len(fiber_labels) == 3 * len(set(fiber_labels)) == 9
     reference = reference_candidate_ext_table(plan)
-    assert reference.higher_entries() and reference.hom_matrix()[0][0] == 1
+    assert reference.higher_entries() and reference.get(0, 0, 0) == 1
     transfers = count_calls(monkeypatch, "_transfer")
     assert fib.candidate_ext_table(plan) == reference
     assert len(transfers) == len(set(fiber_labels)) ** 2 == 9
+
+
+def recorded_sweeps(monkeypatch):
+    """Record each (pairs, chain) `_sweep` hands over, and each time a chain is read whole.
+
+    The root step reads a chain's items once per shift difference it maps it at.
+    """
+    entries, reads = [], []
+    sweep = coll._sweep
+
+    class Chain(dict):
+        def items(self):
+            reads.append(self)
+            return super().items()
+
+    def recorded(*args):
+        for pairs, chain in sweep(*args):
+            entries.append((pairs, chain))
+            yield pairs, Chain(chain)
+
+    monkeypatch.setattr(coll, "_sweep", recorded)
+    return entries, reads
+
+
+def test_sweep_hands_each_chain_over_once(monkeypatch):
+    # Fl(1,3,5;6): 1,604 computed chains cover the 10,414 label pairs with a
+    # nonzero Hom, each pair once; over a point every shift difference is 0,
+    # so the root step maps each chain once
+    spec = coll.flag_collection(bwb.FlagSpace(6, (1, 3, 5)))
+    entries, reads = recorded_sweeps(monkeypatch)
+    table = coll.ext_table(spec)
+    covered = [pair for pairs, _chain in entries for pair in pairs]
+    assert len(entries) == len(reads) == 1_604
+    assert len(covered) == len(set(covered)) == 10_414
+    assert set(covered) == {(i, j) for i, j, _s in table.dims}
+    assert all(chain for _pairs, chain in entries)
+
+
+def test_root_step_runs_once_per_chain_and_shift_difference(monkeypatch):
+    # over P^1 a summand repeats its fiber label once per root degree, so a
+    # label pair covers four index pairs, at three shift differences
+    calls = []
+    chain_table = fib._chain_table
+    monkeypatch.setattr(fib, "_chain_table", lambda *args: calls.append(args) or chain_table(*args))
+    entries, reads = recorded_sweeps(monkeypatch)
+    plan = fib.FibrationPlan(fib.BaseModel(1), ((fib.GrassFiber(2, (0, 1, 3)), 1),))
+    assert plan.table == reference_candidate_ext_table(plan)
+    [(_ranked, labels, _root_dim, shifts)] = calls
+    at = {}
+    for i, lab in enumerate(labels):
+        at.setdefault(lab, []).append(i)
+    at = list(at.values())
+    diffs = [{shifts[j] - shifts[i] for p, q in pairs for i in at[p] for j in at[q]}
+             for pairs, _chain in entries]
+    index_pairs = sum(len(at[p]) * len(at[q]) for pairs, _chain in entries for p, q in pairs)
+    assert len(reads) == sum(map(len, diffs)) == 3 * len(entries) < index_pairs == 4 * len(entries)
+
+
+def test_sweep_refuses_a_weight_never_pushed_to_the_root():
+    # a tautological stage at the root has no stage below to take its weight
+    ranked = ((coll.GrassFiber(1), 2),)
+    with pytest.raises(ArithmeticError, match="never pushed down to the root"):
+        list(coll._sweep(ranked, (((0,),),), (((0,),),), {}))
 
 
 def test_chain_reports_higher_direct_images():
