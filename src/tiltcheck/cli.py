@@ -6,7 +6,8 @@ integers.  A report's `result` holds the values of the result object its
 command computes: a `VerificationReport`'s `REPORTED` values for `verify`, a
 `DescentSummary`'s fields plus its `summand_count` and `total_rank` for
 `descent`.  Exit codes: 0 pass (or informational), 1 failed verification,
-2 invalid input or an engine error (reported on stderr, no traceback).
+2 invalid input, an engine error or a report that cannot be written (reported
+on stderr, no traceback).
 """
 
 from __future__ import annotations
@@ -317,6 +318,8 @@ def run(argv) -> int:
     args = parser.parse_args(argv)
     try:
         return _DISPATCH[args.command](args, args.pretty)
+    except BrokenPipeError:
+        raise  # a closed stdout is not invalid input; `main` reports the failed write
     except (ValueError, KeyError, OSError, TypeError) as exc:
         sys.stderr.write(f"tiltcheck: invalid input: {exc}\n")
         return 2
@@ -326,4 +329,15 @@ def run(argv) -> int:
 
 
 def main() -> None:
-    raise SystemExit(run(sys.argv[1:]))
+    import gc
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError as exc:
+        sys.stderr.write(f"tiltcheck: cannot write the report: {exc}\n")
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # for the flush at exit
+        code = 2
+    finally:
+        # the OS frees the heap at exit: spare the interpreter's final full collections
+        gc.freeze()
+    raise SystemExit(code)

@@ -80,9 +80,9 @@ class GrassFiber(FrozenValue):
         return self.split_degrees is None
 
     def objects(self, rank: int) -> tuple[tuple[int, ...], ...]:
-        """S^lam over the l x (rank - l) box, larger diagrams first."""
+        """S^lam over the l x (rank - l) box, larger diagrams first, zero-padded to length l."""
         box = enumerate_box_partitions(self.l, rank - self.l)
-        return tuple(as_weight(lam, self.l) for lam in reversed(box.members))
+        return tuple(lam + (0,) * (self.l - len(lam)) for lam in reversed(box.members))
 
 
 def rank_stages(stages) -> tuple:

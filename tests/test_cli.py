@@ -1,3 +1,4 @@
+import gc
 import importlib.resources as resources
 import json
 import os
@@ -357,6 +358,12 @@ def test_engine_errors_exit_2(capsys, monkeypatch, error):
     assert "Traceback" not in captured.err
 
 
+def cli_env(**extra):
+    """The environment of a fresh `python -m tiltcheck` on this checkout's sources."""
+    src = str(Path(tiltcheck.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1", **extra)
+
+
 @pytest.mark.parametrize(
     "argv, verdict",
     [
@@ -379,11 +386,13 @@ def test_engine_errors_exit_2(capsys, monkeypatch, error):
         (["descent", "gbs", "--degree", "8", "--period", "2", "--d", "4"], "n/a"),
         (["descent", "bs", "--degree", "4", "--period", "2", "--indices", "1,3"], None),
         (["euler", "--a", "2,1", "--b", "1", "--d", "2", "--n", "4"], "n/a"),
+        (["--pretty", "verify", "flag", "--steps", "1,2", "--n", "3"], "pass"),
+        (["verify", "torus", "--n", "3"], "usage"),
     ],
     ids=["kapranov", "kapranov-4-9", "beilinson", "flag", "flag-1-3-5-6", "fibration",
          "fibration-equal-degrees", "fibration-plan-flag", "fibration-sp4",
          "fibration-plan-obstructed", "descent-tower", "descent-gbs", "descent-gbs-8-2-4",
-         "descent-bad-index", "euler"],
+         "descent-bad-index", "euler", "pretty", "usage-error"],
 )
 def test_optimized_interpreter_same_reports(tmp_path, argv, verdict):
     # python -O strips assert statements; the integrity checks must not be asserts
@@ -397,11 +406,9 @@ def test_optimized_interpreter_same_reports(tmp_path, argv, verdict):
             plan = tmp_path / f"{name.lower()}.json"
             plan.write_text(json.dumps(payload))
             argv = [str(plan) if arg == name else arg for arg in argv]
-    src = str(Path(tiltcheck.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
     runs = [
         subprocess.run([sys.executable, *flags, "-m", "tiltcheck", *argv],
-                       capture_output=True, text=True, env=env, check=False)
+                       capture_output=True, text=True, env=cli_env(), check=False)
         for flags in ([], ["-O"])
     ]
     plain, optimized = runs
@@ -410,9 +417,75 @@ def test_optimized_interpreter_same_reports(tmp_path, argv, verdict):
     if verdict is None:  # refused by a constructor's validation
         assert optimized.returncode == 2 and optimized.stdout == ""
         assert optimized.stderr.startswith("tiltcheck: invalid input: ")
+    elif verdict == "usage":  # refused by the argument parser
+        assert optimized.returncode == 2 and optimized.stdout == ""
+        assert optimized.stderr.startswith("usage: tiltcheck ")
     else:
         assert optimized.returncode == {"pass": 0, "n/a": 0, "fail": 1}[verdict]
         assert json.loads(optimized.stdout)["verdict"] == verdict
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+def test_closed_stdout_is_a_failed_report_write(unbuffered):
+    # unbuffered, the report's write fails in `emit`; buffered, `main`'s flush does.
+    # The read end is closed before the child, which needs at least 35 ms to start, writes.
+    proc = subprocess.Popen([sys.executable, "-m", "tiltcheck", "verify", "kapranov", "--d", "2",
+                             "--n", "4"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True, env=cli_env(PYTHONUNBUFFERED=unbuffered))
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 2
+    assert err == "tiltcheck: cannot write the report: [Errno 32] Broken pipe\n"
+
+
+def test_missing_plan_file_is_invalid_input(capsys, tmp_path):
+    missing = tmp_path / "missing.json"
+    assert cli.run(["fibration", "search", "--plan", str(missing)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == \
+        f"tiltcheck: invalid input: [Errno 2] No such file or directory: {str(missing)!r}\n"
+
+
+@pytest.mark.parametrize("argv", [["verify", "kapranov", "--d", "2", "--n", "4"],
+                                  ["verify", "beilinson", "--n", "1", "--degrees", "0,-1"],
+                                  ["schur-dim", "--weight", "1,2", "--n", "3"],
+                                  ["verify", "torus", "--n", "3"]],
+                         ids=["pass", "fail", "refused", "usage-error"])
+def test_run_leaves_the_heap_unfrozen(capsys, argv):
+    # library callers live on and keep collecting their heap
+    before = gc.get_freeze_count()
+    try:
+        cli.run(argv)
+    except SystemExit:
+        pass
+    assert gc.get_freeze_count() == before
+
+
+FROZEN_AT_EXIT = (
+    "import atexit, gc, sys\n"
+    "atexit.register(lambda: sys.stderr.write(f'frozen {gc.get_freeze_count()}\\n'))\n"
+    "from tiltcheck import cli\n"
+    "cli.main()\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["verify", "kapranov", "--d", "2", "--n", "4"], 0),
+     (["verify", "beilinson", "--n", "1", "--degrees", "0,-1"], 1),
+     (["schur-dim", "--weight", "1,2", "--n", "3"], 2),
+     (["verify", "torus", "--n", "3"], 2)],
+    ids=["pass", "fail", "refused", "usage-error"],
+)
+def test_main_exits_with_a_frozen_heap(argv, code):
+    # the shutdown's full collections find no tracked object left to visit
+    proc = subprocess.run([sys.executable, "-c", FROZEN_AT_EXIT, *argv],
+                          capture_output=True, text=True, env=cli_env(), check=False)
+    assert proc.returncode == code
+    last = proc.stderr.splitlines()[-1]
+    assert re.fullmatch(r"frozen \d+", last) and int(last.split()[1]) > 0, proc.stderr
 
 
 @pytest.mark.parametrize(
@@ -524,10 +597,8 @@ POOL_MODULES = ("concurrent.futures.process", "multiprocessing")
 
 def modules_loaded_by(argv):
     """Modules a fresh interpreter has loaded after `cli.run(argv)`."""
-    src = str(Path(tiltcheck.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run([sys.executable, "-c", LOADED_AFTER_RUN, *argv],
-                          capture_output=True, text=True, env=env, check=False)
+                          capture_output=True, text=True, env=cli_env(), check=False)
     assert proc.returncode == 0, proc.stderr
     return set(proc.stdout.splitlines()[-1].split())
 

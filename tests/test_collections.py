@@ -155,6 +155,22 @@ def test_flag_collection_counts():
     assert len(coll.flag_collection(bwb.FlagSpace(4, (1, 2, 3))).labels) == 24
 
 
+@pytest.mark.parametrize("l, rank", [(1, 1), (1, 4), (2, 4), (3, 6), (4, 7)])
+def test_fiber_objects_are_the_padded_box(l, rank):
+    objects = coll.GrassFiber(l, (0,) * rank).objects(rank)
+    assert objects == tuple(reversed_box(l, rank - l))
+    assert all(type(x) is int for w in objects for x in w)
+
+
+def test_flag_labels_are_padded_once(monkeypatch):
+    # the box members are trusted partitions: only CollectionSpec checks and pads
+    calls = []
+    monkeypatch.setattr(coll, "as_weight", lambda w, length: calls.append(w) or as_weight(w, length))
+    spec = coll.flag_collection(bwb.FlagSpace(6, (1, 3, 5)))
+    assert len(spec) == 180
+    assert len(calls) == 540
+
+
 def test_flag_table_values():
     spec = coll.flag_collection(bwb.FlagSpace(3, (1, 2)))
     table = coll.ext_table(spec)

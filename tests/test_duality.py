@@ -17,9 +17,12 @@ canonical bundle, so plans with one are left out.
 
 import importlib.resources as resources
 import json
-from itertools import combinations, product as iter_product
+from itertools import combinations, pairwise, product as iter_product
+from math import comb, factorial, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tiltcheck import bwb
 from tiltcheck import collections as coll
@@ -73,7 +76,14 @@ def plan_inputs(root, layers):
     return inputs
 
 
-FLAGS = [(n, steps) for n in range(3, 6) for k in range(2, n) for steps in combinations(range(1, n), k)]
+def flag_object_count(n, steps):
+    """n! / prod (l_(k+1) - l_k)!, the number of labels of Fl(steps; n)."""
+    return factorial(n) // prod(factorial(b - a) for a, b in pairwise((0, *steps, n)))
+
+
+# every flag of two or more steps up to n = 6 with at most 180 labels
+FLAGS = [(n, steps) for n in range(3, 7) for k in range(2, n) for steps in combinations(range(1, n), k)
+         if flag_object_count(n, steps) <= 180]
 GRASSMANNIANS = [(1, 4), (2, 4), (2, 5), (3, 5), (2, 6), (3, 6), (3, 7), (4, 8)]
 
 
@@ -99,7 +109,7 @@ def built_plans():
             yield pytest.param(root, tuple(zip(stages, layer_twists)), id=f"{name}-{layer_twists}")
 
 
-@pytest.mark.parametrize("n, steps", FLAGS + [(6, (1, 3, 5))], ids=str)
+@pytest.mark.parametrize("n, steps", FLAGS, ids=str)
 def test_flag_tables_are_serre_dual(n, steps):
     direct, dual = serre_dual_sides(*spec_inputs(coll.flag_collection(bwb.FlagSpace(n, steps))))
     assert direct == dual
@@ -115,5 +125,35 @@ def test_grassmannian_tables_are_serre_dual(d, n):
 
 @pytest.mark.parametrize("root, layers", [*shipped_plans(), *built_plans()])
 def test_plan_tables_are_serre_dual(root, layers):
+    direct, dual = serre_dual_sides(*plan_inputs(root, layers))
+    assert direct == dual
+
+
+@st.composite
+def random_towers(draw):
+    """A root P^0..P^2 under one or two Grass stages with l <= 3 and at most 60 summands.
+
+    The bottom stage is split; the top one is split or tautological.
+    """
+    def split_stage():
+        l = draw(st.integers(1, 3))
+        degrees = draw(st.lists(st.integers(-1, 2), min_size=l, max_size=l + 2))
+        return fib.GrassFiber(l, tuple(degrees))
+
+    root = fib.BaseModel(draw(st.integers(0, 2)))
+    stages = [split_stage()]
+    if draw(st.booleans()):
+        below = stages[0].l
+        stages.append(split_stage() if draw(st.booleans()) else fib.GrassFiber(draw(st.integers(1, below))))
+    ranks = [len(s.split_degrees) if not s.taut else stages[0].l for s in stages]
+    count = (root.dim + 1) * prod(comb(r, s.l) for s, r in zip(stages, ranks))
+    twists = draw(st.lists(st.integers(0, 3), min_size=len(stages), max_size=len(stages)))
+    return count, root, tuple(zip(stages, twists))
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(random_towers().filter(lambda case: case[0] <= 60))
+def test_random_tower_tables_are_serre_dual(case):
+    _count, root, layers = case
     direct, dual = serre_dual_sides(*plan_inputs(root, layers))
     assert direct == dual

@@ -81,6 +81,33 @@ def test_no_dataclasses_import():
     assert found == []
 
 
+def gc_references(tree):
+    """Line numbers of every import of `gc` and every use of the name."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            mods = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            mods = [node.module or ""]
+        else:
+            mods = [node.id] if isinstance(node, ast.Name) else []
+        lines += [node.lineno for mod in mods if mod.split(".")[0] == "gc"]
+    return lines
+
+
+def test_only_the_process_entry_point_touches_gc():
+    # `cli.main` freezes the heap as the process ends; any other caller lives on
+    found, in_main = [], []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in tree.body:
+            if path.name == "cli.py" and isinstance(node, ast.FunctionDef) and node.name == "main":
+                in_main = gc_references(node)
+                node.body = []  # main's own references are allowed
+        found += [(path.name, line) for line in gc_references(tree)]
+    assert found == []
+    assert in_main  # the check above is not vacuous
+
 
 def names_used(tree):
     """Names a tree refers to: AST names, attributes, imported names and the
