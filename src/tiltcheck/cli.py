@@ -118,9 +118,6 @@ def _cmd_schur_dim(args, pretty):
 def _cmd_bott(args, pretty):
     from . import bwb
     space = parse_space(args.space)
-    given = [x for x in (args.sub, args.sub_dual, args.quot, args.blocks) if x is not None]
-    if len(given) != 1:
-        raise ValueError("give exactly one of --sub / --sub-dual / --quot / --blocks")
     if args.blocks is not None:
         blocks = tuple(parse_ints(b, "--blocks") for b in args.blocks.split("|"))
         bundle = bwb.HomogeneousBundle(space, blocks)
@@ -146,13 +143,9 @@ def _cmd_euler(args, pretty):
 def _cmd_verify(args, pretty):
     from . import bwb, collections as coll
     if args.what == "kapranov":
-        if args.d is None:
-            raise ValueError("verify kapranov needs --d")
         spec = coll.kapranov_collection(args.d, args.n)
         inputs = {"collection": "kapranov", "d": args.d, "n": args.n}
     elif args.what == "flag":
-        if not args.steps:
-            raise ValueError("verify flag needs --steps")
         steps = parse_ints(args.steps, "--steps")
         spec = coll.flag_collection(bwb.FlagSpace(args.n, steps))
         inputs = {"collection": "flag", "steps": list(steps), "n": args.n}
@@ -174,10 +167,6 @@ def _parse_algebra(args) -> descent.CSAClass:
 
 def _cmd_descent(args, pretty):
     from . import descent
-    needed = {"bs": ("degree", "period"), "gbs": ("degree", "period", "d"), "tower": ("plan",)}
-    missing = [f"--{name}" for name in needed[args.what] if getattr(args, name) is None]
-    if missing:
-        raise ValueError(f"descent {args.what} needs {' and '.join(missing)}")
     if args.what == "bs":
         summary = descent.bs_tilting_summary(_parse_algebra(args), args.range_length)
         inputs = {"variety": "bs", "degree": args.degree, "period": args.period}
@@ -262,10 +251,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bott", help="cohomology of a homogeneous bundle")
     p.add_argument("--space", required=True)
-    p.add_argument("--sub")
-    p.add_argument("--sub-dual", dest="sub_dual")
-    p.add_argument("--quot")
-    p.add_argument("--blocks")
+    bundle = p.add_mutually_exclusive_group(required=True)
+    bundle.add_argument("--sub")
+    bundle.add_argument("--sub-dual")
+    bundle.add_argument("--quot")
+    bundle.add_argument("--blocks")
 
     p = sub.add_parser("euler", help="localization Euler characteristic")
     p.add_argument("--a", default="")
@@ -273,26 +263,33 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
 
-    p = sub.add_parser("verify", help="verify a collection")
-    p.add_argument("what", choices=["kapranov", "flag", "beilinson"])
-    p.add_argument("--d", type=int)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--steps")
-    p.add_argument("--degrees")
+    # each kind of verify, descent and fibration declares only the options its command
+    # reads, so any other is a usage error, and takes none abbreviated, as `--d` would
+    # read as beilinson's `--degrees`; parent parsers declare the options kinds share
+    kind_parser = partial(argparse.ArgumentParser, allow_abbrev=False)
+    n, algebra, plan = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    n.add_argument("--n", type=int, required=True)
+    algebra.add_argument("--degree", type=int, required=True)
+    algebra.add_argument("--period", type=int, required=True)
+    algebra.add_argument("--indices")
+    plan.add_argument("--plan", required=True)
 
-    p = sub.add_parser("descent", help="descent bookkeeping summaries")
-    p.add_argument("what", choices=["bs", "gbs", "tower"])
-    p.add_argument("--degree", type=int)
-    p.add_argument("--period", type=int)
-    p.add_argument("--indices")
-    p.add_argument("--d", type=int)
-    p.add_argument("--range-length", dest="range_length", type=int)
-    p.add_argument("--plan")
+    kinds = sub.add_parser("verify", help="verify a collection").add_subparsers(
+        dest="what", required=True, parser_class=kind_parser)
+    kinds.add_parser("kapranov", parents=[n]).add_argument("--d", type=int, required=True)
+    kinds.add_parser("flag", parents=[n]).add_argument("--steps", required=True)
+    kinds.add_parser("beilinson", parents=[n]).add_argument("--degrees")
 
-    p = sub.add_parser("fibration", help="twist search over fibration plans")
-    p.add_argument("what", choices=["plan", "search"])
-    p.add_argument("--plan", required=True)
-    p.add_argument("--twists")
+    kinds = sub.add_parser("descent", help="descent bookkeeping summaries").add_subparsers(
+        dest="what", required=True, parser_class=kind_parser)
+    kinds.add_parser("bs", parents=[algebra]).add_argument("--range-length", type=int)
+    kinds.add_parser("gbs", parents=[algebra]).add_argument("--d", type=int, required=True)
+    kinds.add_parser("tower", parents=[plan])
+
+    kinds = sub.add_parser("fibration", help="twist search over fibration plans").add_subparsers(
+        dest="what", required=True, parser_class=kind_parser)
+    kinds.add_parser("plan", parents=[plan]).add_argument("--twists")
+    kinds.add_parser("search", parents=[plan])
 
     p = sub.add_parser("selftest", help="run the acceptance battery")
     p.add_argument("--criteria", help="comma-separated criterion numbers")
@@ -331,7 +328,10 @@ def run(argv) -> int:
 def main() -> None:
     import gc
     try:
-        code = run(sys.argv[1:])
+        try:
+            code = run(sys.argv[1:])
+        except SystemExit as exc:  # argparse has written its usage error or help
+            code = exc.code
         sys.stdout.flush()
     except BrokenPipeError as exc:
         sys.stderr.write(f"tiltcheck: cannot write the report: {exc}\n")

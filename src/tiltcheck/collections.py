@@ -304,6 +304,8 @@ def twist_collection(spec: CollectionSpec, power: int) -> CollectionSpec:
 class ExtTable(FrozenValue):
     """dims maps (i, j, s) to dim Ext^s(E_i, E_j); absent keys are zero.
 
+    A table keeps only the nonzero entries, in a dict of its own, so one table
+    has one form and a later change to its caller's dict does not reach it.
     `higher_entries`, `higher_witness` and `end_dim` each go once over the
     nonzero entries rather than probing every (i, j, s).
     """
@@ -311,29 +313,22 @@ class ExtTable(FrozenValue):
     __slots__ = _fields = ("size", "max_degree", "dims")
 
     def __init__(self, size: int, max_degree: int, dims: Optional[dict] = None):
-        self._set(size, max_degree, {} if dims is None else dims)
+        self._set(size, max_degree, {key: v for key, v in (dims or {}).items() if v})
 
     def get(self, i: int, j: int, s: int) -> int:
         return self.dims.get((i, j, s), 0)
 
     def higher_entries(self) -> list:
         """The nonzero positive-degree entries as ((i, j, s), dim), sorted."""
-        return sorted((key, v) for key, v in self.dims.items() if key[2] > 0 and v)
+        return sorted((key, v) for key, v in self.dims.items() if key[2] > 0)
 
     def higher_witness(self) -> Optional[tuple[int, int, int, int]]:
         """The least nonzero positive-degree entry as (i, j, s, dim), or None."""
-        return min(((*key, v) for key, v in self.dims.items() if key[2] > 0 and v), default=None)
+        return min(((*key, v) for key, v in self.dims.items() if key[2] > 0), default=None)
 
     def end_dim(self, mults) -> int:
         """dim End of the sum of E_i^(mults[i]): sum of mults[i] mults[j] dim Hom(E_i, E_j)."""
         return sum(mults[i] * mults[j] * v for (i, j, s), v in self.dims.items() if s == 0)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ExtTable):
-            return NotImplemented
-        mine = {k: v for k, v in self.dims.items() if v}
-        theirs = {k: v for k, v in other.dims.items() if v}
-        return self.size == other.size and mine == theirs
 
 
 def _flag_stages(space: bwb.FlagSpace) -> tuple:
@@ -474,10 +469,10 @@ class VerificationReport(FrozenValue):
         # End(E_i) = k with no shifted self-Ext, and the backward Homs against the stored order
         units, diagonal_higher, backward = 0, False, []
         for (i, j, s), v in table.dims.items():
-            if v and i == j:
+            if i == j:
                 units += s == 0 and v == 1
                 diagonal_higher |= 0 < s <= table.max_degree
-            elif v and s == 0 and j < i:
+            elif s == 0 and j < i:
                 backward.append((i, j))
         exceptional_each = units == table.size and not diagonal_higher
         tri_witness = min(backward, default=None)
@@ -490,7 +485,7 @@ class VerificationReport(FrozenValue):
     def hom_matrix(self) -> tuple[tuple[int, ...], ...]:
         matrix = [[0] * self.table.size for _ in range(self.table.size)]
         for (i, j, s), v in self.table.dims.items():
-            if s == 0 and v:
+            if s == 0:
                 matrix[i][j] = v
         return tuple(map(tuple, matrix))
 

@@ -6,8 +6,6 @@ zeros are stripped so every Young diagram has exactly one representation.
 
 from __future__ import annotations
 
-from math import comb
-
 
 def normalize(parts) -> tuple[int, ...]:
     """Canonical form: tuple, trailing zeros stripped, integers and monotonicity checked."""
@@ -73,11 +71,6 @@ def conjugate(p) -> tuple[int, ...]:
     return tuple(sum(1 for row in p if row > i) for i in range(p[0]))
 
 
-def fits_box(p, rows: int, cols: int) -> bool:
-    p = normalize(p)
-    return len(p) <= rows and (not p or p[0] <= cols)
-
-
 def grevlex_key(p, length: int):
     """Sort key realizing the graded reverse-lexicographic order, ascending.
 
@@ -137,17 +130,26 @@ class FrozenValue:
 
 
 class OrderedPartitionSet(FrozenValue):
-    """All partitions inside a rows x cols box, listed in a fixed total order."""
+    """All partitions inside a rows x cols box, listed in a fixed total order.
 
-    __slots__ = _fields = ("box_rows", "box_cols", "members")
+    The box is the value: `members`, a slot after the fields, is enumerated
+    from it, in one graded sequence: size ascending, ties broken by graded
+    reverse-lexicographic comparison.  A graded order is in particular a
+    linear extension of diagram containment, so it serves both as the size
+    order and as the containment order.
+    """
 
-    def __init__(self, box_rows: int, box_cols: int, members: tuple[tuple[int, ...], ...]):
-        if len(members) != comb(json_int(box_rows, "rows") + json_int(box_cols, "cols"), box_rows):
-            raise ValueError("member count does not match the box")
-        for m in members:
-            if not fits_box(m, box_rows, box_cols):
-                raise ValueError(f"{m} does not fit a {box_rows}x{box_cols} box")
-        self._set(box_rows, box_cols, members)
+    __slots__ = ("box_rows", "box_cols", "members")
+    _fields = ("box_rows", "box_cols")
+
+    def __init__(self, box_rows: int, box_cols: int):
+        if json_int(box_rows, "rows") < 1:
+            raise ValueError("rows must be positive")
+        if json_int(box_cols, "cols") < 0:
+            raise ValueError("cols must be non-negative")
+        members = _box_partitions(box_rows, box_cols)
+        members.sort(key=lambda p: grevlex_key(p, box_rows))
+        self._set(box_rows, box_cols, tuple(members))
 
     def __len__(self) -> int:
         return len(self.members)
@@ -173,16 +175,5 @@ def _box_partitions(rows: int, cols: int) -> list[tuple[int, ...]]:
 
 
 def enumerate_box_partitions(rows: int, cols: int) -> OrderedPartitionSet:
-    """All partitions with at most `rows` rows and `cols` columns.
-
-    Listed in one graded sequence: size ascending, ties broken by graded
-    reverse-lexicographic comparison.  A graded order is in particular a
-    linear extension of diagram containment, so it serves both as the size
-    order and as the containment order.
-    """
-    if json_int(rows, "rows") < 1:
-        raise ValueError("rows must be positive")
-    if json_int(cols, "cols") < 0:
-        raise ValueError("cols must be non-negative")
-    members = sorted(_box_partitions(rows, cols), key=lambda p: grevlex_key(p, rows))
-    return OrderedPartitionSet(rows, cols, tuple(members))
+    """All partitions with at most `rows` rows and `cols` columns, in the order of their box."""
+    return OrderedPartitionSet(rows, cols)

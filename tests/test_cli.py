@@ -1,3 +1,4 @@
+import argparse
 import gc
 import importlib.resources as resources
 import json
@@ -385,14 +386,22 @@ def cli_env(**extra):
         (["descent", "gbs", "--degree", "4", "--period", "2", "--d", "2"], "n/a"),
         (["descent", "gbs", "--degree", "8", "--period", "2", "--d", "4"], "n/a"),
         (["descent", "bs", "--degree", "4", "--period", "2", "--indices", "1,3"], None),
+        (["descent", "bs", "--degree", "4", "--period", "2", "--indices", "1,2"], "n/a"),
         (["euler", "--a", "2,1", "--b", "1", "--d", "2", "--n", "4"], "n/a"),
         (["--pretty", "verify", "flag", "--steps", "1,2", "--n", "3"], "pass"),
         (["verify", "torus", "--n", "3"], "usage"),
+        (["verify", "kapranov", "--d", "2", "--n", "4", "--steps", "9", "--degrees", "5"], "usage"),
+        (["descent", "bs", "--degree", "4", "--period", "2", "--d", "3", "--plan", "nothere"],
+         "usage"),
+        (["fibration", "search", "--twists", "0", "--plan",
+          str(resources.files("tiltcheck") / "data" / "hirzebruch_plan.json")], "usage"),
     ],
     ids=["kapranov", "kapranov-4-9", "beilinson", "flag", "flag-1-3-5-6", "fibration",
          "fibration-equal-degrees", "fibration-plan-flag", "fibration-sp4",
          "fibration-plan-obstructed", "descent-tower", "descent-gbs", "descent-gbs-8-2-4",
-         "descent-bad-index", "euler", "pretty", "usage-error"],
+         "descent-bad-index", "descent-bs", "euler", "pretty", "usage-error",
+         "kapranov-other-kinds-options", "descent-bs-other-kinds-options",
+         "fibration-search-twists"],
 )
 def test_optimized_interpreter_same_reports(tmp_path, argv, verdict):
     # python -O strips assert statements; the integrity checks must not be asserts
@@ -429,9 +438,19 @@ def test_optimized_interpreter_same_reports(tmp_path, argv, verdict):
 def test_closed_stdout_is_a_failed_report_write(unbuffered):
     # unbuffered, the report's write fails in `emit`; buffered, `main`'s flush does.
     # The read end is closed before the child, which needs at least 35 ms to start, writes.
-    proc = subprocess.Popen([sys.executable, "-m", "tiltcheck", "verify", "kapranov", "--d", "2",
-                             "--n", "4"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                            text=True, env=cli_env(PYTHONUNBUFFERED=unbuffered))
+    assert_closed_stdout_fails(["verify", "kapranov", "--d", "2", "--n", "4"], unbuffered)
+
+
+def test_closed_stdout_fails_the_help_too():
+    # argparse's exit after the help is taken as the exit code, so `main` still
+    # flushes the buffered help, and reports the failed write, inside its handler
+    assert_closed_stdout_fails(["--help"], "")
+
+
+def assert_closed_stdout_fails(argv, unbuffered):
+    proc = subprocess.Popen([sys.executable, "-m", "tiltcheck", *argv], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True,
+                            env=cli_env(PYTHONUNBUFFERED=unbuffered))
     proc.stdout.close()
     err = proc.stderr.read()
     proc.stderr.close()
@@ -493,17 +512,91 @@ def test_main_exits_with_a_frozen_heap(argv, code):
     [
         (["descent", "bs", "--period", "2"], "--degree"),
         (["descent", "bs", "--degree", "2"], "--period"),
-        (["descent", "gbs", "--d", "2"], "--degree and --period"),
+        (["descent", "gbs", "--d", "2"], "--degree, --period"),
         (["descent", "gbs", "--degree", "4", "--period", "2"], "--d"),
         (["descent", "tower"], "--plan"),
     ],
     ids=["bs-degree", "bs-period", "gbs-degree-period", "gbs-d", "tower-plan"],
 )
 def test_descent_missing_option_is_named(capsys, argv, missing):
-    assert cli.run(argv) == 2
+    with pytest.raises(SystemExit) as exc:
+        cli.run(argv)
+    assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"tiltcheck: invalid input: descent {argv[1]} needs {missing}\n"
+    assert captured.err.endswith(f"tiltcheck descent {argv[1]}: error: "
+                                 f"the following arguments are required: {missing}\n")
+
+
+# the options each kind of a command reads, and so the only ones it takes
+KIND_OPTIONS = {
+    ("verify", "kapranov"): {"--d", "--n"},
+    ("verify", "flag"): {"--steps", "--n"},
+    ("verify", "beilinson"): {"--n", "--degrees"},
+    ("descent", "bs"): {"--degree", "--period", "--indices", "--range-length"},
+    ("descent", "gbs"): {"--degree", "--period", "--indices", "--d"},
+    ("descent", "tower"): {"--plan"},
+    ("fibration", "plan"): {"--plan", "--twists"},
+    ("fibration", "search"): {"--plan"},
+}
+
+
+def subcommands(parser):
+    """{name: subparser} of the parser's subcommands."""
+    [action] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def test_each_kind_declares_only_the_options_it_reads():
+    declared = {}
+    for command, parser in subcommands(cli.build_parser()).items():
+        if command in ("verify", "descent", "fibration"):
+            for kind, kind_parser in subcommands(parser).items():
+                declared[(command, kind)] = {option for a in kind_parser._actions
+                                             for option in a.option_strings} - {"-h", "--help"}
+    assert declared == KIND_OPTIONS
+    assert sum(map(len, declared.values())) == 18 and len(REMOVED_SLOTS) == 16
+
+
+HIRZEBRUCH = str(resources.files("tiltcheck") / "data" / "hirzebruch_plan.json")
+# (command, kind): a valid command line, to which each option its kind does not read is added
+KIND_ARGV = {
+    ("verify", "kapranov"): ["--d", "2", "--n", "4"],
+    ("verify", "flag"): ["--steps", "1,2", "--n", "3"],
+    ("verify", "beilinson"): ["--n", "2"],
+    ("descent", "bs"): ["--degree", "4", "--period", "2"],
+    ("descent", "gbs"): ["--degree", "4", "--period", "2", "--d", "2"],
+    ("descent", "tower"): ["--plan", "tower.json"],
+    ("fibration", "plan"): ["--plan", HIRZEBRUCH],
+    ("fibration", "search"): ["--plan", HIRZEBRUCH],
+}
+OPTION_VALUES = {"--d": "3", "--n": "4", "--steps": "9", "--degrees": "5", "--degree": "4",
+                 "--period": "2", "--indices": "1,2", "--range-length": "3", "--plan": "nothere",
+                 "--twists": "0"}
+COMMAND_OPTIONS = {}  # every option some kind of the command reads
+for (command, _kind), options in KIND_OPTIONS.items():
+    COMMAND_OPTIONS.setdefault(command, set()).update(options)
+# each kind refuses the options only its command's other kinds read
+REMOVED_SLOTS = [(command, kind, option) for (command, kind), options in KIND_OPTIONS.items()
+                 for option in sorted(COMMAND_OPTIONS[command] - options)]
+
+
+@pytest.mark.parametrize("command, kind, option", REMOVED_SLOTS,
+                         ids=[" ".join(row) for row in REMOVED_SLOTS])
+def test_option_a_kind_does_not_read_is_a_usage_error(capsys, tmp_path, monkeypatch,
+                                                      command, kind, option):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "tower.json").write_text(json.dumps(TOWER_PLAN))
+    argv = [command, kind, *KIND_ARGV[(command, kind)]]
+    assert cli.run(argv) in (0, 1)  # the command line without the option runs
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        cli.run([*argv, option, OPTION_VALUES[option]])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(
+        f"tiltcheck: error: unrecognized arguments: {option} {OPTION_VALUES[option]}\n")
 
 
 REPORT_FIELDS = set(VerificationReport.REPORTED)

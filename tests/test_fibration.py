@@ -465,7 +465,9 @@ def test_table_fiber_matches_grass_fiber():
     for m in (0, 1, 2):
         via_table = fib.candidate_ext_table(fib.FibrationPlan(base, ((table_fiber, m),)))
         via_grass = fib.candidate_ext_table(fib.FibrationPlan(base, ((grass, m),)))
-        assert via_table == via_grass
+        assert (via_table.size, via_table.dims) == (via_grass.size, via_grass.dims)
+        # a fiber table carries no fiber dimension: its stage adds none to the total
+        assert (via_table.max_degree, via_grass.max_degree) == (1, 2)
 
 
 def test_shipped_conic_table_round_trip_and_search():

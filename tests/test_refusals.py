@@ -49,7 +49,8 @@ SPLIT_SUB = ["bott", "--space", "flag:1,2;3"]
 REFUSALS = [
     ("flag-n", "n must be positive", lambda: bwb.FlagSpace(0, (1,)),
      (NO_FILES, ["verify", "flag", "--steps", "1", "--n", "0"])),
-    ("flag-no-step", "need at least one step", lambda: bwb.FlagSpace(3, ()), None),
+    ("flag-no-step", "need at least one step", lambda: bwb.FlagSpace(3, ()),
+     (NO_FILES, ["verify", "flag", "--steps", "", "--n", "3"])),
     ("of-sub", "of_sub is a single-step helper", lambda: bwb.of_sub(NON_SINGLE_STEP, (1,)),
      (NO_FILES, [*SPLIT_SUB, "--sub", "1"])),
     ("of-sub-dual", "of_sub_dual is a single-step helper",
@@ -57,14 +58,6 @@ REFUSALS = [
     ("of-quot", "of_quot is a single-step helper", lambda: bwb.of_quot(NON_SINGLE_STEP, (1,)),
      (NO_FILES, [*SPLIT_SUB, "--quot", "1"])),
     ("pn-n", "n must be non-negative", lambda: bwb.pn_line_cohomology(0, -1), None),
-    ("bott-two-bundles", "give exactly one of --sub / --sub-dual / --quot / --blocks",
-     lambda: dispatch(["bott", "--space", "grass:2,4", "--sub", "1", "--quot", "1"]),
-     (NO_FILES, ["bott", "--space", "grass:2,4", "--sub", "1", "--quot", "1"])),
-    ("kapranov-no-d", "verify kapranov needs --d",
-     lambda: dispatch(["verify", "kapranov", "--n", "4"]),
-     (NO_FILES, ["verify", "kapranov", "--n", "4"])),
-    ("flag-no-steps", "verify flag needs --steps",
-     lambda: dispatch(["verify", "flag", "--n", "4"]), (NO_FILES, ["verify", "flag", "--n", "4"])),
     ("twist-count", "one twist per stage required",
      lambda: dispatch(["fibration", "plan", "--plan", HIRZEBRUCH, "--twists", "0,0"]),
      (NO_FILES, ["fibration", "plan", "--plan", HIRZEBRUCH, "--twists", "0,0"])),
@@ -222,6 +215,31 @@ def test_input_refusal(capsys, tmp_path, monkeypatch, message, call, command):
     assert captured.err == f"tiltcheck: invalid input: {message}\n"
 
 
+# a missing option, or one the command cannot take with another, is refused by
+# the argument parser before any command runs: (id, argv, the parser's error)
+USAGE_REFUSALS = [
+    ("kapranov-no-d", ["verify", "kapranov", "--n", "4"],
+     "tiltcheck verify kapranov: error: the following arguments are required: --d"),
+    ("flag-no-steps", ["verify", "flag", "--n", "4"],
+     "tiltcheck verify flag: error: the following arguments are required: --steps"),
+    ("bott-two-bundles", ["bott", "--space", "grass:2,4", "--sub", "1", "--quot", "1"],
+     "tiltcheck bott: error: argument --quot: not allowed with argument --sub"),
+    ("bott-no-bundle", ["bott", "--space", "grass:2,4"],
+     "tiltcheck bott: error: one of the arguments --sub --sub-dual --quot --blocks is required"),
+]
+
+
+@pytest.mark.parametrize("argv, error", [row[1:] for row in USAGE_REFUSALS],
+                         ids=[row[0] for row in USAGE_REFUSALS])
+def test_usage_refusal(capsys, argv, error):
+    with pytest.raises(SystemExit) as exc:
+        cli.run(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: tiltcheck ") and captured.err.endswith(f"\n{error}\n")
+
+
 def test_disordered_weight_refusal_allocates_nothing_of_size_n():
     # the refusal echoes the weight as given, so its cost does not follow n
     tracemalloc.start()
@@ -243,7 +261,7 @@ SIZE_ARGUMENTS = [
     (as_weight, ((1,), 2), {1: "length"}),
     (product_expand, ([(1,)], 2), {1: "rank"}),
     (enumerate_box_partitions, (2, 2), {0: "rows", 1: "cols"}),
-    (OrderedPartitionSet, (1, 1, ((), (1,))), {0: "rows", 1: "cols"}),
+    (OrderedPartitionSet, (1, 1), {0: "rows", 1: "cols"}),
     (bwb.FlagSpace, (4, (2,)), {0: "n"}),
     (bwb.grassmannian, (2, 4), {0: "step", 1: "n"}),
     (bwb.projective_space, (2,), {0: "m"}),

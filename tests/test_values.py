@@ -17,8 +17,7 @@ REPORT_TABLE = ExtTable(2, 1, {(0, 0, 0): 1, (1, 1, 0): 1, (1, 0, 0): 1})
 # (class, positional arguments, parameter defaults, hashable, repr); each repr
 # names the fields in order, as the frozen dataclasses these types replace did
 VALUES = [
-    (OrderedPartitionSet, (1, 1, ((), (1,))), {}, True,
-     "OrderedPartitionSet(box_rows=1, box_cols=1, members=((), (1,)))"),
+    (OrderedPartitionSet, (1, 1), {}, True, "OrderedPartitionSet(box_rows=1, box_cols=1)"),
     (FlagSpace, (4, [1, 3]), {}, True, "FlagSpace(n=4, steps=(1, 3))"),
     (HomogeneousBundle, (FlagSpace(3, (1,)), [[2], [0, -1]]), {}, True,
      "HomogeneousBundle(space=FlagSpace(n=3, steps=(1,)), blocks=((2,), (0, -1)))"),
@@ -97,6 +96,8 @@ SPELLINGS = [
     ("FlagSpace", lambda: FlagSpace(4, [1, 3]), lambda: FlagSpace(4, (1, 3)), True),
     ("FibrationPlan", lambda: FibrationPlan(BaseModel(1), [[LINE, 1]]),
      lambda: FibrationPlan(BaseModel(1), ((LINE, 1),)), True),
+    ("ExtTable", lambda: ExtTable(1, 0, {(0, 0, 0): 1}),
+     lambda: ExtTable(1, 0, {(0, 0, 0): 1, (0, 0, 1): 0}), False),
 ]
 
 
@@ -122,6 +123,14 @@ def test_ext_table_equality_ignores_zero_entries():
     assert table == ExtTable(2, 1, {(0, 0, 0): 1, (1, 1, 0): 1, (0, 1, 1): 0})
     assert table != ExtTable(2, 1, {(0, 0, 0): 1, (1, 1, 0): 1, (0, 1, 1): 2})
     assert table != ExtTable(3, 1, {(0, 0, 0): 1, (1, 1, 0): 1})
+    assert table != ExtTable(2, 2, {(0, 0, 0): 1, (1, 1, 0): 1})
+
+
+def test_ext_table_owns_its_entries():
+    dims = {(0, 0, 0): 1}
+    table = ExtTable(1, 0, dims)
+    dims[(0, 0, 1)] = 5
+    assert table.dims == {(0, 0, 0): 1} and table.higher_witness() is None
 
 
 def test_table_fiber_pushforwards_are_not_a_field():
