@@ -27,9 +27,7 @@ def kapranov_sweep():
     checked = 0
     for n in range(2, KAPRANOV_MAX_N + 1):
         for d in range(1, n):
-            spec = coll.kapranov_collection(d, n)
-            table = coll.ext_table(spec)
-            report = coll.verify_tilting(spec, table)
+            report = coll.verify_tilting(coll.kapranov_collection(d, n))
             if not report.passed:
                 return False, f"Grass({d},{n}) failed: {report}"
             if report.k0_rank != comb(n, d):
@@ -119,7 +117,7 @@ def generalized_bs():
     idx = summary.summand_labels.index((1,))
     if summary.multiplicities[idx] != 4 or summary.ranks[idx] != 8:
         return False, f"lambda=(1): mult {summary.multiplicities[idx]}, rank {summary.ranks[idx]}"
-    wedge = descent.verify_wedge_collection(2, 4)
+    wedge = descent.WedgeReport(2, 4)
     if not wedge.is_tilting:
         return False, f"wedge collection failed: {wedge.higher_ext_witness}"
     return True, "6 labels, mult((1)) = 4, rank 8, wedge sum has no higher Ext"
@@ -158,10 +156,10 @@ def invariance_suite():
         coll.beilinson_collection(2),
     ]
     for spec in corpus:
-        table = coll.ext_table(spec)
-        base = coll.verify_tilting(spec, table)
+        base = coll.verify_tilting(spec)
+        table = base.table
         mults = tuple(i + 2 for i in range(len(spec.labels)))
-        scaled = coll.verify_tilting(spec.with_multiplicities(mults), table)
+        scaled = coll.verify_tilting(spec.with_multiplicities(mults))
         if scaled.passed != base.passed:
             return False, f"multiplicity scaling flips the verdict on {spec.order_note}"
         expected = sum(

@@ -154,7 +154,7 @@ def _cmd_verify(args, pretty):
         spec = coll.beilinson_collection(args.n, degrees)
         inputs = {"collection": "beilinson", "n": args.n,
                   "degrees": list(degrees) if degrees else list(range(args.n + 1))}
-    report = coll.verify_tilting(spec, coll.ext_table(spec))
+    report = coll.verify_tilting(spec)
     result = {name: getattr(report, name) for name in report.REPORTED}
     return emit("verify", inputs, result, "pass" if report.passed else "fail", pretty)
 
@@ -231,10 +231,13 @@ def _cmd_selftest(args, pretty):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="tiltcheck",
-                                     description="exact tilting-bundle construction and checks")
+    # no parser takes an abbreviated option, as `--d` would read as beilinson's `--degrees`;
+    # each kind of verify, descent and fibration declares only the options its command
+    # reads, so any other is a usage error; parent parsers declare the options kinds share
+    parser_class = partial(argparse.ArgumentParser, allow_abbrev=False)
+    parser = parser_class(prog="tiltcheck", description="exact tilting-bundle construction and checks")
     parser.add_argument("--pretty", action="store_true", help="indent the JSON report")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=parser_class)
 
     p = sub.add_parser("partitions", help="enumerate a partition box")
     p.add_argument("--rows", type=int, required=True)
@@ -263,10 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
 
-    # each kind of verify, descent and fibration declares only the options its command
-    # reads, so any other is a usage error, and takes none abbreviated, as `--d` would
-    # read as beilinson's `--degrees`; parent parsers declare the options kinds share
-    kind_parser = partial(argparse.ArgumentParser, allow_abbrev=False)
     n, algebra, plan = (argparse.ArgumentParser(add_help=False) for _ in range(3))
     n.add_argument("--n", type=int, required=True)
     algebra.add_argument("--degree", type=int, required=True)
@@ -275,19 +274,19 @@ def build_parser() -> argparse.ArgumentParser:
     plan.add_argument("--plan", required=True)
 
     kinds = sub.add_parser("verify", help="verify a collection").add_subparsers(
-        dest="what", required=True, parser_class=kind_parser)
+        dest="what", required=True, parser_class=parser_class)
     kinds.add_parser("kapranov", parents=[n]).add_argument("--d", type=int, required=True)
     kinds.add_parser("flag", parents=[n]).add_argument("--steps", required=True)
     kinds.add_parser("beilinson", parents=[n]).add_argument("--degrees")
 
     kinds = sub.add_parser("descent", help="descent bookkeeping summaries").add_subparsers(
-        dest="what", required=True, parser_class=kind_parser)
+        dest="what", required=True, parser_class=parser_class)
     kinds.add_parser("bs", parents=[algebra]).add_argument("--range-length", type=int)
     kinds.add_parser("gbs", parents=[algebra]).add_argument("--d", type=int, required=True)
     kinds.add_parser("tower", parents=[plan])
 
     kinds = sub.add_parser("fibration", help="twist search over fibration plans").add_subparsers(
-        dest="what", required=True, parser_class=kind_parser)
+        dest="what", required=True, parser_class=parser_class)
     kinds.add_parser("plan", parents=[plan]).add_argument("--twists")
     kinds.add_parser("search", parents=[plan])
 

@@ -450,22 +450,22 @@ def ext_table(spec: CollectionSpec) -> ExtTable:
 class VerificationReport(FrozenValue):
     """The Ext-vanishing half of the tilting predicate, read from a collection's Ext table.
 
-    Only the evidence, `spec` and `table`, are fields, so eq, hash and repr go
-    by it.  The other `REPORTED` values, slots after the fields, are read once
-    from the table's nonzero entries, and `hom_matrix` from its degree-0 ones
-    on each access.  Fullness is not checked (GENERATION_NOTE): `k0_rank` is
-    the collection's length.
+    The collection, `spec`, is the one field, so eq, hash and repr go by it.
+    Its `table` is built at construction by `ext_table`, and the other
+    `REPORTED` values, slots after the field, are read once from the table's
+    nonzero entries, and `hom_matrix` from its degree-0 ones on each access.
+    Fullness is not checked (GENERATION_NOTE): `k0_rank` is the collection's
+    length.
     """
 
     REPORTED = ("is_strong_exceptional", "is_exceptional_each", "triangularity_witness",
                 "higher_ext_witness", "k0_rank", "end_algebra_dim", "hom_matrix", "order_note",
                 "generation_note")
     __slots__ = ("spec", "table") + tuple(name for name in REPORTED if name != "hom_matrix")
-    _fields = ("spec", "table")
+    _fields = ("spec",)
 
-    def __init__(self, spec: CollectionSpec, table: ExtTable):
-        if json_int(table.size, "Ext table size") != len(spec):
-            raise ValueError(f"the Ext table has {table.size} objects, the collection {len(spec)}")
+    def __init__(self, spec: CollectionSpec):
+        table = ext_table(spec)
         # End(E_i) = k with no shifted self-Ext, and the backward Homs against the stored order
         units, diagonal_higher, backward = 0, False, []
         for (i, j, s), v in table.dims.items():
@@ -500,6 +500,6 @@ GENERATION_NOTE = (
 )
 
 
-def verify_tilting(spec: CollectionSpec, table: Optional[ExtTable] = None) -> VerificationReport:
-    """The collection's report from `table`, or from its own table; failure is data, not error."""
-    return VerificationReport(spec, ext_table(spec) if table is None else table)
+def verify_tilting(spec: CollectionSpec) -> VerificationReport:
+    """The collection's report, from its own table; failure is data, not error."""
+    return VerificationReport(spec)

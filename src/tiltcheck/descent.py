@@ -168,35 +168,35 @@ def _wedge_columns(d: int, n: int) -> tuple[list[tuple[int, ...]], ExtTable, lis
 
 
 class WedgeReport(FrozenValue):
-    __slots__ = _fields = ("k0_rank", "end_dim", "higher_ext_witness")
+    """Ext-vanishing check for the wedge-power bundle sum on Grass(d, n).
 
-    def __init__(self, k0_rank: int, end_dim: int, higher_ext_witness: Optional[tuple]):
-        self._set(k0_rank, end_dim, higher_ext_witness)
+    The wedge summands decompose, so this is a tilting-bundle check only;
+    exceptionality of the individual summands is not claimed.  (d, n) are the
+    fields; `k0_rank`, `end_dim` and `higher_ext_witness`, slots after them,
+    are read at construction from the Kapranov table.
+    """
+
+    __slots__ = ("d", "n", "k0_rank", "end_dim", "higher_ext_witness")
+    _fields = ("d", "n")
+
+    def __init__(self, d: int, n: int):
+        box, table, columns = _wedge_columns(d, n)
+        # M^T H M on H's positive-degree entries only: a Kapranov table has none,
+        # so this is empty, but a higher entry of H would still be caught here
+        higher: dict[tuple[int, int, int], int] = {}
+        for (k, l, s), v in table.higher_entries():
+            for i, a in columns[k].items():
+                for j, b in columns[l].items():
+                    higher[(i, j, s)] = higher.get((i, j, s), 0) + a * v * b
+        witness = ExtTable(len(box), table.max_degree, higher).higher_witness()
+        if witness is not None:
+            witness = (box[witness[0]], box[witness[1]], *witness[2:])
+        end_dim = table.end_dim([sum(col.values()) for col in columns])
+        self._set(d, n, len(box), end_dim, witness)
 
     @property
     def is_tilting(self) -> bool:
         return self.higher_ext_witness is None
-
-
-def verify_wedge_collection(d: int, n: int) -> WedgeReport:
-    """Ext-vanishing check for the wedge-power bundle sum on Grass(d, n).
-
-    The wedge summands decompose, so this is a tilting-bundle check only;
-    exceptionality of the individual summands is not claimed.
-    """
-    box, table, columns = _wedge_columns(d, n)
-    # M^T H M on H's positive-degree entries only: a Kapranov table has none,
-    # so this is empty, but a higher entry of H would still be caught here
-    higher: dict[tuple[int, int, int], int] = {}
-    for (k, l, s), v in table.higher_entries():
-        for i, a in columns[k].items():
-            for j, b in columns[l].items():
-                higher[(i, j, s)] = higher.get((i, j, s), 0) + a * v * b
-    witness = ExtTable(len(box), table.max_degree, higher).higher_witness()
-    if witness is not None:
-        witness = (box[witness[0]], box[witness[1]], *witness[2:])
-    end_dim = table.end_dim([sum(col.values()) for col in columns])
-    return WedgeReport(len(box), end_dim, witness)
 
 
 def generalized_bs_summary(a: CSAClass, d: int) -> DescentSummary:

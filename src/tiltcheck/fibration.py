@@ -11,7 +11,9 @@ bottom-first tuple of (fiber, twist exponent) pairs, the stage list of a plan
 file with one twist per stage.  Its candidate Ext table is built from these
 when the plan is constructed, and alone decides it: verified without a
 positive-degree entry, else obstructed by the first.  A tower is searched
-stage by stage, each search adding one layer to the verified plan below it.
+stage by stage from the root plan, the layerless plan whose table is the one
+check of the root's degrees: each search adds one layer to the verified plan
+below it, and an unverified root plan is the result, with its witness.
 
 Computability boundary: automatic verification covers Grassmann-bundle stages
 (`GrassFiber`, the stage model the flag tables of `collections` use too)
@@ -30,36 +32,27 @@ import os
 from itertools import product as iter_product
 from typing import Optional
 
-from .bwb import pn_line_cohomology
 from .collections import ExtTable, GrassFiber, _chain_table, rank_stages
 from .partitions import FrozenValue, json_field, json_int, json_str
 
 
 class BaseModel(FrozenValue):
-    """P^dim with a line-bundle tilting collection (Beilinson range by default).
+    """P^dim with the line-bundle degrees of its summands (Beilinson range by default).
 
-    The ample generator is the hyperplane class; construction checks that the
-    declared summands already satisfy the Ext-vanishing predicate.
+    The ample generator is the hyperplane class.  Whether the degrees are
+    tilting is the verdict of the root plan, `FibrationPlan(root)`, read from
+    its table, and is not checked here.
     """
 
-    __slots__ = _fields = ("dim", "tilting_degrees")
+    __slots__ = _fields = ("dim", "degrees")
 
-    def __init__(self, dim: int, tilting_degrees: tuple[int, ...] = ()):
+    def __init__(self, dim: int, degrees: tuple[int, ...] = ()):
         if json_int(dim, "root dim") < 0:
             raise ValueError("dimension must be non-negative")
-        degs = (tuple(json_int(d, "base degree") for d in tilting_degrees)
-                or tuple(range(dim + 1)))
-        if len(set(degs)) != len(degs):
+        degrees = tuple(json_int(d, "base degree") for d in degrees) or tuple(range(dim + 1))
+        if len(set(degrees)) != len(degrees):
             raise ValueError("base summand degrees must be distinct")
-        for a in degs:
-            for b in degs:
-                res = pn_line_cohomology(b - a, dim)
-                if res is not None and res.degree > 0:
-                    raise ValueError(
-                        f"degrees {degs} are not tilting on P^{dim}: "
-                        f"H^{res.degree}(O({b - a})) = {res.dimension}"
-                    )
-        self._set(dim, degs)
+        self._set(dim, degrees)
 
 
 class TableFiber(FrozenValue):
@@ -145,7 +138,7 @@ class FibrationPlan(FrozenValue):
         """Candidate summand labels: top fiber object first, root degree last."""
         ranked = rank_stages(f for f, _twist in self.layers)
         objects = [fiber.objects(rank) for fiber, rank in ranked]
-        return tuple(iter_product(*reversed(objects), self.root.tilting_degrees))
+        return tuple(iter_product(*reversed(objects), self.root.degrees))
 
 
 def candidate_ext_table(plan: FibrationPlan) -> ExtTable:
@@ -191,16 +184,17 @@ def twist_search(below: FibrationPlan, fiber: GrassFiber | TableFiber, cap: int)
 def tower_compose(stages, root: BaseModel, cap: int) -> FibrationPlan:
     """Fold twist_search along a stage list, root-first, from `FibrationPlan(root)`.
 
-    Each verified plan is the one the next stage is searched on; the first
-    unverified one is returned as it stands.  The root plan's own table, the
-    root's tilting bundle, is one more build, and an empty list returns it.
+    The root plan's table, the root's own tilting bundle, is the one check of
+    the root: an unverified root plan is returned as it stands, with its
+    witness, and no stage is searched.  Each verified plan is the one the
+    next stage is searched on, and the first unverified one is returned.
     """
     _checked_cap(cap)
     plan = FibrationPlan(root)
     for fiber in stages:
-        plan = twist_search(plan, fiber, cap)
         if not plan.verified:
-            return plan
+            break
+        plan = twist_search(plan, fiber, cap)
     return plan
 
 

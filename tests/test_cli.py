@@ -395,13 +395,16 @@ def cli_env(**extra):
          "usage"),
         (["fibration", "search", "--twists", "0", "--plan",
           str(resources.files("tiltcheck") / "data" / "hirzebruch_plan.json")], "usage"),
+        (["fibration", "search", "--plan", "NON_TILTING_ROOT_PLAN"], "fail"),
+        (["fibration", "plan", "--plan", "NON_TILTING_ROOT_PLAN"], "fail"),
     ],
     ids=["kapranov", "kapranov-4-9", "beilinson", "flag", "flag-1-3-5-6", "fibration",
          "fibration-equal-degrees", "fibration-plan-flag", "fibration-sp4",
          "fibration-plan-obstructed", "descent-tower", "descent-gbs", "descent-gbs-8-2-4",
          "descent-bad-index", "descent-bs", "euler", "pretty", "usage-error",
          "kapranov-other-kinds-options", "descent-bs-other-kinds-options",
-         "fibration-search-twists"],
+         "fibration-search-twists", "fibration-search-non-tilting-root",
+         "fibration-plan-non-tilting-root"],
 )
 def test_optimized_interpreter_same_reports(tmp_path, argv, verdict):
     # python -O strips assert statements; the integrity checks must not be asserts
@@ -409,7 +412,9 @@ def test_optimized_interpreter_same_reports(tmp_path, argv, verdict):
         "EQUAL_DEGREE_PLAN": {"root": {"kind": "pn", "dim": 1}, "cap": 4, "stages": [
             {"kind": "grass", "l": 2, "degrees": [1, 1, 1, 1]}, {"kind": "grass-taut", "l": 1}]},
         "TOWER_PLAN": TOWER_PLAN,  # a bs stage under a gbs stage
+        "NON_TILTING_ROOT_PLAN": NON_TILTING_ROOT_PLAN,
     }
+    root_obstructed = "NON_TILTING_ROOT_PLAN" in argv
     for name, payload in plans.items():
         if name in argv:
             plan = tmp_path / f"{name.lower()}.json"
@@ -432,6 +437,10 @@ def test_optimized_interpreter_same_reports(tmp_path, argv, verdict):
     else:
         assert optimized.returncode == {"pass": 0, "n/a": 0, "fail": 1}[verdict]
         assert json.loads(optimized.stdout)["verdict"] == verdict
+    if root_obstructed:  # the root's own degrees fail, with the witness of the root plan's table
+        result = json.loads(optimized.stdout)["result"]
+        assert result["obstruction"] == ["1", "0", "1", "2"]
+        assert result["twists"] == ([] if "search" in argv else ["0"])  # search stops at the root
 
 
 @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
@@ -599,6 +608,32 @@ def test_option_a_kind_does_not_read_is_a_usage_error(capsys, tmp_path, monkeypa
         f"tiltcheck: error: unrecognized arguments: {option} {OPTION_VALUES[option]}\n")
 
 
+# (id, a command with its options in full, the same with one option abbreviated)
+ABBREVIATIONS = [
+    ("partitions", ["partitions", "--rows", "1", "--cols", "1"],
+     ["partitions", "--row", "1", "--col", "1"]),
+    ("bott", ["bott", "--space", "grass:1,3", "--sub-dual", "1"],
+     ["bott", "--space", "grass:1,3", "--sub-d", "1"]),
+    ("pretty", ["--pretty", "partitions", "--rows", "1", "--cols", "1"],
+     ["--pre", "partitions", "--rows", "1", "--cols", "1"]),
+    ("verify-beilinson", ["verify", "beilinson", "--n", "1", "--degrees", "0"],
+     ["verify", "beilinson", "--n", "1", "--deg", "0"]),
+]
+
+
+@pytest.mark.parametrize("full, abbreviated", [row[1:] for row in ABBREVIATIONS],
+                         ids=[row[0] for row in ABBREVIATIONS])
+def test_no_command_takes_an_abbreviated_option(capsys, full, abbreviated):
+    # one spelling rule: every option, of every command and kind, is written in full
+    assert cli.run(full) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        cli.run(abbreviated)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("usage: tiltcheck")
+
+
 REPORT_FIELDS = set(VerificationReport.REPORTED)
 SUMMARY_FIELDS = set(DescentSummary._fields) | {"summand_count", "total_rank"}
 # the result keys as recorded in the report digests; a renamed field shows up here by name
@@ -612,6 +647,9 @@ RECORDED_KEYS = {
 TOWER_PLAN = {"stages": [{"algebra": {"degree": 4, "period": 2, "indices": [1, 2]}, "kind": "bs"},
                          {"algebra": {"degree": 4, "period": 2}, "kind": "gbs",
                           "params": {"d": 2}}]}
+# O, O(3) on P^1 are not tilting: Ext^1(O(3), O) = H^1(O(-3)) = 2
+NON_TILTING_ROOT_PLAN = {"root": {"kind": "pn", "dim": 1, "degrees": [0, 3]},
+                         "stages": [{"kind": "grass", "l": 1, "degrees": [0, 1]}], "cap": 4}
 
 
 @pytest.mark.parametrize("argv, fields", [

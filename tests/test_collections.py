@@ -36,13 +36,12 @@ def test_kapranov_order_larger_first():
 def test_beilinson_p1_kronecker_matrix():
     spec = coll.kapranov_collection(1, 2)
     table = coll.ext_table(spec)
-    assert coll.VerificationReport(spec, table).hom_matrix == ((1, 2), (0, 1))
+    assert coll.VerificationReport(spec).hom_matrix == ((1, 2), (0, 1))
     assert not list(table.higher_entries())
 
 
 def test_beilinson_collection_matrices():
-    table = coll.ext_table(coll.beilinson_collection(2))
-    report = coll.verify_tilting(coll.beilinson_collection(2), table)
+    report = coll.verify_tilting(coll.beilinson_collection(2))
     assert report.hom_matrix == ((1, 3, 6), (0, 1, 3), (0, 0, 1))
     assert report.passed
     assert report.end_algebra_dim == 15
@@ -54,7 +53,7 @@ def test_grass24_table_and_report():
     table = coll.ext_table(spec)
     assert all(table.get(i, i, 0) == 1 for i in range(6))
     assert not list(table.higher_entries())
-    report = coll.verify_tilting(spec, table)
+    report = coll.verify_tilting(spec)
     assert report.passed and report.k0_rank == 6
     # spec example: Hom(S^(1) R, O) = 4 (source (1) earlier than target ())
     i = spec.labels.index(((1, 0),))
@@ -108,8 +107,8 @@ def test_euler_consistency_with_localization():
 def test_multiplicity_scaling():
     spec = coll.kapranov_collection(1, 3)
     table = coll.ext_table(spec)
-    base = coll.verify_tilting(spec, table)
-    scaled = coll.verify_tilting(spec.with_multiplicities((2, 3, 5)), table)
+    base = coll.verify_tilting(spec)
+    scaled = coll.verify_tilting(spec.with_multiplicities((2, 3, 5)))
     assert scaled.passed == base.passed
     expected = sum(
         r * s * table.get(i, j, 0)
@@ -175,7 +174,7 @@ def test_flag_table_values():
     spec = coll.flag_collection(bwb.FlagSpace(3, (1, 2)))
     table = coll.ext_table(spec)
     assert not list(table.higher_entries())
-    report = coll.verify_tilting(spec, table)
+    report = coll.verify_tilting(spec)
     assert report.passed and report.k0_rank == 6
     # hand value: Hom(R_1 (x) det R_2, O) = dim S^(2,1)(V*) = 8 for n = 3
     i = spec.labels.index(((1,), (1, 1)))
@@ -218,6 +217,11 @@ def unmemoized_ext_table(spec):
     return coll.ExtTable(len(spec.labels), spec.space.dimension(), dims)
 
 
+def reported(report):
+    """A report's `REPORTED` values as {name: value}."""
+    return {name: getattr(report, name) for name in report.REPORTED}
+
+
 @pytest.mark.parametrize("d, n", [(2, 5), (3, 6)])
 def test_memoized_table_euler_matches_localization(d, n):
     spec = coll.kapranov_collection(d, n)
@@ -237,11 +241,12 @@ def test_memoized_table_euler_matches_localization(d, n):
     ],
     ids=["kapranov-2-5-det-1", "kapranov-3-6-det+2", "beilinson-3-range5"],
 )
-def test_memoized_table_matches_unmemoized_reference(spec):
-    table = coll.ext_table(spec)
+def test_memoized_table_matches_unmemoized_reference(monkeypatch, spec):
+    report = coll.verify_tilting(spec)
     reference = unmemoized_ext_table(spec)
-    assert table == reference
-    assert coll.verify_tilting(spec, table) == coll.verify_tilting(spec, reference)
+    assert report.table == reference
+    monkeypatch.setattr(coll, "ext_table", lambda _spec: reference)
+    assert reported(coll.verify_tilting(spec)) == reported(report)
 
 
 def out_of_bound(d, n, v, w):
@@ -340,9 +345,10 @@ def per_pair_closed_form_table(spec):
          "kapranov-4-8-reversed", "walk-routed"],
 )
 def test_closed_form_table_matches_per_pair_determinants(spec):
-    table = coll.ext_table(spec)
+    report = coll.VerificationReport(spec)
+    table = report.table
     assert table == per_pair_closed_form_table(spec)
-    assert coll.VerificationReport(spec, table).hom_matrix == tuple(
+    assert report.hom_matrix == tuple(
         tuple(table.get(i, j, 0) for j in range(table.size)) for i in range(table.size))
 
 
@@ -517,7 +523,7 @@ def reference_candidate_ext_table(plan):
             segments.append((None, ((fiber, rank),), [k]))
         objects.append(reversed_box(fiber.l, rank - fiber.l))
         dim += fiber.l * (rank - fiber.l)
-    summands = list(iter_product(*reversed(objects), root.tilting_degrees))
+    summands = list(iter_product(*reversed(objects), root.degrees))
     dims = {}
     for ia, A in enumerate(summands):
         for ib, B in enumerate(summands):
@@ -720,7 +726,7 @@ def test_flag_table_splits_each_delta_once(monkeypatch):
     # a flag's split root has equal degrees: every root term takes the closed form
     spec = coll.flag_collection(bwb.FlagSpace(6, (1, 3, 5)))
     splits = count_calls(monkeypatch, "split_bundle_expand")
-    report = coll.verify_tilting(spec, coll.ext_table(spec))
+    report = coll.verify_tilting(spec)
     assert report.passed
     assert splits == []
     # with distinct root degrees the root walks, and its transfers share their
@@ -759,7 +765,7 @@ def test_sweep_folds_each_suffix_pair_once(monkeypatch):
             yield pairs, items
 
     monkeypatch.setattr(coll, "_fold", counted)
-    assert coll.verify_tilting(spec, coll.ext_table(spec)).passed
+    assert coll.verify_tilting(spec).passed
     assert set(folded.values()) == {1}
     # a transfer names its stage by position k in the stage list
     assert all(args[1] == ranked[args[0]][0] for args in transfers)
@@ -1132,11 +1138,14 @@ DIAGONAL = {(0, 0, 0): 1, (1, 1, 0): 1, (2, 2, 0): 1}
     pytest.param(coll.beilinson_collection(2), {**DIAGONAL, (1, 1, 3): 1, (1, 1, -1): 1},
                  id="diagonal-outside-degrees"),
 ])
-def test_verify_tilting_matches_probing_predicate(spec, dims):
+def test_verify_tilting_matches_probing_predicate(monkeypatch, spec, dims):
+    # a report builds its own table: a hand-built one is fed through `ext_table`
     table = coll.ext_table(spec) if dims is None else coll.ExtTable(len(spec), 2, dims)
-    report = coll.verify_tilting(spec, table)
+    monkeypatch.setattr(coll, "ext_table", lambda given: table if given is spec else pytest.fail())
+    report = coll.verify_tilting(spec)
     probed = probing_verify_tilting(spec, table)
     assert tuple(probed) == coll.VerificationReport.REPORTED
-    assert {name: getattr(report, name) for name in probed} == probed
+    assert reported(report) == probed
     assert report.passed == probed["is_strong_exceptional"]
-    assert report == coll.VerificationReport(spec, table) and report.table is table
+    assert report.table is table
+    assert report == coll.VerificationReport(spec) and hash(report) == hash(coll.VerificationReport(spec))

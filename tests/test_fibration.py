@@ -41,12 +41,23 @@ def twists(plan):
 def test_base_model_validation():
     fib.BaseModel(2)
     fib.BaseModel(1, (3, 4))
-    with pytest.raises(ValueError):
-        fib.BaseModel(1, (0, 3))  # H^1(O(-3)) on P^1 obstructs
-    with pytest.raises(ValueError):
+    # degrees that are not tilting are a verdict of the root plan, not a refusal:
+    # H^1(O(-3)) on P^1 obstructs, and a tower returns the root plan unsearched
+    root = fib.BaseModel(1, (0, 3))
+    assert fib.FibrationPlan(root).obstruction == (1, 0, 1, 2)
+    assert fib.tower_compose([fib.GrassFiber(1, (0, 1))], root, 4) == fib.FibrationPlan(root)
+    with pytest.raises(ValueError, match="distinct"):
         fib.BaseModel(1, (0, 0))
     with pytest.raises(ValueError, match="non-negative"):
         fib.BaseModel(-1)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.integers(0, 4), st.sets(st.integers(-6, 6), min_size=1, max_size=5))
+def test_root_plan_verifies_exactly_a_window_of_degrees(dim, degrees):
+    # O(a), O(b) on P^dim have higher Ext only in H^dim(O(-|a - b|)), nonzero once |a - b| > dim
+    plan = fib.FibrationPlan(fib.BaseModel(dim, tuple(degrees)))
+    assert plan.verified == (dim == 0 or max(degrees) - min(degrees) <= dim)
 
 
 def test_grassfiber_objects_order():
@@ -367,7 +378,7 @@ def plan_payload(root, stages, cap, plan_dir):
     if root == fib.BaseModel(0):
         root_spec = {"kind": "point"}
     else:
-        root_spec = {"kind": "pn", "dim": root.dim, "degrees": list(root.tilting_degrees)}
+        root_spec = {"kind": "pn", "dim": root.dim, "degrees": list(root.degrees)}
     specs = []
     for k, stage in enumerate(stages):
         if isinstance(stage, fib.TableFiber):

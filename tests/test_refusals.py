@@ -112,15 +112,6 @@ REFUSALS = [
     ("schur-dim-n", "n must be positive", lambda: schur_dimension((1,), 0),
      (NO_FILES, ["schur-dim", "--weight", "1", "--n", "0"])),
     ("split-no-degree", "need at least one degree", lambda: split_bundle_expand((1,), ()), None),
-    ("report-size", "the Ext table has 3 objects, the collection 6",
-     lambda: coll.verify_tilting(coll.kapranov_collection(2, 4),
-                                 coll.ext_table(coll.kapranov_collection(1, 3))), None),
-    ("report-size-bool", "Ext table size must be an integer, got True",
-     lambda: coll.verify_tilting(coll.beilinson_collection(1, (0,)),
-                                 coll.ExtTable(True, 0, {(0, 0, 0): 1})), None),
-    ("report-size-float", "Ext table size must be an integer, got 2.0",
-     lambda: coll.verify_tilting(coll.beilinson_collection(1),
-                                 coll.ExtTable(2.0, 1, {(0, 0, 0): 1, (1, 1, 0): 1})), None),
     ("table-path", "table stage path must be a string, got 5",
      lambda: fib.parse_plan({"stages": [{"kind": "table", "path": 5}]}),
      ({"plan.json": {"root": PN_ROOT, "stages": [{"kind": "table", "path": 5}]}},

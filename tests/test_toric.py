@@ -187,7 +187,7 @@ def test_shipped_l1_plans_match_the_oracle_at_every_twist(name):
     path = resources.files("tiltcheck") / "data" / name
     root, stages, cap = fib.parse_plan(json.loads(path.read_text(encoding="utf-8")))
     [fiber] = stages
-    assert fiber.l == 1 and not fiber.taut and root.tilting_degrees == tuple(range(root.dim + 1))
+    assert fiber.l == 1 and not fiber.taut and root.degrees == tuple(range(root.dim + 1))
     verified = []
     for twist in range(cap + 1):
         toric = toric_table(root.dim, [(fiber.split_degrees, twist)])

@@ -5,14 +5,14 @@ import pickle
 import pytest
 
 from tiltcheck.bwb import CohomologyResult, FlagSpace, HomogeneousBundle
-from tiltcheck.collections import CollectionSpec, ExtTable, GrassFiber, VerificationReport
+from tiltcheck.collections import (CollectionSpec, ExtTable, GrassFiber, VerificationReport,
+                                   beilinson_collection)
 from tiltcheck.descent import CSAClass, DescentSummary, WedgeReport
 from tiltcheck.fibration import BaseModel, FibrationPlan, TableFiber
 from tiltcheck.partitions import FrozenValue, OrderedPartitionSet
 
 TABLE_RECORDS = {(0, 0, 0, 0): 1, (1, 1, 0, 0): 1, (1, 0, 0, 2): 3}
 SPEC = CollectionSpec(FlagSpace(2, (1,)), (((1,),), ((0,),)), (), "note")
-REPORT_TABLE = ExtTable(2, 1, {(0, 0, 0): 1, (1, 1, 0): 1, (1, 0, 0): 1})
 
 # (class, positional arguments, parameter defaults, hashable, repr); each repr
 # names the fields in order, as the frozen dataclasses these types replace did
@@ -30,23 +30,21 @@ VALUES = [
            "multiplicities=(1, 1), order_note='')"),
     (ExtTable, (2, 1, {(0, 0, 0): 1, (0, 1, 1): 2}), {"dims": None}, False,
      "ExtTable(size=2, max_degree=1, dims={(0, 0, 0): 1, (0, 1, 1): 2})"),
-    (VerificationReport, (SPEC, REPORT_TABLE), {}, False,
+    (VerificationReport, (SPEC,), {}, True,
      "VerificationReport(spec=CollectionSpec(space=FlagSpace(n=2, steps=(1,)), "
-     "labels=(((1,),), ((0,),)), multiplicities=(1, 1), order_note='note'), "
-     "table=ExtTable(size=2, max_degree=1, dims={(0, 0, 0): 1, (1, 1, 0): 1, (1, 0, 0): 1}))"),
+     "labels=(((1,),), ((0,),)), multiplicities=(1, 1), order_note='note'))"),
     (CSAClass, (4, 2, [1, 2]), {"index_table": None}, True,
      "CSAClass(degree=4, period=2, index_table=(1, 2))"),
     (DescentSummary, ((0, 1), (1, 1), (1, 2), 5), {"notes": ()}, True,
      "DescentSummary(summand_labels=(0, 1), multiplicities=(1, 1), ranks=(1, 2), end_dim=5, "
      "notes=())"),
-    (WedgeReport, (3, 6, None), {}, True,
-     "WedgeReport(k0_rank=3, end_dim=6, higher_ext_witness=None)"),
-    (BaseModel, (1,), {"tilting_degrees": ()}, True, "BaseModel(dim=1, tilting_degrees=(0, 1))"),
+    (WedgeReport, (2, 4), {}, True, "WedgeReport(d=2, n=4)"),
+    (BaseModel, (1,), {"degrees": ()}, True, "BaseModel(dim=1, degrees=(0, 1))"),
     (TableFiber, (("a", "b"), TABLE_RECORDS), {"records": None}, False,
      "TableFiber(labels=('a', 'b'), records={(0, 0, 0, 0): 1, (1, 1, 0, 0): 1, (1, 0, 0, 2): 3})"),
     (FibrationPlan, (BaseModel(1), [(GrassFiber(1, (0, 1)), 2)]),
      {"layers": ()}, True,
-     "FibrationPlan(root=BaseModel(dim=1, tilting_degrees=(0, 1)), "
+     "FibrationPlan(root=BaseModel(dim=1, degrees=(0, 1)), "
      "layers=((GrassFiber(l=1, split_degrees=(0, 1)), 2),))"),
 ]
 
@@ -145,9 +143,10 @@ def test_table_fiber_pushforwards_are_not_a_field():
 
 def test_verdicts_are_read_from_their_evidence():
     assert FibrationPlan._fields == ("root", "layers")
-    assert WedgeReport._fields == ("k0_rank", "end_dim", "higher_ext_witness")
+    assert WedgeReport._fields == ("d", "n")
     assert GrassFiber._fields == ("l", "split_degrees")
-    assert VerificationReport._fields == ("spec", "table")
+    assert VerificationReport._fields == ("spec",)
+    assert BaseModel._fields == ("dim", "degrees")
     assert DescentSummary._fields == ("summand_labels", "multiplicities", "ranks", "end_dim", "notes")
     for cls, name in ((FibrationPlan, "verified"), (FibrationPlan, "obstruction"),
                       (WedgeReport, "is_tilting"), (GrassFiber, "taut"),
@@ -162,18 +161,24 @@ def test_verdicts_are_read_from_their_evidence():
     obstructed = FibrationPlan(BaseModel(1), ((GrassFiber(1, (0, 1)), 0),))
     assert not obstructed.verified and obstructed.obstruction == (1, 2, 1, 1)
     assert obstructed.obstruction == obstructed.table.higher_witness()
-    assert WedgeReport(3, 6, None).is_tilting
-    assert not WedgeReport(3, 6, ((1,), (1,), 1, 2)).is_tilting
+    # a wedge report's values are read from the Kapranov table of its (d, n)
+    wedge = WedgeReport(2, 4)
+    assert wedge.is_tilting and (wedge.k0_rank, wedge.higher_ext_witness) == (6, None)
     assert GrassFiber(1).taut and GrassFiber(1) == GrassFiber(1, None)
     assert not GrassFiber(1, (0, 1)).taut
-    # a report's values are read from its table, and none of them can be assigned
-    report = VerificationReport(SPEC, REPORT_TABLE)
+    for name in ("k0_rank", "end_dim", "higher_ext_witness"):
+        with pytest.raises(AttributeError):
+            setattr(wedge, name, None)
+    # a report's values are read from the table of its collection, and none of them can be assigned
+    report = VerificationReport(SPEC)
     assert (report.passed, report.triangularity_witness, report.k0_rank, report.end_algebra_dim,
-            report.hom_matrix, report.order_note) == (False, (1, 0), 2, 3, ((1, 0), (1, 1)), "note")
-    for name in VerificationReport.REPORTED:
+            report.hom_matrix, report.order_note) == (True, None, 2, 4, ((1, 2), (0, 1)), "note")
+    for name in VerificationReport.REPORTED + ("table",):
         with pytest.raises(AttributeError):
             setattr(report, name, None)
         with pytest.raises(AttributeError):
             delattr(report, name)
-    assert VerificationReport(SPEC, REPORT_TABLE) == report
+    assert VerificationReport(SPEC) == report and hash(VerificationReport(SPEC)) == hash(report)
+    # O, O(3) on P^1: the report's own table has Ext^1(O(3), O) = H^1(O(-3)) = 2
+    assert VerificationReport(beilinson_collection(1, (0, 3))).higher_ext_witness == (1, 0, 1, 2)
     assert DescentSummary((0, 1), (1, 1), (1, 2), 5).total_rank == 3
