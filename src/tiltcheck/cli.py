@@ -2,12 +2,14 @@
 
 Every command prints one report object with sorted keys; numeric payloads are
 serialized as decimal strings so downstream consumers never see truncated
-integers.  A report's `result` holds the values of the result object its
-command computes: a `VerificationReport`'s `REPORTED` values for `verify`, a
-`DescentSummary`'s fields plus its `summand_count` and `total_rank` for
-`descent`.  Exit codes: 0 pass (or informational), 1 failed verification,
-2 invalid input, an engine error or a report that cannot be written (reported
-on stderr, no traceback).
+integers.  A report's `inputs` are the options given, as given: every parsed
+argument but `command` and `pretty` whose value is not None, so the command
+line they spell reproduces the report.  Its `result` holds the values of the
+result object its command computes: a `VerificationReport`'s `REPORTED` values
+for `verify`, a `DescentSummary`'s fields plus its `summand_count` and
+`total_rank` for `descent`.  Exit codes: 0 pass (or informational), 1 failed
+verification, 2 invalid input, an engine error or a report that cannot be
+written (reported on stderr, no traceback).
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from functools import partial
 # Each command imports the engine modules it runs, so a process pays only for those;
 # no engine module loads dataclasses or inspect (their values are partitions.FrozenValue).
 from . import __version__, partitions
-from .partitions import json_field, json_int
+from .partitions import json_document, json_field, json_int
 
 
 def _canonical(obj):
@@ -36,15 +38,17 @@ def _canonical(obj):
     return obj
 
 
-def emit(command: str, inputs: dict, result, verdict: str, pretty: bool) -> int:
+def emit(args: argparse.Namespace, result, verdict: str) -> int:
+    inputs = {key: value for key, value in vars(args).items()
+              if key not in ("command", "pretty") and value is not None}
     report = {
-        "command": command,
+        "command": args.command,
         "engine_version": __version__,
         "inputs": _canonical(inputs),
         "result": _canonical(result),
         "verdict": verdict,
     }
-    indent = 2 if pretty else None
+    indent = 2 if args.pretty else None
     sys.stdout.write(json.dumps(report, sort_keys=True, indent=indent) + "\n")
     return {"pass": 0, "n/a": 0, "fail": 1}[verdict]
 
@@ -94,28 +98,31 @@ def _plan_payload(plan: fibration.FibrationPlan) -> dict:
     }
 
 
-def _cmd_partitions(args, pretty):
+def _read_json(path: str, what: str):
+    with open(path, encoding="utf-8") as fh:
+        return json_document(fh.read(), what)
+
+
+def _cmd_partitions(args):
     box = partitions.enumerate_box_partitions(args.rows, args.cols)
-    result = {"count": len(box), "members": [list(p) for p in box]}
-    return emit("partitions", {"rows": args.rows, "cols": args.cols}, result, "n/a", pretty)
+    return emit(args, {"count": len(box), "members": [list(p) for p in box]}, "n/a")
 
 
-def _cmd_lr(args, pretty):
+def _cmd_lr(args):
     from .schur import lr_expand
     terms = lr_expand(parse_ints(args.a, "--a"), parse_ints(args.b, "--b"), args.rank)
     result = {"terms": [{"partition": list(p), "multiplicity": c}
                         for p, c in sorted(terms.items())]}
-    return emit("lr", {"a": args.a, "b": args.b, "rank": args.rank}, result, "n/a", pretty)
+    return emit(args, result, "n/a")
 
 
-def _cmd_schur_dim(args, pretty):
+def _cmd_schur_dim(args):
     from .schur import schur_dimension
     dim = schur_dimension(parse_ints(args.weight, "--weight"), args.n)
-    return emit("schur-dim", {"weight": args.weight, "n": args.n},
-                {"dimension": dim}, "n/a", pretty)
+    return emit(args, {"dimension": dim}, "n/a")
 
 
-def _cmd_bott(args, pretty):
+def _cmd_bott(args):
     from . import bwb
     space = parse_space(args.space)
     if args.blocks is not None:
@@ -127,58 +134,43 @@ def _cmd_bott(args, pretty):
         bundle = bwb.of_sub_dual(space, parse_ints(args.sub_dual, "--sub-dual"))
     else:
         bundle = bwb.of_quot(space, parse_ints(args.quot, "--quot"))
-    res = bwb.flag_cohomology(bundle)
-    return emit("bott", {"space": args.space, "blocks": [list(b) for b in bundle.blocks]},
-                _cohomology_payload(res), "n/a", pretty)
+    return emit(args, _cohomology_payload(bwb.flag_cohomology(bundle)), "n/a")
 
 
-def _cmd_euler(args, pretty):
+def _cmd_euler(args):
     from . import bwb
-    a, b = parse_ints(args.a, "--a"), parse_ints(args.b, "--b")
-    value = bwb.localization_euler(a, b, args.d, args.n)
-    return emit("euler", {"a": args.a, "b": args.b, "d": args.d, "n": args.n},
-                {"euler_characteristic": value}, "n/a", pretty)
+    value = bwb.localization_euler(parse_ints(args.a, "--a"), parse_ints(args.b, "--b"),
+                                   args.d, args.n)
+    return emit(args, {"euler_characteristic": value}, "n/a")
 
 
-def _cmd_verify(args, pretty):
+def _cmd_verify(args):
     from . import bwb, collections as coll
-    if args.what == "kapranov":
+    if args.collection == "kapranov":
         spec = coll.kapranov_collection(args.d, args.n)
-        inputs = {"collection": "kapranov", "d": args.d, "n": args.n}
-    elif args.what == "flag":
-        steps = parse_ints(args.steps, "--steps")
-        spec = coll.flag_collection(bwb.FlagSpace(args.n, steps))
-        inputs = {"collection": "flag", "steps": list(steps), "n": args.n}
+    elif args.collection == "flag":
+        spec = coll.flag_collection(bwb.FlagSpace(args.n, parse_ints(args.steps, "--steps")))
     else:
-        degrees = parse_ints(args.degrees, "--degrees") or None
-        spec = coll.beilinson_collection(args.n, degrees)
-        inputs = {"collection": "beilinson", "n": args.n,
-                  "degrees": list(degrees) if degrees else list(range(args.n + 1))}
+        spec = coll.beilinson_collection(args.n, parse_ints(args.degrees, "--degrees") or None)
     report = coll.verify_tilting(spec)
     result = {name: getattr(report, name) for name in report.REPORTED}
-    return emit("verify", inputs, result, "pass" if report.passed else "fail", pretty)
+    return emit(args, result, "pass" if report.passed else "fail")
 
 
-def _parse_algebra(args) -> descent.CSAClass:
+def _cmd_descent(args):
     from . import descent
-    indices = parse_ints(args.indices, "--indices") or None
-    return descent.CSAClass(args.degree, args.period, indices)
-
-
-def _cmd_descent(args, pretty):
-    from . import descent
-    if args.what == "bs":
-        summary = descent.bs_tilting_summary(_parse_algebra(args), args.range_length)
-        inputs = {"variety": "bs", "degree": args.degree, "period": args.period}
-    elif args.what == "gbs":
-        summary = descent.generalized_bs_summary(_parse_algebra(args), args.d)
-        inputs = {"variety": "gbs", "degree": args.degree, "period": args.period, "d": args.d}
+    if args.variety != "tower":
+        algebra = descent.CSAClass(args.degree, args.period,
+                                   parse_ints(args.indices, "--indices") or None)
+    if args.variety == "bs":
+        summary = descent.bs_tilting_summary(algebra, args.range_length)
+    elif args.variety == "gbs":
+        summary = descent.generalized_bs_summary(algebra, args.d)
     else:
-        with open(args.plan, encoding="utf-8") as fh:
-            payload = json.load(fh)
         # every stage is read before any is summarized, so a bad file is refused up front
         stages = []
-        for st in json_field(payload, "stages", "a tower plan", listed=True):
+        for st in json_field(_read_json(args.plan, "a tower plan"), "stages", "a tower plan",
+                             listed=True):
             alg = json_field(st, "algebra", "a tower stage")
             indices = json_field(alg, "indices", "a stage algebra", None, listed=True)
             algebra = descent.CSAClass(
@@ -196,48 +188,53 @@ def _cmd_descent(args, pretty):
             else:
                 raise ValueError(f"unknown tower stage kind {kind!r}")
         summary = descent.twisted_tower_summary([summarize() for summarize in stages])
-        inputs = {"variety": "tower", "plan": args.plan, "stage_count": len(stages)}
     result = {**summary._asdict(), "summand_count": summary.summand_count,
               "total_rank": summary.total_rank}
-    return emit("descent", inputs, result, "n/a", pretty)
+    return emit(args, result, "n/a")
 
 
-def _cmd_fibration(args, pretty):
+def _cmd_fibration(args):
     from . import fibration
-    with open(args.plan, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    root, stages, cap = fibration.parse_plan(payload, os.path.dirname(args.plan))
-    if args.what == "search":
+    root, stages, cap = fibration.parse_plan(_read_json(args.plan, "a plan"),
+                                             os.path.dirname(args.plan))
+    if args.mode == "search":
         plan = fibration.tower_compose(stages, root, cap)
     else:
         twists = parse_ints(args.twists, "--twists") or (0,) * len(stages)
         if len(twists) != len(stages):
             raise ValueError("one twist per stage required")
         plan = fibration.FibrationPlan(root, zip(stages, twists))
-    verdict = "pass" if plan.verified else "fail"
-    return emit("fibration", {"mode": args.what, "plan": args.plan},
-                _plan_payload(plan), verdict, pretty)
+    return emit(args, _plan_payload(plan), "pass" if plan.verified else "fail")
 
 
-def _cmd_selftest(args, pretty):
+def _cmd_selftest(args):
     from . import acceptance
     results = acceptance.run_all(parse_ints(args.criteria, "--criteria"))
     ok = all(passed for _name, passed, _detail, _seconds in results)
     for name, passed, detail, seconds in results:
         sys.stderr.write(f"{'PASS' if passed else 'FAIL'} {name}: {detail} ({seconds:.3f} s)\n")
     payload = {"criteria": [{"name": n, "passed": p, "detail": d} for n, p, d, _s in results]}
-    return emit("selftest", {"criteria": args.criteria or "all"}, payload,
-                "pass" if ok else "fail", pretty)
+    return emit(args, payload, "pass" if ok else "fail")
+
+
+class _Parser(argparse.ArgumentParser):
+    """Every CLI parser (`add_subparsers` builds its parser's class): no option may be
+    abbreviated, as `--d` would read as `--degrees`, and a failed write of the help
+    raises as a report's does, where argparse's help swallows it."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
+    def print_help(self, file=None):
+        (file or sys.stdout).write(self.format_help())
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # no parser takes an abbreviated option, as `--d` would read as beilinson's `--degrees`;
     # each kind of verify, descent and fibration declares only the options its command
     # reads, so any other is a usage error; parent parsers declare the options kinds share
-    parser_class = partial(argparse.ArgumentParser, allow_abbrev=False)
-    parser = parser_class(prog="tiltcheck", description="exact tilting-bundle construction and checks")
+    parser = _Parser(prog="tiltcheck", description="exact tilting-bundle construction and checks")
     parser.add_argument("--pretty", action="store_true", help="indent the JSON report")
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=parser_class)
+    sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("partitions", help="enumerate a partition box")
     p.add_argument("--rows", type=int, required=True)
@@ -274,19 +271,19 @@ def build_parser() -> argparse.ArgumentParser:
     plan.add_argument("--plan", required=True)
 
     kinds = sub.add_parser("verify", help="verify a collection").add_subparsers(
-        dest="what", required=True, parser_class=parser_class)
+        dest="collection", required=True)
     kinds.add_parser("kapranov", parents=[n]).add_argument("--d", type=int, required=True)
     kinds.add_parser("flag", parents=[n]).add_argument("--steps", required=True)
     kinds.add_parser("beilinson", parents=[n]).add_argument("--degrees")
 
     kinds = sub.add_parser("descent", help="descent bookkeeping summaries").add_subparsers(
-        dest="what", required=True, parser_class=parser_class)
+        dest="variety", required=True)
     kinds.add_parser("bs", parents=[algebra]).add_argument("--range-length", type=int)
     kinds.add_parser("gbs", parents=[algebra]).add_argument("--d", type=int, required=True)
     kinds.add_parser("tower", parents=[plan])
 
     kinds = sub.add_parser("fibration", help="twist search over fibration plans").add_subparsers(
-        dest="what", required=True, parser_class=parser_class)
+        dest="mode", required=True)
     kinds.add_parser("plan", parents=[plan]).add_argument("--twists")
     kinds.add_parser("search", parents=[plan])
 
@@ -313,7 +310,7 @@ def run(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _DISPATCH[args.command](args, args.pretty)
+        return _DISPATCH[args.command](args)
     except BrokenPipeError:
         raise  # a closed stdout is not invalid input; `main` reports the failed write
     except (ValueError, KeyError, OSError, TypeError) as exc:

@@ -35,7 +35,9 @@ class CSAClass(FrozenValue):
 
     `index_table` maps i mod period to ind(A^i); given none, the default
     p / gcd(p, i), which holds for cyclic classes (all classes over local and
-    global fields), is written out and validated as a given table is.
+    global fields), is written out and validated as a given table is.  A
+    given table must also be one a central simple algebra can have
+    (`_check_index_rules`); the default is one by construction.
     """
 
     __slots__ = _fields = ("degree", "period", "index_table")
@@ -45,7 +47,8 @@ class CSAClass(FrozenValue):
             raise ValueError("degree must be positive")
         if json_int(period, "period") < 1 or degree % period != 0:
             raise ValueError("period must divide the degree")
-        if index_table is None:
+        given = index_table is not None
+        if not given:
             index_table = (period // gcd(period, i) for i in range(period))
         index_table = tuple(json_int(x, "index") for x in index_table)
         if len(index_table) != period:
@@ -55,7 +58,39 @@ class CSAClass(FrozenValue):
         for x in index_table:
             if x < 1 or degree % x != 0:
                 raise ValueError(f"index {x} must divide the degree")
+        if given:
+            _check_index_rules(period, index_table)
         self._set(degree, period, index_table)
+
+
+def _check_index_rules(p: int, table: tuple[int, ...]) -> None:
+    """Refuse an index table of period p that no central simple algebra has.
+
+    A^i and A^gcd(i, p) generate one subgroup of Br, so they have one index
+    (which gives ind(A^i) = ind(A^(p - i)) too).  For g | h | p, A^h is a power
+    of A^g, so ind(A^h) divides ind(A^g); and A^g has period p / g, which
+    divides its index and has the same prime factors (Gille-Szamuely, section 4.5).
+    O(p), plus pairs of divisors of p.
+    """
+    for i, x in enumerate(table):
+        g = gcd(i, p)
+        if x != table[g % p]:
+            raise ValueError(f"ind(A^{i}) = {x} must equal ind(A^{g}) = {table[g % p]}, "
+                             f"as gcd({i}, {p}) = {g}")
+    divisors = [g for g in range(1, p + 1) if p % g == 0]
+    for g in divisors:
+        x, period = table[g % p], p // g
+        if x % period:
+            raise ValueError(f"ind(A^{g}) = {x} must be a multiple of the period {period} of A^{g}")
+        rest = x
+        while (c := gcd(rest, period)) > 1:
+            rest //= c
+        if rest != 1:
+            raise ValueError(f"ind(A^{g}) = {x} has a prime factor that the period {period} "
+                             f"of A^{g} lacks")
+        for h in divisors:
+            if h % g == 0 and x % table[h % p]:
+                raise ValueError(f"ind(A^{h}) = {table[h % p]} must divide ind(A^{g}) = {x}")
 
 
 def split_class(degree: int) -> CSAClass:

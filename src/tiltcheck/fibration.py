@@ -27,13 +27,12 @@ least verifying exponent.
 
 from __future__ import annotations
 
-import json
 import os
 from itertools import product as iter_product
 from typing import Optional
 
 from .collections import ExtTable, GrassFiber, _chain_table, rank_stages
-from .partitions import FrozenValue, json_field, json_int, json_str
+from .partitions import FrozenValue, json_document, json_field, json_int, json_str
 
 
 class BaseModel(FrozenValue):
@@ -172,9 +171,15 @@ def twist_search(below: FibrationPlan, fiber: GrassFiber | TableFiber, cap: int)
     the first plan with no positive-degree Ext; `FibrationPlan(root)` stands
     for the root alone.  On failure returns the cap plan, unverified, carrying
     the first obstruction witness (source, target, degree, dimension).  Each
-    twist tried is one plan, so one candidate table build.
+    twist tried is one plan, so one candidate table build.  An unverified
+    `below` gives the cap plan at once: where two summands share the new
+    fiber object the twist cancels, and that object's diagonal is k, so the
+    obstruction of `below` recurs at every twist.
     """
-    for m in range(_checked_cap(cap) + 1):
+    cap = _checked_cap(cap)
+    if not below.verified:
+        return FibrationPlan(below.root, below.layers + ((fiber, cap),))
+    for m in range(cap + 1):
         plan = FibrationPlan(below.root, below.layers + ((fiber, m),))
         if plan.verified:
             break
@@ -202,7 +207,7 @@ def tower_compose(stages, root: BaseModel, cap: int) -> FibrationPlan:
 # fiber-table and plan files
 
 def parse_fiber_table(text: str) -> TableFiber:
-    payload = json.loads(text)
+    payload = json_document(text, "a fiber table")
     labels = json_field(payload, "objects", "a fiber table", listed=True)
     records: dict[tuple[int, int, int, int], int] = {}
     for rec in json_field(payload, "pushforwards", "a fiber table", listed=True):

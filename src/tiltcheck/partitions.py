@@ -6,6 +6,8 @@ zeros are stripped so every Young diagram has exactly one representation.
 
 from __future__ import annotations
 
+import json
+
 
 def normalize(parts) -> tuple[int, ...]:
     """Canonical form: tuple, trailing zeros stripped, integers and monotonicity checked."""
@@ -61,6 +63,18 @@ def json_field(obj, name: str, what: str, default=_REQUIRED, listed: bool = Fals
     if listed and not isinstance(obj[name], list):
         raise ValueError(f"{name!r} in {what} must be a JSON list")
     return obj[name]
+
+
+def json_document(text: str, what: str):
+    """The JSON value `text` holds, which `what` names in a refusal.
+
+    Every plan file and fiber table is read through here: a document nested
+    deeper than the decoder can follow is invalid input, not an engine error.
+    """
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{what} is nested too deeply to decode") from None
 
 
 def conjugate(p) -> tuple[int, ...]:

@@ -179,10 +179,11 @@ def _skew_dimension(lam, mu, n: int) -> int:
     size = len(lam)
     if not size:
         return 1
-    # entry (i, j) is h_(rows[i] - cols[j]), from one h_k(1^n) list
+    # entry (i, j) is h_(rows[i] - cols[j]); h_k(1^n) is computed once for each
+    # difference k >= 0 that occurs, so the cost does not follow the largest part
     rows = [x - i for i, x in enumerate(lam)]
     cols = [y - j for j, y in enumerate(mu)]
-    h = [comb(n + k - 1, k) for k in range(max(rows) - min(cols) + 1)]
+    h = {k: comb(n + k - 1, k) for k in {r - c for r in rows for c in cols} if k >= 0}
     m = [[h[r - c] if r >= c else 0 for c in cols] for r in rows]
     sign, prev = 1, 1
     for k in range(size - 1):

@@ -225,6 +225,32 @@ def test_malformed_plan_file_exits_2(capsys, tmp_path, plan, table, message):
         assert captured.err == f"tiltcheck: invalid input: {message}\n"
 
 
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize(
+    "files, argv, what",
+    [
+        ({"plan.json": f'{{"root": {DEEP}}}'}, ["fibration", "search", "--plan", "plan.json"],
+         "a plan"),
+        ({"tower.json": f'{{"stages": {DEEP}}}'}, ["descent", "tower", "--plan", "tower.json"],
+         "a tower plan"),
+        ({"plan.json": json.dumps(TABLE_STAGE_PLAN), "table.json": f'{{"objects": {DEEP}}}'},
+         ["fibration", "plan", "--plan", "plan.json"], "a fiber table"),
+    ],
+    ids=["plan", "tower-plan", "fiber-table"],
+)
+def test_deeply_nested_json_is_invalid_input(capsys, tmp_path, monkeypatch, files, argv, what):
+    # the decoder's RecursionError is the file's fault, not an engine error
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    assert cli.run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"tiltcheck: invalid input: {what} is nested too deeply to decode\n"
+
+
 @pytest.mark.parametrize("cap", [0, -3])
 @pytest.mark.parametrize("stages", [[], [GRASS_STAGE]], ids=["root-only", "one-stage"])
 def test_search_refuses_non_positive_cap(capsys, tmp_path, stages, cap):
@@ -323,8 +349,7 @@ def test_bott_sub_and_quot(capsys, option, bundle):
     code, report = run_cli(["bott", "--space", "grass:2,4", option, "1"], capsys)
     assert code == 0
     assert report["result"] == cli._canonical(cli._cohomology_payload(expected))
-    assert report["inputs"]["blocks"] == [[str(x) for x in b]
-                                          for b in getattr(bwb, bundle)(space, (1,)).blocks]
+    assert report["inputs"] == {"space": "grass:2,4", option[2:]: "1"}  # as given, not its blocks
 
 
 def test_invalid_inputs_exit_2(capsys):
@@ -454,6 +479,14 @@ def test_closed_stdout_fails_the_help_too():
     # argparse's exit after the help is taken as the exit code, so `main` still
     # flushes the buffered help, and reports the failed write, inside its handler
     assert_closed_stdout_fails(["--help"], "")
+
+
+@pytest.mark.parametrize("unbuffered, argv", [("1", ["--help"]), ("1", ["descent", "bs", "--help"]),
+                                              ("", ["descent", "bs", "--help"])],
+                         ids=["unbuffered", "unbuffered-kind", "buffered-kind"])
+def test_closed_stdout_fails_every_help(unbuffered, argv):
+    # argparse's own help swallows a failed write; the CLI's parsers let it reach `main`
+    assert_closed_stdout_fails(argv, unbuffered)
 
 
 def assert_closed_stdout_fails(argv, unbuffered):
@@ -632,6 +665,50 @@ def test_no_command_takes_an_abbreviated_option(capsys, full, abbreviated):
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("usage: tiltcheck")
+
+
+# the parsed name of each command's kind, the first key of its reports' inputs
+KIND_KEY = {"verify": "collection", "descent": "variety", "fibration": "mode"}
+# the options a kind may go without, with values its KIND_ARGV line takes
+OPTIONAL_ARGV = {
+    ("verify", "beilinson"): ["--degrees", "0,1,2"],
+    ("descent", "bs"): ["--indices", "1,4", "--range-length", "2"],
+    ("descent", "gbs"): ["--indices", "1,4"],
+    ("fibration", "plan"): ["--twists", "1"],
+}
+ECHOED = [
+    *([command, kind, *argv] for (command, kind), argv in KIND_ARGV.items()),
+    *([command, kind, *KIND_ARGV[(command, kind)], *argv]
+      for (command, kind), argv in OPTIONAL_ARGV.items()),
+    ["partitions", "--rows", "2", "--cols", "2"],
+    ["lr", "--a", "2,1", "--b", "1", "--rank", "3"],
+    ["schur-dim", "--weight", "2,1", "--n", "3"],
+    ["bott", "--space", "grass:2,4", "--sub-dual", "0,-1"],
+    ["euler", "--a", "1", "--b", "", "--d", "2", "--n", "4"],
+    ["selftest", "--criteria", "3"],
+]
+
+
+@pytest.mark.parametrize("argv", ECHOED, ids=[" ".join(argv).replace(HIRZEBRUCH, "hirzebruch")
+                                               for argv in ECHOED])
+def test_report_inputs_are_the_options_given(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "tower.json").write_text(json.dumps(TOWER_PLAN))
+    assert cli.run(argv) in (0, 1)
+    out = capsys.readouterr().out
+    report = json.loads(out)
+    command, options = argv[0], argv[1:]
+    given = {KIND_KEY[command]: options.pop(0)} if command in KIND_KEY else {}
+    given.update((option[2:].replace("-", "_"), value)
+                 for option, value in zip(options[::2], options[1::2]))
+    assert report["command"] == command and report["inputs"] == given
+    # the report names its own command line: run from its inputs alone, the same bytes
+    inputs = dict(report["inputs"])
+    again = [command, inputs.pop(KIND_KEY[command])] if command in KIND_KEY else [command]
+    for key, value in inputs.items():
+        again += [f"--{key.replace('_', '-')}", value]
+    assert cli.run(again) in (0, 1)
+    assert capsys.readouterr().out == out
 
 
 REPORT_FIELDS = set(VerificationReport.REPORTED)

@@ -83,6 +83,15 @@ def test_explicit_index_table():
         dsc.CSAClass(4, 3)
 
 
+def test_index_tables_an_algebra_can_have_are_taken():
+    # the default table p / gcd(p, i) is not re-checked: the rules hold for it by construction
+    for p in range(1, 61):
+        dsc._check_index_rules(p, tuple(p // gcd(p, i) for i in range(p)))
+    # a given table need not be the default one
+    assert dsc.CSAClass(4, 2, (1, 4)).index_table == (1, 4)
+    assert dsc.CSAClass(12, 6, (1, 12, 3, 2, 3, 12)).index_table == (1, 12, 3, 2, 3, 12)
+
+
 def test_bs_summary_quaternion():
     s = dsc.bs_tilting_summary(dsc.CSAClass(2, 2))
     assert s.ranks == (1, 2)

@@ -5,7 +5,7 @@ import tempfile
 from itertools import product as iter_product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tiltcheck import bwb, cli
@@ -95,6 +95,36 @@ def test_hirzebruch_twist_search():
     table = plan.table
     for k in range(4):
         assert table.get(k, k, 0) == 1
+
+
+def test_search_on_an_unverified_base_builds_one_table(monkeypatch):
+    # O, O(3) on P^1 are not tilting, and no twist of a fiber over them mends that
+    below = fib.FibrationPlan(fib.BaseModel(1, (0, 3)))
+    fiber = fib.GrassFiber(1, (0, 1))
+    built = []
+    build = fib.candidate_ext_table
+    monkeypatch.setattr(fib, "candidate_ext_table", lambda plan: built.append(plan) or build(plan))
+    plan = fib.twist_search(below, fiber, 8)
+    assert len(built) == 1
+    assert plan == fib.FibrationPlan(below.root, ((fiber, 8),))
+    assert not plan.verified and plan.obstruction == (1, 0, 1, 2)
+
+
+@settings(max_examples=30, deadline=None)
+@given(dim=st.integers(1, 3), degrees=st.lists(st.integers(-3, 5), min_size=2, max_size=4,
+                                               unique=True),
+       split=st.lists(st.integers(-1, 2), min_size=2, max_size=3), data=st.data())
+def test_no_twist_mends_an_unverified_base(dim, degrees, split, data):
+    # where two summands share the new fiber object the twist cancels, and the
+    # object's diagonal is k, so the root's own obstruction recurs at every twist
+    root = fib.BaseModel(dim, tuple(degrees))
+    below = fib.FibrationPlan(root)
+    assume(not below.verified)
+    fiber = fib.GrassFiber(data.draw(st.integers(1, len(split) - 1)), tuple(split))
+    cap = data.draw(st.integers(1, 3))
+    for m in range(cap + 1):
+        assert not fib.FibrationPlan(root, ((fiber, m),)).verified
+    assert fib.twist_search(below, fiber, cap) == fib.FibrationPlan(root, ((fiber, cap),))
 
 
 def test_split_grass37_search_values():

@@ -30,7 +30,7 @@ def conic_with(**changes):
 def dispatch(argv):
     """The command's own code, without `cli.run`'s catch."""
     args = cli.build_parser().parse_args(argv)
-    return cli._DISPATCH[args.command](args, False)
+    return cli._DISPATCH[args.command](args)
 
 
 def plan_with_table(table):
@@ -84,6 +84,22 @@ REFUSALS = [
     ("index-count", "index table must have one entry per residue mod period",
      lambda: dsc.CSAClass(4, 2, (1,)),
      (NO_FILES, ["descent", "bs", "--degree", "4", "--period", "2", "--indices", "1"])),
+    # a given index table must be one a central simple algebra has
+    ("index-period", "ind(A^1) = 1 must be a multiple of the period 6 of A^1",
+     lambda: dsc.CSAClass(6, 6, (1,) * 6),
+     (NO_FILES, ["descent", "bs", "--degree", "6", "--period", "6", "--indices", "1,1,1,1,1,1"])),
+    ("index-subgroup", "ind(A^3) = 8 must equal ind(A^1) = 2, as gcd(3, 4) = 1",
+     lambda: dsc.CSAClass(8, 4, (1, 2, 4, 8)),
+     (NO_FILES, ["descent", "bs", "--degree", "8", "--period", "4", "--indices", "1,2,4,8"])),
+    ("index-power-divides", "ind(A^2) = 9 must divide ind(A^1) = 6",
+     lambda: dsc.CSAClass(18, 6, (1, 6, 9, 2, 9, 6)),
+     (NO_FILES, ["descent", "gbs", "--degree", "18", "--period", "6", "--indices", "1,6,9,2,9,6",
+                 "--d", "2"])),
+    ("index-primes", "ind(A^1) = 6 has a prime factor that the period 2 of A^1 lacks",
+     lambda: dsc.CSAClass(6, 2, (1, 6)),
+     ({"tower.json": {"stages": [{"kind": "bs", "algebra": {"degree": 6, "period": 2,
+                                                            "indices": [1, 6]}}]}},
+      ["descent", "tower", "--plan", "tower.json"])),
     ("range-length", "range length must be positive",
      lambda: dsc.bs_tilting_summary(dsc.split_class(2), 0),
      (NO_FILES, ["descent", "bs", "--degree", "2", "--period", "1", "--range-length", "0"])),

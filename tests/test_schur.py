@@ -1,5 +1,6 @@
 import tracemalloc
 from collections import Counter
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -369,6 +370,11 @@ def test_dimension_cost_follows_the_rows_not_n():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def test_dimension_cost_does_not_follow_the_weight():
+    # one h_k(1^n) per difference the determinant uses, not every h_k up to the weight
+    assert schur_dimension((10**9,), 5) == comb(10**9 + 4, 4)
 
 
 def test_skew_kernel_refuses_a_negative_count():
