@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from functools import partial
 
@@ -218,12 +219,13 @@ def _cmd_selftest(args):
 
 
 class _Parser(argparse.ArgumentParser):
-    """Every CLI parser (`add_subparsers` builds its parser's class): no option may be
-    abbreviated, as `--d` would read as `--degrees`, and a failed write of the help
-    raises as a report's does, where argparse's help swallows it."""
+    """Every CLI parser (`add_subparsers` builds its parser's class): no option is abbreviated
+    (`--d` would read as `--degrees`), a word such as `-1,0,1` is a value (no option looks like
+    a number), and a failed help write raises as a report's does, where argparse's swallows it."""
 
     def __init__(self, **kwargs):
         super().__init__(allow_abbrev=False, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\d")
 
     def print_help(self, file=None):
         (file or sys.stdout).write(self.format_help())

@@ -35,9 +35,9 @@ sweep over root-first labels.  The items left after the top stages depend
 only on the labels' weights there, so `_sweep` folds from the top stage down
 over live (source suffix, target suffix) pairs, each stage once per distinct
 items and stage weights, and drops a pair with no items, as every extension
-of it is zero.  A chain is handed over once with its label pairs, and the
-root step maps it once per shift difference among their index pairs.  A
-build owns one memo: one transfer per distinct input, one walk per distinct
+of it is zero.  A chain comes once with its label pairs; the root step maps
+it once per shift difference of their index pairs into the table's own dict.
+A build owns one memo: one transfer per distinct input, one walk per distinct
 pushed weight; `tower_hom_degrees` sweeps its one pair from an empty memo.
 """
 
@@ -304,8 +304,8 @@ def twist_collection(spec: CollectionSpec, power: int) -> CollectionSpec:
 class ExtTable(FrozenValue):
     """dims maps (i, j, s) to dim Ext^s(E_i, E_j); absent keys are zero.
 
-    A table keeps only the nonzero entries, in a dict of its own, so one table
-    has one form and a later change to its caller's dict does not reach it.
+    A table keeps only the nonzero entries, in a dict of its own (given entries
+    are copied, zeros dropped; `_chain_table` fills an empty table's dict).
     `higher_entries`, `higher_witness` and `end_dim` each go once over the
     nonzero entries rather than probing every (i, j, s).
     """
@@ -393,16 +393,19 @@ def _skew_homs(weights, n: int, width: int):
 def _chain_table(ranked, labels, root_dim: int, shifts) -> ExtTable:
     """The Ext table of every ordered pair of root-first labels on `ranked` over P^root_dim.
 
-    A chain's root degree e adds H^*(P^root_dim, O(shifts[j] - shifts[i] + e)).
-    `max_degree` is the total dimension: root_dim plus l(r - l) per Grass
-    stage; a fiber table, carrying none, adds nothing.
+    A chain's root degree e adds H^*(P^root_dim, O(shifts[j] - shifts[i] + e)).  `max_degree`
+    is the total dimension: root_dim plus l(r - l) per Grass stage (a fiber table adds none).
+    Each entry is stored once, into the table's own dict (`_sweep` lists a pair once; in- and
+    out-of-bound pairs are disjoint), and is positive, as chain multiplicities, dim
+    H^*(P^m, O(k)) and s_{v/w}(1^n) for w in v on Grass(l, n) are: no column of v/w has n boxes.
     """
     index: dict[Label, list[int]] = {}
     for i, lab in enumerate(labels):
         index.setdefault(lab, []).append(i)
     distinct, at = tuple(index), list(index.values())
     memo: dict = {}
-    dims: dict[tuple[int, int, int], int] = {}
+    dimension = root_dim + sum(st.l * (rank - st.l) for st, rank in ranked if rank is not None)
+    table = ExtTable(len(labels), dimension)
     if root_dim == 0 and len(ranked) == 1 and ranked[0][1] is not None:
         # one split stage over a point is Grass(l, n); in bound: v_l - w_1 >= l - n
         [(st, n)] = ranked
@@ -410,7 +413,7 @@ def _chain_table(ranked, labels, root_dim: int, shifts) -> ExtTable:
         for v, homs in _skew_homs([lab[0] for lab in distinct], n, width):
             for w, hom in homs:
                 for i, j in iter_product(index[(v,)], index[(w,)]):
-                    dims[(i, j, 0)] = hom
+                    table.dims[(i, j, 0)] = hom
         # out-of-bound pairs, w_1 > v_l + width, walk in label order
         by_first = sorted(range(len(distinct)), key=lambda q: distinct[q][0][0])
         firsts = [distinct[q][0][0] for q in by_first]
@@ -431,10 +434,8 @@ def _chain_table(ranked, labels, root_dim: int, shifts) -> ExtTable:
                     res = root[e] = root[e] if e in root else bwb.pn_line_cohomology(e, root_dim)
                     if res is not None:
                         degrees[s + res.degree] = degrees.get(s + res.degree, 0) + mult * res.dimension
-            for s, dim in degrees.items():
-                dims[(i, j, s)] = dims.get((i, j, s), 0) + dim
-    dimension = root_dim + sum(st.l * (rank - st.l) for st, rank in ranked if rank is not None)
-    return ExtTable(len(labels), dimension, dims)
+            table.dims.update({(i, j, s): dim for s, dim in degrees.items()})
+    return table
 
 
 def ext_table(spec: CollectionSpec) -> ExtTable:

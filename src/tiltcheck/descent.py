@@ -33,11 +33,10 @@ from .schur import product_expand
 class CSAClass(FrozenValue):
     """Degree/period model of a central simple algebra.
 
-    `index_table` maps i mod period to ind(A^i); given none, the default
+    `index_table` maps i mod period to ind(A^i); given none, it is the default
     p / gcd(p, i), which holds for cyclic classes (all classes over local and
-    global fields), is written out and validated as a given table is.  A
-    given table must also be one a central simple algebra can have
-    (`_check_index_rules`); the default is one by construction.
+    global fields) and is valid by construction.  A given table is checked: its
+    entries divide the degree, and an algebra can have it (`_check_index_rules`).
     """
 
     __slots__ = _fields = ("degree", "period", "index_table")
@@ -47,18 +46,17 @@ class CSAClass(FrozenValue):
             raise ValueError("degree must be positive")
         if json_int(period, "period") < 1 or degree % period != 0:
             raise ValueError("period must divide the degree")
-        given = index_table is not None
-        if not given:
-            index_table = (period // gcd(period, i) for i in range(period))
-        index_table = tuple(json_int(x, "index") for x in index_table)
-        if len(index_table) != period:
-            raise ValueError("index table must have one entry per residue mod period")
-        if index_table[0] != 1:
-            raise ValueError("ind(A^0) must be 1")
-        for x in index_table:
-            if x < 1 or degree % x != 0:
-                raise ValueError(f"index {x} must divide the degree")
-        if given:
+        if index_table is None:
+            index_table = tuple(period // gcd(period, i) for i in range(period))
+        else:
+            index_table = tuple(json_int(x, "index") for x in index_table)
+            if len(index_table) != period:
+                raise ValueError("index table must have one entry per residue mod period")
+            if index_table[0] != 1:
+                raise ValueError("ind(A^0) must be 1")
+            for x in index_table:
+                if x < 1 or degree % x != 0:
+                    raise ValueError(f"index {x} must divide the degree")
             _check_index_rules(period, index_table)
         self._set(degree, period, index_table)
 
@@ -223,9 +221,8 @@ class WedgeReport(FrozenValue):
             for i, a in columns[k].items():
                 for j, b in columns[l].items():
                     higher[(i, j, s)] = higher.get((i, j, s), 0) + a * v * b
-        witness = ExtTable(len(box), table.max_degree, higher).higher_witness()
-        if witness is not None:
-            witness = (box[witness[0]], box[witness[1]], *witness[2:])
+        least = min(higher, default=None)
+        witness = None if least is None else (box[least[0]], box[least[1]], least[2], higher[least])
         end_dim = table.end_dim([sum(col.values()) for col in columns])
         self._set(d, n, len(box), end_dim, witness)
 

@@ -1,15 +1,20 @@
 import argparse
+import contextlib
 import gc
 import importlib.resources as resources
+import io
 import json
 import os
 import re
 import subprocess
 import sys
 import zlib
+from functools import partial
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import tiltcheck
 from tiltcheck import cli
@@ -410,6 +415,7 @@ def cli_env(**extra):
         (["descent", "tower", "--plan", "TOWER_PLAN"], "n/a"),
         (["descent", "gbs", "--degree", "4", "--period", "2", "--d", "2"], "n/a"),
         (["descent", "gbs", "--degree", "8", "--period", "2", "--d", "4"], "n/a"),
+        (["descent", "gbs", "--degree", "10", "--period", "2", "--d", "5"], "n/a"),
         (["descent", "bs", "--degree", "4", "--period", "2", "--indices", "1,3"], None),
         (["descent", "bs", "--degree", "4", "--period", "2", "--indices", "1,2"], "n/a"),
         (["euler", "--a", "2,1", "--b", "1", "--d", "2", "--n", "4"], "n/a"),
@@ -422,14 +428,16 @@ def cli_env(**extra):
           str(resources.files("tiltcheck") / "data" / "hirzebruch_plan.json")], "usage"),
         (["fibration", "search", "--plan", "NON_TILTING_ROOT_PLAN"], "fail"),
         (["fibration", "plan", "--plan", "NON_TILTING_ROOT_PLAN"], "fail"),
+        (["verify", "beilinson", "--n", "2", "--degrees", "-1,0,1"], "pass"),
+        (["bott", "--space", "grass:2,4", "--blocks", "-1,-1|0,0"], "n/a"),
     ],
     ids=["kapranov", "kapranov-4-9", "beilinson", "flag", "flag-1-3-5-6", "fibration",
          "fibration-equal-degrees", "fibration-plan-flag", "fibration-sp4",
          "fibration-plan-obstructed", "descent-tower", "descent-gbs", "descent-gbs-8-2-4",
-         "descent-bad-index", "descent-bs", "euler", "pretty", "usage-error",
+         "descent-gbs-10-2-5", "descent-bad-index", "descent-bs", "euler", "pretty", "usage-error",
          "kapranov-other-kinds-options", "descent-bs-other-kinds-options",
          "fibration-search-twists", "fibration-search-non-tilting-root",
-         "fibration-plan-non-tilting-root"],
+         "fibration-plan-non-tilting-root", "beilinson-negative-degrees", "bott-negative-blocks"],
 )
 def test_optimized_interpreter_same_reports(tmp_path, argv, verdict):
     # python -O strips assert statements; the integrity checks must not be asserts
@@ -686,6 +694,11 @@ ECHOED = [
     ["bott", "--space", "grass:2,4", "--sub-dual", "0,-1"],
     ["euler", "--a", "1", "--b", "", "--d", "2", "--n", "4"],
     ["selftest", "--criteria", "3"],
+    # a comma list whose first entry is negative is a value, not an option
+    ["verify", "beilinson", "--n", "2", "--degrees", "-1,0,1"],
+    ["bott", "--space", "grass:2,4", "--sub-dual", "-1,-2"],
+    ["schur-dim", "--weight", "-1,-2", "--n", "2"],
+    ["bott", "--space", "grass:2,4", "--blocks", "-1,-1|0,0"],
 ]
 
 
@@ -703,12 +716,117 @@ def test_report_inputs_are_the_options_given(capsys, tmp_path, monkeypatch, argv
                  for option, value in zip(options[::2], options[1::2]))
     assert report["command"] == command and report["inputs"] == given
     # the report names its own command line: run from its inputs alone, the same bytes
-    inputs = dict(report["inputs"])
-    again = [command, inputs.pop(KIND_KEY[command])] if command in KIND_KEY else [command]
-    for key, value in inputs.items():
-        again += [f"--{key.replace('_', '-')}", value]
-    assert cli.run(again) in (0, 1)
+    assert cli.run(command_line(report)) in (0, 1)
     assert capsys.readouterr().out == out
+
+
+def command_line(report):
+    """The command line a report's `inputs` spell, each option as `--name value`."""
+    inputs = dict(report["inputs"])
+    command = report["command"]
+    argv = [command, inputs.pop(KIND_KEY[command])] if command in KIND_KEY else [command]
+    for key, value in inputs.items():
+        argv += [f"--{key.replace('_', '-')}", value]
+    return argv
+
+
+def run_in_process(argv):
+    """(exit code, stdout, stderr) of `cli.run(argv)`, argparse's SystemExit taken as the code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.run(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def int_lists(lo, hi, min_size=0, max_size=3, order=None):
+    """Comma lists of integers in [lo, hi]; `order` sorted ("up" strictly, "down" weakly)."""
+    lists = st.lists(st.integers(lo, hi), min_size=min_size, max_size=max_size,
+                     unique=order == "up")
+    if order:
+        lists = lists.map(partial(sorted, reverse=order == "down"))
+    return lists.map(lambda xs: ",".join(map(str, xs)))
+
+
+# the options of the commands without kinds
+PLAIN_OPTIONS = {
+    ("partitions",): {"--rows", "--cols"},
+    ("lr",): {"--a", "--b", "--rank"},
+    ("schur-dim",): {"--weight", "--n"},
+    ("bott",): {"--space", "--sub", "--sub-dual", "--quot", "--blocks"},
+    ("euler",): {"--a", "--b", "--d", "--n"},
+    ("selftest",): {"--criteria"},
+}
+FUZZ_PLANS = [str(resources.files("tiltcheck") / "data" / name) for name in (
+    "hirzebruch_plan.json", "flag_1_2_3_plan.json", "sp4_borel_split_plan.json",
+    "conic_fiber.json")]
+# small sizes: n <= 6 and degree <= 8; negative integers, and comma lists in and out of order
+FUZZ_VALUES = {
+    **dict.fromkeys(("--n", "--d", "--rank"), st.integers(-1, 6).map(str)),
+    **dict.fromkeys(("--rows", "--cols"), st.integers(-1, 4).map(str)),
+    **dict.fromkeys(("--degree", "--range-length"), st.integers(-1, 8).map(str)),
+    "--period": st.integers(-1, 4).map(str),
+    **dict.fromkeys(("--a", "--b", "--weight", "--sub", "--sub-dual", "--quot"),
+                    st.one_of(int_lists(-2, 3, order="down"), int_lists(-3, 4))),
+    "--steps": st.one_of(int_lists(1, 5, min_size=1, order="up"), int_lists(-1, 6)),
+    "--degrees": int_lists(-3, 8, max_size=5),
+    "--indices": int_lists(-1, 8, max_size=8),
+    "--twists": int_lists(-1, 4, max_size=2),
+    "--criteria": int_lists(-1, 9, min_size=1, max_size=2),
+    "--blocks": st.lists(int_lists(-2, 3), min_size=1, max_size=3).map("|".join),
+    "--space": st.one_of(
+        st.builds("grass:{},{}".format, st.integers(1, 3), st.integers(2, 6)),
+        st.builds("flag:{};{}".format, int_lists(1, 5, min_size=1, order="up"), st.integers(2, 6)),
+        st.builds("flag:{};{}".format, int_lists(-1, 5, min_size=1), st.integers(-1, 6)),
+        st.just("torus:1")),
+    "--plan": st.sampled_from([*FUZZ_PLANS, "nothere.json"]),
+}
+FUZZ_JUNK = st.sampled_from(["", "x", "-1", "2.5", "1,,2", "-1,-2", " 1"])
+# options a command line may go without, and bott's bundle options, of which it takes one
+FUZZ_OPTIONAL = {"--indices", "--range-length", "--degrees", "--twists", "--criteria"}
+FUZZ_ONE_OF = {"--sub", "--sub-dual", "--quot", "--blocks"}
+
+
+@st.composite
+def command_lines(draw):
+    """A command line drawn from every command's options, in any order, as `--name value`
+    or `--name=value`: each required one likely present, each optional one less so, and
+    now and then one the line may not take; `-h` is left out."""
+    command = draw(st.sampled_from([*KIND_OPTIONS, *PLAIN_OPTIONS, *((c,) for c in KIND_KEY)]))
+    own = KIND_OPTIONS.get(command) or PLAIN_OPTIONS.get(command, set())
+    options = [option for option in sorted(own - FUZZ_ONE_OF)
+               if draw(st.integers(0, 9)) < (3 if option in FUZZ_OPTIONAL else 9)]
+    if own & FUZZ_ONE_OF:
+        options.append(draw(st.sampled_from(sorted(FUZZ_ONE_OF))))
+    # now and then one the line may not take: another kind's, or a second bundle option
+    others = (COMMAND_OPTIONS.get(command[0], set()) - own) | ((own & FUZZ_ONE_OF) - {*options})
+    if others and not draw(st.integers(0, 7)):
+        options.append(draw(st.sampled_from(sorted(others))))
+    argv = ["--pretty"] if draw(st.booleans()) else []
+    argv += command
+    for option in draw(st.permutations(options)):
+        value = draw(FUZZ_JUNK if not draw(st.integers(0, 19)) else FUZZ_VALUES[option])
+        argv += [f"{option}={value}"] if draw(st.booleans()) else [option, value]
+    return argv
+
+
+# given as `--degrees=-1,0,1`, a leading negative list is a value; so must its rerun's be
+@settings(derandomize=True, deadline=None, max_examples=200)
+@example(["verify", "beilinson", "--n", "2", "--degrees=-1,0,1"])
+@given(command_lines())
+def test_fuzzed_command_lines(argv):
+    # exit 0, 1 or 2; one JSON report exactly when the exit is 0 or 1; no traceback
+    code, out, err = run_in_process(argv)
+    assert code in (0, 1, 2) and "Traceback" not in err
+    assert (out == "") == (code == 2)
+    if out:
+        report = json.loads(out)
+        assert isinstance(report, dict) and out.endswith("}\n")
+        # rerun from the report's inputs alone: the same report
+        again = ["--pretty"] * (argv[0] == "--pretty") + command_line(report)
+        assert run_in_process(again)[:2] == (code, out)
 
 
 REPORT_FIELDS = set(VerificationReport.REPORTED)

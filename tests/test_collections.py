@@ -860,6 +860,36 @@ def test_root_step_runs_once_per_chain_and_shift_difference(monkeypatch):
     assert len(reads) == sum(map(len, diffs)) == 3 * len(entries) < index_pairs == 4 * len(entries)
 
 
+def test_each_build_fills_the_table_it_returns(monkeypatch):
+    # a build makes its table empty and stores every entry straight into the
+    # table's own dict, so no second dict of the entries is alive at its peak
+    received = []
+    table_class = coll.ExtTable
+
+    def recording(size, max_degree, dims=None):
+        received.append(dict(dims or {}))
+        return table_class(size, max_degree, dims)
+
+    monkeypatch.setattr(coll, "ExtTable", recording)
+    builds = {
+        "kapranov": lambda: coll.ext_table(coll.kapranov_collection(2, 5)).dims,
+        "flag": lambda: coll.ext_table(coll.flag_collection(bwb.FlagSpace(4, (1, 2)))).dims,
+        # n + 2 line bundles on P^n: O(0) against O(-3) is out of bound, so it walks
+        "beilinson-control": lambda: coll.ext_table(coll.beilinson_collection(2, range(4))).dims,
+        "candidate": lambda: fib.FibrationPlan(
+            fib.BaseModel(1), ((fib.GrassFiber(1, (0, 1)), 1),)).table.dims,
+        "schur-pair": lambda: coll.schur_pair_ext(2, 4, (1, 0), (0, -1)),
+    }
+    for name, build in builds.items():
+        received.clear()
+        entries = build()
+        assert entries and all(entries.values()), name
+        assert received == [{}], name
+    monkeypatch.undo()
+    control = coll.ext_table(coll.beilinson_collection(2, range(4)))
+    assert control.higher_witness() == (3, 0, 2, 1)
+
+
 def test_sweep_refuses_a_weight_never_pushed_to_the_root():
     # a tautological stage at the root has no stage below to take its weight
     ranked = ((coll.GrassFiber(1), 2),)

@@ -69,6 +69,8 @@ def test_default_index_table_is_written_out():
             expected = [p // gcd(p, i % p) for i in range(12)]
             assert a.index_table == tuple(expected[:p])
             assert [dsc.index_of_power(a, i) for i in range(12)] == expected, (d, p)
+            # written out unchecked, the default passes every check of a given table
+            assert dsc.CSAClass(d, p, a.index_table) == a
 
 
 def test_explicit_index_table():
